@@ -11,7 +11,6 @@ from .bessel import (
     BesselZeroTable,
     GapFactsReport,
     LimitProbe,
-    bessel_residual,
     bessel_zero,
     bessel_zero_table,
     gap_facts,

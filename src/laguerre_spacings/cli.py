@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import bessel, bethe, bounds, report
 from .errors import CheckFailure
 from .laguerre import LaguerreParams
 from .solver import zeros
+
+# argparse reads a token starting with '-' as an option unless it matches the
+# parser's negative-number pattern, which on Python 3.11 has no exponent form.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _params(args) -> LaguerreParams:
@@ -191,6 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ngrid", required=True, help="comma-separated degrees, ascending")
     p.set_defaults(func=cmd_bessel_probe)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -25,11 +25,11 @@ _DUPLICATE_FACTOR = 1e3  # gaps below this many eps*|z| indicate eigensolver fai
 
 @dataclass(frozen=True)
 class JacobiMatrix:
-    """Symmetric tridiagonal matrix whose eigenvalues are the zeros of L_n^(alpha).
+    """Symmetric tridiagonal matrix; its eigenvalues are simple if no offdiag entry is 0.
 
-    diag[k] = 2k + alpha + 1 for k = 0..n-1; offdiag[k-1] = sqrt(k(k+alpha))
-    for k = 1..n-1. All off-diagonal entries are positive for alpha > -1, so
-    the eigenvalues are simple.
+    build_jacobi fills it for the zeros of L_n^(alpha): diag[k] = 2k + alpha + 1,
+    offdiag[k-1] = sqrt(k(k+alpha)), positive for alpha > -1. The bessel module
+    fills it for reciprocal Bessel zeros.
     """
 
     diag: np.ndarray

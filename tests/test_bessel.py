@@ -1,16 +1,19 @@
-"""Bessel-zero tests: series zeros, gap facts, and the scaled-spacing limit."""
+"""Bessel-zero tests: eigenproblem zeros, gap facts, and the scaled-spacing limit."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import jv, jvp
 
+import laguerre_spacings
 from laguerre_spacings import (
     DomainError,
     LaguerreParams,
     ParameterError,
-    bessel_residual,
     bessel_zero,
     bessel_zero_table,
     gap_facts,
@@ -63,11 +66,17 @@ class TestZeros:
             scale = max(1.0, abs(jvp(alpha, z)) * z)
             assert abs(jv(alpha, z)) <= 1e-12 * scale
 
-    def test_internal_residual_measure(self):
-        assert bessel_residual(0.0, bessel_zero(0.0, 1)) <= 1e-12
+    @pytest.mark.parametrize("alpha", [-1 + 2e-9, -1 + 1e-12])
+    def test_first_rank_near_minus_one(self, alpha):
+        # j_{alpha,1} ~ 2 sqrt(alpha + 1) -> 0 while j_{alpha,2} -> j_{1,1}; a
+        # finder that lands on j_{alpha,2} for rank 1 shifts every rank by one.
+        assert bessel_zero(alpha, 1) == pytest.approx(
+            scipy_bisect_zero(alpha, 1e-8, 1e-3), rel=1e-12
+        )
+        assert bessel_zero(alpha, 2) == pytest.approx(3.8317, abs=1e-4)
 
     @pytest.mark.parametrize("alpha,k", [(1.5, 1), (-1.0, 1), (0.0, 0), (0.0, 21),
-                                         (0.0, 2.5)])
+                                         (0.0, 2.5), (0.0, True), (True, 1)])
     def test_domain_rejections(self, alpha, k):
         with pytest.raises(DomainError):
             bessel_zero(alpha, k)
@@ -84,6 +93,8 @@ class TestTable:
             bessel_zero_table(0.0, 21)
         with pytest.raises(DomainError):
             bessel_zero_table(0.0, 0)
+        with pytest.raises(DomainError):
+            bessel_zero_table(0.0, True)
 
 
 class TestGapFacts:
@@ -151,6 +162,8 @@ class TestLimitProbe:
             limit_probe(0.5, 3, [3, 10])
         with pytest.raises(ParameterError):
             limit_probe(0.5, 1, [])
+        with pytest.raises(ParameterError):
+            limit_probe(0.5, True, [3, 10])
 
     def test_small_rank_inverse_degree_scaling(self):
         # n * spacing moves by less than 10% between n = 100 and n = 200.
@@ -168,3 +181,12 @@ class TestLimitProbe:
         scaled_bound = n * uniform_spacing_lower(params)
         scaled_gaps = n * np.diff(zs.zeros)
         assert np.all(scaled_gaps > scaled_bound)
+
+
+def test_import_needs_no_mpmath():
+    # A None entry in sys.modules makes any import of mpmath raise ImportError.
+    src = str(Path(laguerre_spacings.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); sys.modules['mpmath'] = None; "
+            "import laguerre_spacings")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -15,7 +15,7 @@ from laguerre_spacings import (
     spacing_rows,
     zeros,
 )
-from laguerre_spacings.cli import main
+from laguerre_spacings.cli import build_parser, main
 from laguerre_spacings.report import pair_filename
 
 
@@ -248,6 +248,18 @@ class TestCli:
         assert main(["bounds", "--n", "3", "--alpha", "-0.9999999"]) == 0
         out = capsys.readouterr().out
         assert "alpha + 1 < 1e-6" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["zeros", "--n", "3", "--alpha", "-2.3e-05"],
+        ["spacings", "--n", "3", "--alpha", "-2.3e-05"],
+        ["bounds", "--n", "3", "--alpha", "-2.3e-05"],
+        ["verify", "--n", "3", "--alpha", "-2.3e-05"],
+        ["bessel-probe", "--alpha", "-5e-01", "--k", "1", "--ngrid", "5,10"],
+    ])
+    def test_negative_alpha_in_exponent_notation(self, argv, capsys):
+        given = argv[argv.index("--alpha") + 1]
+        assert build_parser().parse_args(argv).alpha == float(given)
+        assert main(argv) == 0
 
     def test_figure1_and_bessel_probe(self, tmp_path, capsys):
         assert main(["figure1", "--out", str(tmp_path / "fig")]) == 0
