@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 
+import numpy as np
+
 from .errors import DomainError, ParameterError
 
 # Rescale whenever the running recurrence values leave [2**-512, 2**512];
@@ -18,6 +20,7 @@ from .errors import DomainError, ParameterError
 # parameter ranges, so intermediate products never reach the double limit.
 _RESCALE_HI = 2.0**512
 _RESCALE_LO = 2.0**-512
+_FEW_LANES = 16  # shorter arrays run lane by lane on floats: numpy's per-call cost dominates
 
 
 @dataclass(frozen=True)
@@ -117,43 +120,16 @@ def _check_point(x: float, positive: bool = False) -> float:
     return x
 
 
-def laguerre_polynomial(n: int, alpha: float, x: float) -> ScaledValue:
-    """Evaluate L_n^(alpha)(x) for any degree n >= 0 by the ascending recurrence.
-
-    Uses (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1} with
-    power-of-two rescaling; alpha > -1 and x >= 0 are required.
-    """
-    if not isinstance(n, Integral) or isinstance(n, bool) or n < 0:
-        raise ParameterError(f"degree must be an integer >= 0, got {n!r}")
-    if not math.isfinite(alpha) or alpha <= -1.0:
-        raise ParameterError(f"alpha must be > -1, got {alpha!r}")
-    x = _check_point(x)
-    if n == 0:
-        return ScaledValue.from_float(1.0)
-    prev = 1.0                   # L_0
-    cur = alpha + 1.0 - x        # L_1
-    shift = 0
-    for k in range(1, n):
-        prev, cur = cur, ((2.0 * k + 1.0 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
-        m = max(abs(prev), abs(cur))
-        if m > _RESCALE_HI or 0.0 < m < _RESCALE_LO:
-            _, e = math.frexp(m)
-            prev = math.ldexp(prev, -e)
-            cur = math.ldexp(cur, -e)
-            shift += e
-    return ScaledValue.from_float(cur, shift)
-
-
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
 
 
-def _two_sum(a: float, b: float):
+def _two_sum(a, b):
     s = a + b
     bb = s - a
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _two_prod(a: float, b: float):
+def _two_prod(a, b):
     p = a * b
     t = _SPLITTER * a
     ah = t - (t - a)
@@ -164,27 +140,44 @@ def _two_prod(a: float, b: float):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def laguerre_polynomial_compensated(n: int, alpha: float, x: float) -> ScaledValue:
-    """Same value as laguerre_polynomial, with error-free transformations.
+def _rescale_exponent(prev, cur):
+    """The power of two taking max(|prev|, |cur|) back near 1 (0 in lanes left alone), or None."""
+    if isinstance(cur, float):
+        m = max(abs(prev), abs(cur))
+        return math.frexp(m)[1] if m > _RESCALE_HI or 0.0 < m < _RESCALE_LO else None
+    m = np.maximum(np.abs(prev), np.abs(cur))
+    if m.max(initial=1.0) > _RESCALE_HI or m.min(initial=1.0) < _RESCALE_LO:
+        return np.where((m > _RESCALE_HI) | ((m > 0.0) & (m < _RESCALE_LO)), np.frexp(m)[1], 0)
+    return None
 
-    The plain recurrence leaves noise of order n*eps relative to the largest
-    intermediate value, which near the clustered small zeros can dwarf the
-    local scale |z L'|. Carrying first-order rounding corrections pushes the
-    noise to ~eps of the true value, at roughly 10x the arithmetic cost.
-    Still pure double arithmetic; used for zero certification.
+
+def _recurrence(n: int, alpha: float, x, compensated: bool):
+    """L_n^(alpha)(x) as (value, shift) for value * 2**shift; x is a float or an array.
+
+    An array lane does the float path's operations in the same order, which
+    keeps it bit-identical to a float call; regrouping a sum breaks that.
+    Plain noise is of order n*eps of the largest intermediate value, which
+    near the clustered small zeros can dwarf the local scale |z L'|. The
+    compensated mode carries first-order rounding corrections (error-free
+    transformations of Ogita, Rump and Oishi) to ~eps of the true value,
+    at ~10x the arithmetic cost.
     """
-    if not isinstance(n, Integral) or isinstance(n, bool) or n < 0:
-        raise ParameterError(f"degree must be an integer >= 0, got {n!r}")
-    if not math.isfinite(alpha) or alpha <= -1.0:
-        raise ParameterError(f"alpha must be > -1, got {alpha!r}")
-    x = _check_point(x)
     if n == 0:
-        return ScaledValue.from_float(1.0)
+        return x * 0.0 + 1.0, 0  # L_0 = 1 in every lane
+    ldexp = math.ldexp if isinstance(x, float) else np.ldexp
+    shift = 0
+    if not compensated:
+        prev, cur = 1.0, alpha + 1.0 - x  # L_0, L_1
+        for k in range(1, n):
+            prev, cur = cur, ((2.0 * k + 1.0 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
+            e = _rescale_exponent(prev, cur)
+            if e is not None:
+                prev, cur, shift = ldexp(prev, -e), ldexp(cur, -e), shift + e
+        return cur, shift
     prev, prev_c = 1.0, 0.0
     cur, e1 = _two_sum(alpha, 1.0)
     cur, e2 = _two_sum(cur, -x)
     cur_c = e1 + e2
-    shift = 0
     for k in range(1, n):
         # 2k+1 and k+1 are exact; the alpha and x additions can round.
         s, e0 = _two_sum(2.0 * k + 1.0, alpha)
@@ -207,15 +200,50 @@ def laguerre_polynomial_compensated(n: int, alpha: float, x: float) -> ScaledVal
         prev, prev_c = cur, cur_c
         cur, cur_c = _two_sum(q, q_err)
 
-        m = max(abs(prev), abs(cur))
-        if m > _RESCALE_HI or 0.0 < m < _RESCALE_LO:
-            _, e = math.frexp(m)
-            prev = math.ldexp(prev, -e)
-            prev_c = math.ldexp(prev_c, -e)
-            cur = math.ldexp(cur, -e)
-            cur_c = math.ldexp(cur_c, -e)
+        e = _rescale_exponent(prev, cur)
+        if e is not None:
+            prev, prev_c = ldexp(prev, -e), ldexp(prev_c, -e)
+            cur, cur_c = ldexp(cur, -e), ldexp(cur_c, -e)
             shift += e
-    return ScaledValue.from_float(cur + cur_c, shift)
+    return cur + cur_c, shift
+
+
+def _evaluate(n: int, alpha: float, x, compensated: bool):
+    if not isinstance(n, Integral) or isinstance(n, bool) or n < 0:
+        raise ParameterError(f"degree must be an integer >= 0, got {n!r}")
+    if not math.isfinite(alpha) or alpha <= -1.0:
+        raise ParameterError(f"alpha must be > -1, got {alpha!r}")
+    if not isinstance(x, np.ndarray):
+        return ScaledValue.from_float(*_recurrence(n, alpha, _check_point(x), compensated))
+    x = x.astype(float)
+    for bad in x[~(x >= 0.0) | np.isinf(x)][:1]:
+        _check_point(float(bad))  # raises the float path's DomainError
+    if x.size < _FEW_LANES:
+        lanes = [_recurrence(n, alpha, v, compensated) for v in x.tolist()]
+        value, shift = np.reshape(lanes, (-1, 2)).T
+    else:
+        value, shift = _recurrence(n, alpha, x, compensated)
+    m, e = np.frexp(value)  # ScaledValue.from_float, lane by lane
+    zero = value == 0.0
+    return np.where(zero, 0.0, 2.0 * m), np.where(zero, 0, e - 1 + np.int64(shift))
+
+
+def laguerre_polynomial(n: int, alpha: float, x):
+    """Evaluate L_n^(alpha)(x) for any degree n >= 0 by the ascending recurrence.
+
+    Uses (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1} with
+    power-of-two rescaling; alpha > -1 and x >= 0 are required. A float x
+    gives a ScaledValue. A 1-D array x gives arrays (mantissas, exponents)
+    whose lane i is bit for bit the ScaledValue for x[i], or for a lane that
+    left double range, the nan or inf mantissa the float call rejects.
+    """
+    return _evaluate(n, alpha, x, compensated=False)
+
+
+def laguerre_polynomial_compensated(n: int, alpha: float, x):
+    """laguerre_polynomial to ~eps of the true value even near the clustered
+    small zeros, by error-free transformations; used for zero certification."""
+    return _evaluate(n, alpha, x, compensated=True)
 
 
 def evaluate(params: LaguerreParams, x: float) -> ScaledValue:

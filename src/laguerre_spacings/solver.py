@@ -8,9 +8,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .errors import ConvergenceError, RefinementError
+from .errors import ConvergenceError, ParameterError, RefinementError
 from .laguerre import (
     LaguerreParams,
+    ScaledValue,
     laguerre_polynomial,
     laguerre_polynomial_compensated,
 )
@@ -58,12 +59,12 @@ def eigen_zeros(jacobi: JacobiMatrix) -> np.ndarray:
     Implicit-shift QL iteration with Wilkinson shift, eigenvalues only
     (no eigenvectors). Raises ConvergenceError if any eigenvalue needs
     more than 50 sweeps, which indicates a numerics bug rather than a
-    user error.
+    user error. The sweeps run on Python lists, whose element access is
+    several times cheaper than numpy scalar indexing.
     """
     n = jacobi.dimension
-    d = jacobi.diag.astype(float).copy()
-    e = np.zeros(n)
-    e[: n - 1] = jacobi.offdiag
+    d = jacobi.diag.astype(float).tolist()
+    e = jacobi.offdiag.astype(float).tolist() + [0.0]
     for l in range(n):
         sweeps = 0
         while True:
@@ -110,8 +111,7 @@ def eigen_zeros(jacobi: JacobiMatrix) -> np.ndarray:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
-    d.sort()
-    return d
+    return np.sort(np.array(d))
 
 
 @dataclass(frozen=True)
@@ -165,28 +165,35 @@ class ZeroSet:
         return float(self.zeros[self.n - k])
 
 
-def _newton_correction(params: LaguerreParams, z: float, compensated: bool = False) -> float:
-    """The Newton step L/L' at z; uses L' = -L_{n-1}^(alpha+1).
+def _newton_correction(params: LaguerreParams, z: np.ndarray, compensated: np.ndarray):
+    """The Newton steps L/L' at the lanes z, via L' = -L_{n-1}^(alpha+1), and {lane: error}.
 
-    The compensated flag sharpens the numerator only; the derivative is far
+    The compensated lanes sharpen the numerator only; the derivative is far
     from its own zeros here, so its plain relative accuracy is plenty.
     """
-    if compensated:
-        val = laguerre_polynomial_compensated(params.n, params.alpha, z)
-    else:
-        val = laguerre_polynomial(params.n, params.alpha, z)
-    dneg = laguerre_polynomial(params.n - 1, params.alpha + 1.0, z)
-    if dneg.is_zero():
-        raise RefinementError(f"derivative vanished at {z!r} during refinement")
-    return -val.ratio_to(dneg)
+    n, alpha = params.n, params.alpha
+    mant, expo = np.empty(z.size), np.zeros(z.size, dtype=np.int64)
+    for evaluate, lanes in ((laguerre_polynomial, ~compensated),
+                            (laguerre_polynomial_compensated, compensated)):
+        if lanes.any():
+            mant[lanes], expo[lanes] = evaluate(n, alpha, z[lanes])
+    dmant, dexpo = laguerre_polynomial(n - 1, alpha + 1.0, z)
+    with np.errstate(all="ignore"):  # as ScaledValue.ratio_to: +0.0 for a zero quotient
+        steps = -np.ldexp(mant / dmant + 0.0, expo - dexpo)
+    failed = {}
+    for j in np.flatnonzero(~np.isfinite(mant) | ~np.isfinite(dmant) | (dmant == 0.0)):
+        try:  # ScaledValue rejects a nan or inf mantissa as the float call does
+            ScaledValue(float(mant[j]), 0), ScaledValue(float(dmant[j]), 0)
+            failed[j] = RefinementError(f"derivative vanished at {float(z[j])!r} during refinement")
+        except ParameterError as exc:
+            failed[j] = exc
+    return steps, failed
 
 
 def _duplicate_guard(values: np.ndarray) -> None:
-    for a, b in zip(values[:-1], values[1:]):
-        if b - a < _DUPLICATE_FACTOR * _EPS * abs(b):
-            raise ConvergenceError(
-                f"near-duplicate zeros {a!r} and {b!r}; theory guarantees simple zeros"
-            )
+    for i in np.flatnonzero(np.diff(values) < _DUPLICATE_FACTOR * _EPS * np.abs(values[1:]))[:1]:
+        raise ConvergenceError(f"near-duplicate zeros {values[i]!r} and {values[i + 1]!r}; "
+                               "theory guarantees simple zeros")
 
 
 def refine(params: LaguerreParams, approx) -> ZeroSet:
@@ -194,6 +201,9 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
 
     Each seed must sit within half the local gap of its true zero. A refined
     value crossing the midpoint toward a neighbor raises RefinementError.
+    All zeros iterate together as lanes, each with its own stop test and
+    escalation, to the bits each would get alone; of several failing zeros,
+    the lowest one's error is raised.
     """
     seeds = np.asarray(approx, dtype=float)
     n = params.n
@@ -207,29 +217,35 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
     lo = np.concatenate(([0.0], mids))
     hi = np.concatenate((mids, [math.inf]))
 
-    refined = np.empty(n)
-    residuals = np.empty(n)
-    for i, seed in enumerate(seeds):
-        z = float(seed)
-        compensated = False
-        for attempt in range(2):
-            for _ in range(_MAX_NEWTON_ITERATIONS):
-                step = _newton_correction(params, z, compensated)
-                z -= step
-                if not lo[i] < z < hi[i]:
-                    raise RefinementError(
-                        f"zero {i} drifted to {z!r}, across its neighbors' midpoints"
-                    )
-                if abs(step) <= 4.0 * _EPS * abs(z):
-                    break
-            residual = abs(_newton_correction(params, z, compensated)) / (_EPS * abs(z))
-            if residual <= _ESCALATE_AT or compensated:
-                break
-            # Recurrence noise swamped the local scale (clustered small
-            # zeros at large n); redo the polish with the sharper evaluator.
-            compensated = True
-        residuals[i] = residual
-        refined[i] = z
+    refined, residuals = seeds.copy(), np.empty(n)
+    compensated = np.zeros(n, dtype=bool)
+    # Newton steps taken in the current mode, set to the cap once the stop
+    # test holds (the next evaluation measures the residual) and past it when done.
+    iterations = np.zeros(n, dtype=int)
+    cap, first_failure, error = _MAX_NEWTON_ITERATIONS, n, None
+    while (lanes := np.flatnonzero(iterations[:first_failure] <= cap)).size:
+        z = refined[lanes]
+        steps, failed = _newton_correction(params, z, compensated[lanes])
+        step = iterations[lanes] < cap
+        done = lanes[~step]
+        residuals[done] = np.abs(steps[~step]) / (_EPS * np.abs(z[~step]))
+        # Recurrence noise swamped the local scale (clustered small zeros at
+        # large n); redo the polish with the sharper evaluator.
+        again = done[~compensated[done] & ~(residuals[done] <= _ESCALATE_AT)]
+        iterations[done], iterations[again], compensated[again] = cap + 1, 0, True
+
+        z[step] -= steps[step]
+        refined[lanes] = z
+        for j in np.flatnonzero(step & ~((lo[lanes] < z) & (z < hi[lanes])))[:1]:
+            failed.setdefault(j, RefinementError(f"zero {lanes[j]} drifted to {float(z[j])!r}, "
+                                                 "across its neighbors' midpoints"))
+        if failed:  # lanes at or above a failed one can no longer matter
+            first_failure, error = lanes[min(failed)], failed[min(failed)]
+        moved = lanes[step]
+        iterations[moved] += 1
+        iterations[moved[np.abs(steps[step]) <= 4.0 * _EPS * np.abs(z[step])]] = cap
+    if error is not None:
+        raise error
     return ZeroSet(params=params, zeros=refined, residuals=residuals)
 
 

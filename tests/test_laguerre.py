@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,12 +146,48 @@ class TestEvaluate:
 
     def test_domain_errors(self):
         p = LaguerreParams(2, 0.0)
-        with pytest.raises(DomainError):
-            evaluate(p, -1.0)
-        with pytest.raises(DomainError):
-            evaluate(p, math.nan)
-        with pytest.raises(DomainError):
-            evaluate(p, math.inf)
+        bad = [-1.0, math.nan, math.inf,
+               np.array([1.0, -1.0]), np.array([2.0, math.nan]), np.array([math.inf, 0.5]),
+               np.concatenate((np.linspace(0.0, 5.0, 19), [-math.inf]))]
+        for x in bad:
+            with pytest.raises(DomainError):
+                evaluate(p, x)
+            with pytest.raises(DomainError):
+                laguerre_polynomial_compensated(p.n, p.alpha, x)
+
+
+def _clustered_small_zeros():
+    from laguerre_spacings import zeros
+
+    return np.concatenate(([0.0], zeros(LaguerreParams(200, 0.5)).zeros[:40]))
+
+
+class TestArrayLanes:
+    """An array call equals pointwise float calls lane by lane, bit for bit."""
+
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    @pytest.mark.parametrize("n,alpha,make_points", [
+        # lanes rescale at different steps and by different powers of two
+        (200, 1e4, lambda: np.concatenate(([0.0], np.linspace(1.0, 3e4, 63)))),
+        (200, 0.5, _clustered_small_zeros),
+        (1, 2.0, lambda: np.arange(17.0)),  # one step; L_1(3) is an exact zero
+        (0, 2.0, lambda: np.linspace(0.0, 40.0, 17)),  # no recurrence step
+        (50, 1.0, lambda: np.array([0.0, 3.0, 30.0, 150.0])),  # short: lanes run on floats
+    ])
+    def test_lanes_match_pointwise_calls(self, evaluator, n, alpha, make_points):
+        points = make_points()
+        mantissas, exponents = evaluator(n, alpha, points)
+        pointwise = [evaluator(n, alpha, float(x)) for x in points]
+        assert mantissas.tobytes() == np.array([sv.mantissa for sv in pointwise]).tobytes()
+        assert exponents.tolist() == [sv.exponent2 for sv in pointwise]
+
+    def test_lanes_span_many_scales(self):
+        _, exponents = laguerre_polynomial(200, 1e4, np.linspace(0.0, 3e4, 64))
+        assert max(exponents) - min(exponents) > 500
+
+    def test_empty_array(self):
+        mantissas, exponents = laguerre_polynomial(5, 1.0, np.array([]))
+        assert mantissas.size == 0 and exponents.size == 0
 
 
 class TestDerivative:

@@ -1,7 +1,9 @@
 """Sweep/report and CLI surface tests: files, schema, determinism, exit codes."""
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +192,28 @@ class TestRunSweep:
         record = summary["failures"][0]
         assert record["check"] == "bethe"
         assert record["n"] == 5 and record["alpha"] == 1.0
+
+
+PAPER_GRID_DIGESTS = (Path(__file__).resolve().parents[1]
+                      / "bench" / "expected" / "paper_sweep_sha256.json")
+
+
+def test_paper_grid_outputs_match_recorded_digests(tmp_path):
+    # The benchmark's paper-grid sweep and figure1, checked byte for byte
+    # against the sha256 digests it records; run-to-run determinism alone
+    # would let a last-bit drift through.
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("n_values = 10,20,50,100\n"
+                   "alpha_values = 1,100,1000,10000\n"
+                   "checks = bethe,bounds,krasikov,bulk\n"
+                   f"output_dir = {tmp_path / 'sweep'}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    assert main(["figure1", "--out", str(tmp_path / "figure1")]) == 0
+    expected = json.loads(PAPER_GRID_DIGESTS.read_text())
+    for sub in ("sweep", "figure1"):
+        got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted((tmp_path / sub).iterdir())}
+        assert got == expected[sub], sub
 
 
 class TestFilenames:

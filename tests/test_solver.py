@@ -1,5 +1,6 @@
 """Zero-solver tests: Jacobi matrix, QL eigenvalues, Newton certification."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -110,6 +111,12 @@ class TestRefine:
         with pytest.raises(ConvergenceError):
             refine(LaguerreParams(2, 0.0), [1.0, 1.0 + 1e-15])
 
+    def test_duplicate_message_names_first_pair(self):
+        seeds = [1.0, 2.0, 2.0 + 1e-14, 3.0, 3.0 + 1e-14]
+        first_pair = r"\(2\.0\) and np\.float64\(2\.00000000000001\)"
+        with pytest.raises(ConvergenceError, match=first_pair):
+            refine(LaguerreParams(5, 0.0), seeds)
+
     def test_crossing_seed_rejected(self):
         # Both seeds sit in the upper root's basin; the first must cross
         # the midpoint while converging and be reported as a bad seed.
@@ -122,6 +129,13 @@ class TestRefine:
 
 
 class TestZeros:
+    def test_n1000_bits_pinned(self):
+        # Recorded with the one-zero-at-a-time Newton loop. This case has
+        # compensated zeros and zeros that run into the 20-iteration cap.
+        zs = zeros(LaguerreParams(1000, -0.5))
+        digest = hashlib.sha256(zs.zeros.tobytes() + zs.residuals.tobytes()).hexdigest()
+        assert digest == "3f025d7e3745814a4e6d15f3017b81054923f593a7710f6848a605cffde9bab5"
+
     def test_single_zero_closed_form(self):
         zs = zeros(LaguerreParams(1, -0.5))
         assert zs.zeros.tolist() == [0.5]
