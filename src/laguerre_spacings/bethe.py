@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -26,12 +25,23 @@ _CHAIN_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class ODECoefficients:
-    """Coefficient functions of u'' - 2 a u' + b u = 0 for L_n^(alpha)."""
+    """Coefficients of u'' - 2 a u' + b u = 0 for L_n^(alpha), at a float or an array of points."""
 
-    a_of_x: Callable[[float], float]
-    a_prime: Callable[[float], float]
-    b_of_x: Callable[[float], float]
-    delta_of_x: Callable[[float], float]
+    n: int
+    alpha: float
+
+    def a_of_x(self, x):
+        return 0.5 * (1.0 - (self.alpha + 1.0) / x)
+
+    def a_prime(self, x):
+        return (self.alpha + 1.0) / (2.0 * x * x)
+
+    def b_of_x(self, x):
+        return self.n / x
+
+    def delta_of_x(self, x):
+        a = self.a_of_x(x)
+        return self.b_of_x(x) - a * a
 
 
 @dataclass(frozen=True)
@@ -51,23 +61,8 @@ class BetheReport:
 
 
 def ode_coefficients(params: LaguerreParams) -> ODECoefficients:
-    """Closures for a, a', b and Delta = b - a^2 at fixed (n, alpha)."""
-    n, alpha = params.n, params.alpha
-
-    def a_of_x(x: float) -> float:
-        return 0.5 * (1.0 - (alpha + 1.0) / x)
-
-    def a_prime(x: float) -> float:
-        return (alpha + 1.0) / (2.0 * x * x)
-
-    def b_of_x(x: float) -> float:
-        return n / x
-
-    def delta_of_x(x: float) -> float:
-        a = a_of_x(x)
-        return b_of_x(x) - a * a
-
-    return ODECoefficients(a_of_x, a_prime, b_of_x, delta_of_x)
+    """a, a', b and Delta = b - a^2 at fixed (n, alpha)."""
+    return ODECoefficients(params.n, params.alpha)
 
 
 def _rank_to_index(zs: ZeroSet, k: int) -> int:
@@ -117,10 +112,11 @@ def verify_identity(zs: ZeroSet) -> list[BetheReport]:
     the report then carries the absolute rhs magnitude as its residual.
     """
     sums = _pairwise_sums(zs.zeros, np.arange(zs.n))
+    coeffs, x = ode_coefficients(zs.params), zs.zeros[::-1]  # rank order; zeros are > 0
+    rhs_by_rank = ((coeffs.delta_of_x(x) - 2.0 * coeffs.a_prime(x)) / 3.0).tolist()  # bethe_rhs's bits
     reports = []
-    for k in range(1, zs.n + 1):
+    for k, rhs in enumerate(rhs_by_rank, start=1):
         x_k = zs.zero_at_rank(k)
-        rhs = bethe_rhs(zs.params, x_k)
         if zs.n == 1:
             reports.append(BetheReport(k=k, lhs=0.0, rhs=rhs,
                                        rel_residual=abs(rhs), gap_term=None))

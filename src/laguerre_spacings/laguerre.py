@@ -82,19 +82,6 @@ class ScaledValue:
     def is_zero(self) -> bool:
         return self.mantissa == 0.0
 
-    @property
-    def sign(self) -> int:
-        if self.mantissa > 0.0:
-            return 1
-        if self.mantissa < 0.0:
-            return -1
-        return 0
-
-    def log2_abs(self) -> float:
-        if self.mantissa == 0.0:
-            return -math.inf
-        return math.log2(abs(self.mantissa)) + self.exponent2
-
     def ratio_to(self, other: "ScaledValue") -> float:
         """self / other as a double; other must be nonzero."""
         if other.mantissa == 0.0:
@@ -151,7 +138,7 @@ def _rescale_exponent(prev, cur):
     return None
 
 
-def _recurrence(n: int, alpha: float, x, compensated: bool):
+def _recurrence(n, alpha, x, compensated: bool):
     """L_n^(alpha)(x) as (value, shift) for value * 2**shift; x is a float or an array.
 
     An array lane does the float path's operations in the same order, which
@@ -161,66 +148,86 @@ def _recurrence(n: int, alpha: float, x, compensated: bool):
     compensated mode carries first-order rounding corrections (error-free
     transformations of Ogita, Rump and Oishi) to ~eps of the true value,
     at ~10x the arithmetic cost.
+
+    With an array x, n and alpha may be lane arrays too; a lane leaves the
+    pass, its value taken, after its own last step.
     """
-    if n == 0:
-        return x * 0.0 + 1.0, 0  # L_0 = 1 in every lane
-    ldexp = math.ldexp if isinstance(x, float) else np.ldexp
-    shift = 0
-    if not compensated:
-        prev, cur = 1.0, alpha + 1.0 - x  # L_0, L_1
-        for k in range(1, n):
+    lanes = isinstance(x, np.ndarray)
+    if not lanes and n == 0:
+        return 1.0, 0
+    ldexp = np.ldexp if lanes else math.ldexp
+    shift, prev, prev_c, cur_c = 0, 1.0, 0.0, 0.0
+    if compensated:
+        cur, e1 = _two_sum(alpha, 1.0)
+        cur, e2 = _two_sum(cur, -x)
+        cur_c = e1 + e2
+    else:
+        cur = alpha + 1.0 - x  # L_1
+    top, stop = n, 0
+    if lanes:  # degree-0 lanes keep out's L_0 = 1
+        out, out_shift, index = np.ones(x.size), np.zeros(x.size, dtype=np.int64), np.arange(x.size)
+        stops = iter(sorted(set(n[n > 0].tolist())))
+        top, stop = n.max(initial=0) + 1, next(stops, 0)
+    for k in range(1, top):
+        if k == stop:  # lanes of degree k are done
+            last, live = n == k, n > k
+            out[index[last]] = (cur + cur_c if compensated else cur)[last]
+            out_shift[index[last]] = shift[last] if np.ndim(shift) else shift
+            n, index, x, alpha, shift, prev, cur, prev_c, cur_c = (
+                v[live] if np.ndim(v) else v
+                for v in (n, index, x, alpha, shift, prev, cur, prev_c, cur_c))
+            stop = next(stops, 0)
+            if not index.size:
+                break
+        if not compensated:
             prev, cur = cur, ((2.0 * k + 1.0 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
-            e = _rescale_exponent(prev, cur)
-            if e is not None:
-                prev, cur, shift = ldexp(prev, -e), ldexp(cur, -e), shift + e
-        return cur, shift
-    prev, prev_c = 1.0, 0.0
-    cur, e1 = _two_sum(alpha, 1.0)
-    cur, e2 = _two_sum(cur, -x)
-    cur_c = e1 + e2
-    for k in range(1, n):
-        # 2k+1 and k+1 are exact; the alpha and x additions can round.
-        s, e0 = _two_sum(2.0 * k + 1.0, alpha)
-        a_main, e1 = _two_sum(s, -x)
-        a_err = e0 + e1
-        b_main, b_err = _two_sum(float(k), alpha)
-        c_exact = k + 1.0
+        else:
+            # 2k+1 and k+1 are exact; the alpha and x additions can round.
+            s, e0 = _two_sum(2.0 * k + 1.0, alpha)
+            a_main, e1 = _two_sum(s, -x)
+            a_err = e0 + e1
+            b_main, b_err = _two_sum(float(k), alpha)
+            c_exact = k + 1.0
 
-        t1, t1e = _two_prod(a_main, cur)
-        t1e += a_main * cur_c + a_err * cur
-        t2, t2e = _two_prod(b_main, prev)
-        t2e += b_main * prev_c + b_err * prev
-        num, num_e = _two_sum(t1, -t2)
-        num_e += t1e - t2e
+            t1, t1e = _two_prod(a_main, cur)
+            t1e += a_main * cur_c + a_err * cur
+            t2, t2e = _two_prod(b_main, prev)
+            t2e += b_main * prev_c + b_err * prev
+            num, num_e = _two_sum(t1, -t2)
+            num_e += t1e - t2e
 
-        q = num / c_exact
-        qc, qce = _two_prod(q, c_exact)
-        q_err = (((num - qc) - qce) + num_e) / c_exact
+            q = num / c_exact
+            qc, qce = _two_prod(q, c_exact)
+            q_err = (((num - qc) - qce) + num_e) / c_exact
 
-        prev, prev_c = cur, cur_c
-        cur, cur_c = _two_sum(q, q_err)
+            prev, prev_c = cur, cur_c
+            cur, cur_c = _two_sum(q, q_err)
 
         e = _rescale_exponent(prev, cur)
         if e is not None:
-            prev, prev_c = ldexp(prev, -e), ldexp(prev_c, -e)
-            cur, cur_c = ldexp(cur, -e), ldexp(cur_c, -e)
-            shift += e
-    return cur + cur_c, shift
+            prev, cur, shift = ldexp(prev, -e), ldexp(cur, -e), shift + e
+            if compensated:
+                prev_c, cur_c = ldexp(prev_c, -e), ldexp(cur_c, -e)
+    return (out, out_shift) if lanes else ((cur + cur_c if compensated else cur), shift)
 
 
-def _evaluate(n: int, alpha: float, x, compensated: bool):
-    if not isinstance(n, Integral) or isinstance(n, bool) or n < 0:
-        raise ParameterError(f"degree must be an integer >= 0, got {n!r}")
-    if not math.isfinite(alpha) or alpha <= -1.0:
-        raise ParameterError(f"alpha must be > -1, got {alpha!r}")
-    if not isinstance(x, np.ndarray):
+def _evaluate(n, alpha, x, compensated: bool):
+    low = n.min(initial=0).item() if isinstance(n, np.ndarray) and n.dtype.kind in "iu" else n
+    if not isinstance(low, Integral) or isinstance(low, bool) or low < 0:
+        raise ParameterError(f"degree must be an integer >= 0, got {low!r}")
+    many = isinstance(alpha, np.ndarray)  # the first bad lane's alpha stands for all
+    for a in alpha[~(alpha > -1.0) | np.isinf(alpha)][:1].tolist() if many else [alpha]:
+        if not math.isfinite(a) or a <= -1.0:
+            raise ParameterError(f"alpha must be > -1, got {a!r}")
+    if not any(isinstance(v, np.ndarray) for v in (n, alpha, x)):
         return ScaledValue.from_float(*_recurrence(n, alpha, _check_point(x), compensated))
-    x = x.astype(float)
+    x = np.broadcast_to(np.asarray(x, dtype=float), np.broadcast(n, alpha, x).shape)
+    n, alpha = np.broadcast_to(n, x.shape), (np.broadcast_to(alpha, x.shape) if many else alpha)
     for bad in x[~(x >= 0.0) | np.isinf(x)][:1]:
         _check_point(float(bad))  # raises the float path's DomainError
     if x.size < _FEW_LANES:
-        lanes = [_recurrence(n, alpha, v, compensated) for v in x.tolist()]
-        value, shift = np.reshape(lanes, (-1, 2)).T
+        per_lane = zip(n.tolist(), np.broadcast_to(alpha, x.shape).tolist(), x.tolist())
+        value, shift = np.reshape([_recurrence(*lane, compensated) for lane in per_lane], (-1, 2)).T
     else:
         value, shift = _recurrence(n, alpha, x, compensated)
     m, e = np.frexp(value)  # ScaledValue.from_float, lane by lane
@@ -233,9 +240,11 @@ def laguerre_polynomial(n: int, alpha: float, x):
 
     Uses (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1} with
     power-of-two rescaling; alpha > -1 and x >= 0 are required. A float x
-    gives a ScaledValue. A 1-D array x gives arrays (mantissas, exponents)
-    whose lane i is bit for bit the ScaledValue for x[i], or for a lane that
-    left double range, the nan or inf mantissa the float call rejects.
+    gives a ScaledValue. A 1-D array x, or integer-degree and alpha arrays
+    broadcasting with x, give arrays (mantissas, exponents) whose lane i is
+    bit for bit the ScaledValue of the float call for (n[i], alpha[i], x[i]),
+    or for a lane that left double range, the nan or inf mantissa the float
+    call rejects.
     """
     return _evaluate(n, alpha, x, compensated=False)
 

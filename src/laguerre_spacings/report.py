@@ -13,8 +13,6 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import bethe, bounds
 from .errors import ParameterError
 from .laguerre import LaguerreParams

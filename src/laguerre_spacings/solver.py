@@ -168,16 +168,22 @@ class ZeroSet:
 def _newton_correction(params: LaguerreParams, z: np.ndarray, compensated: np.ndarray):
     """The Newton steps L/L' at the lanes z, via L' = -L_{n-1}^(alpha+1), and {lane: error}.
 
-    The compensated lanes sharpen the numerator only; the derivative is far
+    One plain pass gives the plain lanes' numerators and all derivatives. The
+    compensated lanes sharpen the numerator only; the derivative is far
     from its own zeros here, so its plain relative accuracy is plenty.
     """
     n, alpha = params.n, params.alpha
+    plain = ~compensated
+    counts = [np.count_nonzero(plain), z.size]
+    both, both_e = laguerre_polynomial(np.repeat([n, n - 1], counts),
+                                       np.repeat([alpha, alpha + 1.0], counts),
+                                       np.concatenate((z[plain], z)))
     mant, expo = np.empty(z.size), np.zeros(z.size, dtype=np.int64)
-    for evaluate, lanes in ((laguerre_polynomial, ~compensated),
-                            (laguerre_polynomial_compensated, compensated)):
-        if lanes.any():
-            mant[lanes], expo[lanes] = evaluate(n, alpha, z[lanes])
-    dmant, dexpo = laguerre_polynomial(n - 1, alpha + 1.0, z)
+    mant[plain], expo[plain] = both[:counts[0]], both_e[:counts[0]]
+    if compensated.any():
+        mant[compensated], expo[compensated] = laguerre_polynomial_compensated(n, alpha,
+                                                                               z[compensated])
+    dmant, dexpo = both[counts[0]:], both_e[counts[0]:]
     with np.errstate(all="ignore"):  # as ScaledValue.ratio_to: +0.0 for a zero quotient
         steps = -np.ldexp(mant / dmant + 0.0, expo - dexpo)
     failed = {}
@@ -204,6 +210,13 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
     All zeros iterate together as lanes, each with its own stop test and
     escalation, to the bits each would get alone; of several failing zeros,
     the lowest one's error is raised.
+
+    A lane retires as soon as its future is known, which keeps its bits: a
+    step depends on the lane's mode and point alone, so a step back onto a
+    point evaluated in this mode either ends the polish there (the stop test
+    held) or closes a cycle the loop would ride to the iteration cap. The
+    point and step where the loop would take the residual are then on
+    record, and every point of the cycle has passed the checks.
     """
     seeds = np.asarray(approx, dtype=float)
     n = params.n
@@ -223,27 +236,35 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
     # test holds (the next evaluation measures the residual) and past it when done.
     iterations = np.zeros(n, dtype=int)
     cap, first_failure, error = _MAX_NEWTON_ITERATIONS, n, None
+    # Per lane, the points evaluated in the current mode by iteration, and their steps.
+    seen, seen_steps = np.full((n, cap + 1), np.nan), np.empty((n, cap + 1))
     while (lanes := np.flatnonzero(iterations[:first_failure] <= cap)).size:
-        z = refined[lanes]
+        z, it = refined[lanes], iterations[lanes]
         steps, failed = _newton_correction(params, z, compensated[lanes])
-        step = iterations[lanes] < cap
-        done = lanes[~step]
-        residuals[done] = np.abs(steps[~step]) / (_EPS * np.abs(z[~step]))
-        # Recurrence noise swamped the local scale (clustered small zeros at
-        # large n); redo the polish with the sharper evaluator.
-        again = done[~compensated[done] & ~(residuals[done] <= _ESCALATE_AT)]
-        iterations[done], iterations[again], compensated[again] = cap + 1, 0, True
-
+        seen[lanes, it], seen_steps[lanes, it] = z, steps
+        step = it < cap
         z[step] -= steps[step]
-        refined[lanes] = z
         for j in np.flatnonzero(step & ~((lo[lanes] < z) & (z < hi[lanes])))[:1]:
             failed.setdefault(j, RefinementError(f"zero {lanes[j]} drifted to {float(z[j])!r}, "
                                                  "across its neighbors' midpoints"))
         if failed:  # lanes at or above a failed one can no longer matter
             first_failure, error = lanes[min(failed)], failed[min(failed)]
-        moved = lanes[step]
-        iterations[moved] += 1
-        iterations[moved[np.abs(steps[step]) <= 4.0 * _EPS * np.abs(z[step])]] = cap
+        it[step] += 1
+        it[step & (np.abs(steps) <= 4.0 * _EPS * np.abs(z))] = cap
+        hit = step[:, None] & (seen[lanes] == z[:, None])  # an unrecorded (NaN) slot never hits
+        back = hit.any(axis=1)
+        j = hit[back].argmax(axis=1)
+        last = j + (cap - j) % (it[back] - j)  # where the loop would measure the residual
+        z[back], steps[back] = seen[lanes[back], last], seen_steps[lanes[back], last]
+        refined[lanes] = z
+        done = ~step | back
+        residuals[lanes[done]] = np.abs(steps[done]) / (_EPS * np.abs(z[done]))
+        # Recurrence noise swamped the local scale (clustered small zeros at
+        # large n); redo the polish with the sharper evaluator.
+        again = done & ~compensated[lanes] & ~(residuals[lanes] <= _ESCALATE_AT)
+        it[done], it[again] = cap + 1, 0
+        compensated[lanes[again]], seen[lanes[again]] = True, np.nan
+        iterations[lanes] = it
     if error is not None:
         raise error
     return ZeroSet(params=params, zeros=refined, residuals=residuals)

@@ -181,6 +181,40 @@ class TestArrayLanes:
         assert mantissas.tobytes() == np.array([sv.mantissa for sv in pointwise]).tobytes()
         assert exponents.tolist() == [sv.exponent2 for sv in pointwise]
 
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    @pytest.mark.parametrize("n,alpha,points", [
+        (1, 2.0, np.linspace(0.5, 6.0, 12)),  # the derivative lanes have degree 0
+        (2, 0.0, np.linspace(0.1, 5.0, 12)),
+        (30, 0.5, np.array([0.0, 0.3, 9.0, 40.0, 90.0])),  # 10 lanes: run on floats
+        (200, 1e4, np.linspace(1.0, 3e4, 24)),  # lanes rescale at different steps
+    ])
+    def test_mixed_degree_and_alpha_lanes(self, evaluator, n, alpha, points):
+        # refine's stacked pass: (n, alpha) numerators beside (n - 1, alpha + 1) derivatives
+        order = np.random.default_rng(3).permutation(2 * points.size)
+        degrees = np.repeat([n, n - 1], points.size)[order]
+        alphas = np.repeat([alpha, alpha + 1.0], points.size)[order]
+        x = np.concatenate((points, points))[order]
+        mantissas, exponents = evaluator(degrees, alphas, x)
+        pointwise = [evaluator(d, a, v) for d, a, v in zip(degrees.tolist(), alphas.tolist(), x.tolist())]
+        assert mantissas.tobytes() == np.array([sv.mantissa for sv in pointwise]).tobytes()
+        assert exponents.tolist() == [sv.exponent2 for sv in pointwise]
+
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    @pytest.mark.parametrize("n,alpha,match", [
+        (np.array([3, True], dtype=object), 1.0, "degree"),
+        (np.array([True, False]), 1.0, "degree"),
+        (np.array([3, -1]), 1.0, "got -1"),
+        (np.array([3.0, 2.0]), 1.0, "degree"),
+        (np.array([3, 2]), np.array([0.5, -1.0]), "got -1.0"),
+        (3, np.array([0.5, math.nan]), "got nan"),
+        (np.array([3, 2]), np.array([math.inf, 0.5]), "got inf"),
+    ])
+    def test_bad_lane_parameters_rejected(self, evaluator, n, alpha, match):
+        with pytest.raises(ParameterError, match=match):
+            evaluator(n, alpha, np.linspace(0.0, 5.0, 20))
+        with pytest.raises(ParameterError, match=match):
+            evaluator(n, alpha, np.array([1.0, 2.0]))
+
     def test_lanes_span_many_scales(self):
         _, exponents = laguerre_polynomial(200, 1e4, np.linspace(0.0, 3e4, 64))
         assert max(exponents) - min(exponents) > 500

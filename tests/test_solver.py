@@ -12,14 +12,18 @@ from mpmath import mp
 from laguerre_spacings import (
     ConvergenceError,
     LaguerreParams,
+    ParameterError,
     RefinementError,
     ZeroSet,
     build_jacobi,
     eigen_zeros,
+    laguerre_polynomial,
     refine,
+    solver,
     zeros,
 )
 from laguerre_spacings.bounds import edge_params, krasikov_window
+from laguerre_spacings.laguerre import laguerre_polynomial_compensated
 
 # Roots of x^3 - 9x^2 + 18x - 6 frozen from a 200-step bisection oracle
 # (the monic form of the degree-3, alpha=0 case).
@@ -27,6 +31,73 @@ CUBIC_ROOTS = (0.4157745567834791, 2.294280360279041, 6.289945082937479)
 
 SWEEP = [(n, a) for n in (10, 20, 50, 100) for a in (1.0, 100.0, 1e3, 1e4)]
 EDGE_CASES = [(2, -0.9), (2, 0.0), (50, -0.5)]
+
+
+EPS = float(np.finfo(float).eps)
+
+
+def reference_step(params: LaguerreParams, z: float, compensated: bool) -> float:
+    evaluate = laguerre_polynomial_compensated if compensated else laguerre_polynomial
+    value = evaluate(params.n, params.alpha, z)
+    dneg = laguerre_polynomial(params.n - 1, params.alpha + 1.0, z)
+    if dneg.is_zero():
+        raise RefinementError(f"derivative vanished at {z!r} during refinement")
+    return -value.ratio_to(dneg)
+
+
+def reference_refine(params: LaguerreParams, approx) -> ZeroSet:
+    """Newton one zero at a time on float calls, with refine's stop test
+    (4 eps), cap (20), escalation (residual > 16) and checks."""
+    seeds = np.asarray(approx, dtype=float)
+    n = params.n
+    if seeds.size != n:
+        raise RefinementError(f"expected {n} seeds, got {seeds.size}")
+    if n > 1 and np.min(np.diff(seeds)) <= 0.0:
+        raise RefinementError("seeds are not strictly increasing")
+    for a, b in zip(seeds[:-1], seeds[1:]):
+        if b - a < 1e3 * EPS * abs(b):
+            raise ConvergenceError(f"near-duplicate zeros {a!r} and {b!r}; "
+                                   "theory guarantees simple zeros")
+    mids = 0.5 * (seeds[:-1] + seeds[1:])
+    lo = np.concatenate(([0.0], mids))
+    hi = np.concatenate((mids, [math.inf]))
+    refined, residuals = [], []
+    for i, z in enumerate(seeds.tolist()):
+        for compensated in (False, True):
+            for _ in range(20):
+                step = reference_step(params, z, compensated)
+                z -= step
+                if not lo[i] < z < hi[i]:
+                    raise RefinementError(
+                        f"zero {i} drifted to {z!r}, across its neighbors' midpoints")
+                if abs(step) <= 4.0 * EPS * abs(z):
+                    break
+            residual = abs(reference_step(params, z, compensated)) / (EPS * abs(z))
+            if residual <= 16.0:
+                break
+        refined.append(z)
+        residuals.append(residual)
+    return ZeroSet(params=params, zeros=np.array(refined), residuals=np.array(residuals))
+
+
+def outcome(polish, params: LaguerreParams, seeds):
+    """The zeros' and residuals' bits, or the error's type and message."""
+    try:
+        zs = polish(params, seeds)
+    except (ConvergenceError, ParameterError, RefinementError) as exc:
+        return type(exc).__name__, str(exc)
+    return zs.zeros.tobytes(), zs.residuals.tobytes()
+
+
+def ql_seeds(n: int, alpha: float) -> np.ndarray:
+    return eigen_zeros(build_jacobi(LaguerreParams(n, alpha)))
+
+
+def perturbed_seeds(n: int, alpha: float, seed: int, reach: float) -> np.ndarray:
+    """QL seeds moved by up to reach local gaps, pushing some zeros across a midpoint."""
+    ev = ql_seeds(n, alpha)
+    shift = np.random.default_rng(seed).uniform(-reach, reach, n - 1) * np.diff(ev)
+    return np.sort(np.concatenate((ev[:1], ev[1:] + shift)))
 
 
 def cubic(x: float) -> float:
@@ -126,6 +197,45 @@ class TestRefine:
     def test_wrong_count_rejected(self):
         with pytest.raises(RefinementError):
             refine(LaguerreParams(3, 0.0), [1.0, 2.0])
+
+
+class TestRefineAgainstReference:
+    """refine's lanes, history shortcut included, against the one-zero loop, bit for bit."""
+
+    @pytest.mark.parametrize("n,alpha", SWEEP + [(1000, 1.0)])
+    def test_ql_seeds(self, n, alpha):
+        params, seeds = LaguerreParams(n, alpha), ql_seeds(n, alpha)
+        assert outcome(refine, params, seeds) == outcome(reference_refine, params, seeds)
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_cycling_lanes(self, n):
+        # Small alphas at these sizes leave lanes cycling among a few floats.
+        for alpha in (1.0 - 1.9 * np.random.default_rng(n).random(20)).tolist():
+            params, seeds = LaguerreParams(n, alpha), ql_seeds(n, alpha)
+            assert outcome(refine, params, seeds) == outcome(reference_refine, params, seeds)
+
+    @pytest.mark.parametrize("n,alpha,seeds", [
+        (2, 0.0, [3.0, 3.5]),  # drift
+        (2, 0.0, [0.6, 2.0]),  # L' vanishes at 2
+        (2, 0.0, [1.0, 1.0 + 1e-15]),  # near-duplicate
+        (5, 0.0, [1.0, 2.0, 2.0 + 1e-14, 3.0, 3.0 + 1e-14]),
+        (3, 0.0, [2.0, 1.0, 3.0]),  # disorder
+    ] + [(n, a, perturbed_seeds(n, a, s, reach)) for n, a in [(10, 1.0), (30, 0.2), (100, 1e3)]
+         for s in range(3) for reach in (0.2, 0.9)])
+    def test_bad_and_perturbed_seeds(self, n, alpha, seeds):
+        params = LaguerreParams(n, alpha)
+        expected = outcome(reference_refine, params, seeds)
+        assert outcome(refine, params, seeds) == expected
+
+    def test_cycling_lanes_retire_early(self, monkeypatch):
+        # At n = 20, alpha = 1 the one-zero loop rides a cycle to the cap;
+        # refine stops each lane once its path is known.
+        rounds = []
+        newton = solver._newton_correction
+        monkeypatch.setattr(solver, "_newton_correction",
+                            lambda *args: rounds.append(1) or newton(*args))
+        refine(LaguerreParams(20, 1.0), ql_seeds(20, 1.0))
+        assert len(rounds) <= 6
 
 
 class TestZeros:
