@@ -28,12 +28,13 @@ class EdgeParams:
 class BoundSet:
     """All spacing/window bounds for one (n, alpha), ready for reporting.
 
-    range_lower and proof_range_lower are None when no admissible C was
-    supplied; proof_range_lower carries the sharper constant
+    uniform_lower and the large-alpha fields are None for n = 1, which has no
+    spacings; range_lower and proof_range_lower are also None when no
+    admissible C was supplied; proof_range_lower carries the sharper constant
     sqrt(3/(2(C+1))) that the stated bound rounds down to 1/sqrt(C+1).
     """
 
-    uniform_lower: float
+    uniform_lower: float | None
     range_lower: float | None
     proof_range_lower: float | None
     range_constant: float | None
@@ -157,8 +158,8 @@ def bound_set(params: LaguerreParams, C="auto") -> BoundSet:
     """Assemble every bound for one configuration.
 
     C may be a positive number, "auto" (C = n/alpha), or None to skip the
-    large-alpha bounds; they are also skipped when alpha < n/C or when
-    "auto" is requested with alpha <= 0.
+    large-alpha bounds; they are also skipped when n = 1, when alpha < n/C
+    or when "auto" is requested with alpha <= 0.
     """
     x_star, delta_max = delta_extremum(params)
     kras_lo, kras_hi = krasikov_window(params)
@@ -167,12 +168,12 @@ def bound_set(params: LaguerreParams, C="auto") -> BoundSet:
         C = None  # no admissible C when alpha <= 0
     if C is not None:
         resolved = resolve_range_constant(params, C)
-        if params.alpha >= params.n / resolved:
+        if params.n >= 2 and params.alpha >= params.n / resolved:
             range_lower = range_spacing_lower(params, resolved)
             proof_lower = proof_range_spacing_lower(params, resolved)
             range_constant = resolved
     return BoundSet(
-        uniform_lower=uniform_spacing_lower(params),
+        uniform_lower=uniform_spacing_lower(params) if params.n >= 2 else None,
         range_lower=range_lower,
         proof_range_lower=proof_lower,
         range_constant=range_constant,

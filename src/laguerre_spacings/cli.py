@@ -7,7 +7,7 @@ import json
 import re
 import sys
 
-from . import bessel, bethe, bounds, report
+from . import bessel, bounds, report
 from .errors import CheckFailure
 from .laguerre import LaguerreParams
 from .solver import zeros
@@ -68,6 +68,10 @@ def cmd_bounds(args) -> int:
     print(f"window (V^2, U^2) = ({edge.V2:.17g}, {edge.U2:.17g})")
     print(f"sharpened window = [{bs.krasikov_min_lower:.17g}, {bs.krasikov_max_upper:.17g}]")
     print(f"delta max = {bs.delta_max:.17g} at x* = {bs.x_star:.17g}")
+    if bs.uniform_lower is None:
+        for name in ("uniform spacing lower bound", "large-alpha bound"):
+            print(f"{name}: not applicable (n = 1 has no spacings)")
+        return 0
     print(f"uniform spacing lower bound = {bs.uniform_lower:.17g}")
     if bs.range_lower is not None:
         print(f"large-alpha bound (C = {bs.range_constant:.6g}): {bs.range_lower:.17g}")
@@ -81,37 +85,24 @@ def cmd_verify(args) -> int:
     params = _params(args)
     _print_flag(params)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    bad = set(checks) - {"bethe", "bounds", "krasikov"}
+    bad = set(checks) - report.ASSERTED_CHECKS
     if bad:
         print(f"unknown checks: {sorted(bad)}", file=sys.stderr)
         return 2
-    zs = zeros(params)
-    failed = False
-    for check in checks:
+    pair = report.check_pair(params, checks)
+    for check in checks:  # in the user's order, repeats included
+        verdict = "FAIL" if check in pair.failed else "PASS"
         if check == "bethe":
-            reports = bethe.verify_identity(zs)
-            worst = bethe.max_rel_residual(reports)
-            ok = worst <= report.BETHE_RESIDUAL_TOL
-            print(f"bethe: max residual {worst:.3g} "
-                  f"({'PASS' if ok else 'FAIL'} at {report.BETHE_RESIDUAL_TOL:g})")
-            failed |= not ok
-        elif check == "bounds":
-            rows = report.spacing_rows(zs)
-            if not rows:
-                print("bounds: no spacings for n = 1 (skipped)")
-                continue
-            worst = min(r.ratio for r in rows)
-            ok = worst >= 1.0
-            print(f"bounds: min spacing/bound ratio {worst:.6g} ({'PASS' if ok else 'FAIL'})")
-            failed |= not ok
+            print(f"bethe: max residual {pair.max_bethe_residual:.3g} "
+                  f"({verdict} at {report.BETHE_RESIDUAL_TOL:g})")
         elif check == "krasikov":
-            edge = bounds.edge_params(params)
-            lo, hi = bounds.krasikov_window(params)
-            ok = bool(edge.V2 < zs.zeros[0] and zs.zeros[-1] < edge.U2
-                      and lo <= zs.zeros[0] and zs.zeros[-1] <= hi)
-            print(f"krasikov: window [{lo:.6g}, {hi:.6g}] ({'PASS' if ok else 'FAIL'})")
-            failed |= not ok
-    return 1 if failed else 0
+            lo, hi = pair.krasikov_window
+            print(f"krasikov: window [{lo:.6g}, {hi:.6g}] ({verdict})")
+        elif pair.rows:
+            print(f"bounds: min spacing/bound ratio {pair.min_ratio:.6g} ({verdict})")
+        else:
+            print("bounds: no spacings for n = 1 (skipped)")
+    return 1 if pair.failed else 0
 
 
 def cmd_sweep(args) -> int:

@@ -1,6 +1,8 @@
-"""Sweep runner: spacing tables, verification checks, CSV and JSON emission.
+"""The one check engine: spacing tables, verification checks, CSV and JSON.
 
-Output is deterministic: rows are written with 17-significant-digit decimal
+check_pair solves one (n, alpha) and runs the requested checks; the verify
+command prints its verdicts, and sweep and figure1 run it over a grid. Output
+is deterministic: rows are written with 17-significant-digit decimal
 floats (round-trip safe), files are written atomically, and the summary is
 assembled in lexicographic (n, alpha) order regardless of config order.
 """
@@ -10,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import bethe, bounds
@@ -18,7 +20,8 @@ from .errors import ParameterError
 from .laguerre import LaguerreParams
 from .solver import ZeroSet, zeros
 
-VALID_CHECKS = frozenset({"bethe", "bounds", "krasikov", "bulk"})
+ASSERTED_CHECKS = frozenset({"bethe", "bounds", "krasikov"})
+VALID_CHECKS = ASSERTED_CHECKS | {"bulk"}  # bulk is an observation with no verdict
 DEFAULT_N_VALUES = (10, 20, 50, 100)
 DEFAULT_ALPHA_VALUES = (1.0, 100.0, 1e3, 1e4)
 
@@ -143,73 +146,58 @@ def _pair_csv_text(rows: list[SpacingRow]) -> str:
     return "".join(lines)
 
 
-def _run_pair(n: int, alpha: float, checks: frozenset, epsilon: float):
-    """Compute one grid point: rows, summary entry, failure records."""
-    params = LaguerreParams(n=n, alpha=alpha)
+@dataclass(frozen=True)
+class PairChecks:
+    """One (n, alpha) solved once: its spacing rows and each requested check.
+
+    A value is None when its check was not requested (min_ratio is always
+    computed, and is None only for n = 1). failed maps each asserted check
+    that failed to its detail text, in the order bounds, bethe, krasikov.
+    """
+
+    params: LaguerreParams
+    rows: list
+    min_ratio: float | None
+    max_bethe_residual: float | None
+    krasikov_window: tuple | None
+    krasikov_ok: bool | None
+    bulk_fraction: float | None
+    failed: dict
+
+
+def check_pair(params: LaguerreParams, checks, epsilon: float = 0.1) -> PairChecks:
+    """Solve one pair and run the requested checks; every verdict fails closed."""
     zs = zeros(params)
     rows = spacing_rows(zs)
-    failures = []
-
     min_ratio = min((r.ratio for r in rows), default=None)
-    if "bounds" in checks and rows:
-        if min_ratio < 1.0:
-            failures.append(
-                {
-                    "n": n,
-                    "alpha": alpha,
-                    "check": "bounds",
-                    "detail": f"minimum spacing/bound ratio {min_ratio} fell below 1",
-                }
-            )
-
-    max_residual = None
+    failed = {}
+    if "bounds" in checks and rows and not min_ratio >= 1.0:
+        failed["bounds"] = f"minimum spacing/bound ratio {min_ratio} fell below 1"
+    residual = None
     if "bethe" in checks:
-        reports = bethe.verify_identity(zs)
-        max_residual = bethe.max_rel_residual(reports)
-        if max_residual > BETHE_RESIDUAL_TOL:
-            failures.append(
-                {
-                    "n": n,
-                    "alpha": alpha,
-                    "check": "bethe",
-                    "detail": f"max identity residual {max_residual} exceeds "
-                    f"{BETHE_RESIDUAL_TOL}",
-                }
-            )
-
-    krasikov_ok = None
+        residual = bethe.max_rel_residual(bethe.verify_identity(zs))
+        if not residual <= BETHE_RESIDUAL_TOL:
+            failed["bethe"] = f"max identity residual {residual} exceeds {BETHE_RESIDUAL_TOL}"
+    window = krasikov_ok = None
     if "krasikov" in checks:
-        edge = bounds.edge_params(params)
-        lo, hi = bounds.krasikov_window(params)
-        krasikov_ok = bool(
-            edge.V2 < zs.zeros[0]
-            and zs.zeros[-1] < edge.U2
-            and lo <= zs.zeros[0]
-            and zs.zeros[-1] <= hi
-        )
+        # ZeroSet already holds the zeros inside (V^2, U^2).
+        window = bounds.krasikov_window(params)
+        krasikov_ok = bool(window[0] <= zs.zeros[0] and zs.zeros[-1] <= window[1])
         if not krasikov_ok:
-            failures.append(
-                {
-                    "n": n,
-                    "alpha": alpha,
-                    "check": "krasikov",
-                    "detail": "extreme zeros escaped the sharpened window",
-                }
-            )
+            failed["krasikov"] = "extreme zeros escaped the sharpened window"
+    bulk = bulk_stats(zs, epsilon) if "bulk" in checks and zs.n >= 3 else None
+    return PairChecks(params, rows, min_ratio, residual, window, krasikov_ok, bulk, failed)
 
-    bulk_fraction = None
-    if "bulk" in checks and zs.n >= 3:
-        bulk_fraction = bulk_stats(zs, epsilon)
 
-    entry = {
-        "n": n,
-        "alpha": alpha,
-        "min_ratio": min_ratio,
-        "max_bethe_residual": max_residual,
-        "krasikov_ok": krasikov_ok,
-        "bulk_fraction": bulk_fraction,
-    }
-    return rows, entry, failures
+def _write_pairs(config: SweepConfig) -> list[PairChecks]:
+    """Check every grid point in (n, alpha) order and write its CSV."""
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    results = []
+    for n, alpha in sorted({(n, a) for n in config.n_values for a in config.alpha_values}):
+        pair = check_pair(LaguerreParams(n=n, alpha=alpha), config.checks, config.epsilon)
+        _write_atomic(config.output_dir / pair_filename(n, alpha), _pair_csv_text(pair.rows))
+        results.append(pair)
+    return results
 
 
 def run_sweep(config: SweepConfig) -> dict:
@@ -218,18 +206,16 @@ def run_sweep(config: SweepConfig) -> dict:
     Returns the summary dict; callers decide the exit status from its
     "failures" list. Identical configs produce byte-identical outputs.
     """
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    pairs = sorted(
-        {(n, a) for n in config.n_values for a in config.alpha_values}
-    )
     summary = {"pairs": [], "failures": []}
-    for n, alpha in pairs:
-        rows, entry, failures = _run_pair(n, alpha, config.checks, config.epsilon)
-        _write_atomic(out / pair_filename(n, alpha), _pair_csv_text(rows))
-        summary["pairs"].append(entry)
-        summary["failures"].extend(failures)
-    _write_atomic(out / "summary.json", json.dumps(summary, indent=2) + "\n")
+    for pair in _write_pairs(config):
+        n, alpha = pair.params.n, pair.params.alpha
+        summary["pairs"].append({"n": n, "alpha": alpha, "min_ratio": pair.min_ratio,
+                                 "max_bethe_residual": pair.max_bethe_residual,
+                                 "krasikov_ok": pair.krasikov_ok,
+                                 "bulk_fraction": pair.bulk_fraction})
+        summary["failures"] += [{"n": n, "alpha": alpha, "check": check, "detail": detail}
+                                for check, detail in pair.failed.items()]
+    _write_atomic(config.output_dir / "summary.json", json.dumps(summary, indent=2) + "\n")
     return summary
 
 
@@ -280,15 +266,10 @@ def figure1(output_dir) -> list[Path]:
     The script consumes the CSVs with matplotlib; the package itself never
     imports a rendering dependency.
     """
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for n in DEFAULT_N_VALUES:
-        for alpha in DEFAULT_ALPHA_VALUES:
-            zs = zeros(LaguerreParams(n=n, alpha=alpha))
-            path = out / pair_filename(n, alpha)
-            _write_atomic(path, _pair_csv_text(spacing_rows(zs)))
-            written.append(path)
+    config = SweepConfig(DEFAULT_N_VALUES, DEFAULT_ALPHA_VALUES, checks=frozenset(),
+                         output_dir=output_dir)
+    out = config.output_dir
+    written = [out / pair_filename(p.params.n, p.params.alpha) for p in _write_pairs(config)]
     script = _PLOT_SCRIPT.format(
         n_values=", ".join(str(n) for n in DEFAULT_N_VALUES),
         alpha_values=", ".join(_alpha_tag(a) for a in DEFAULT_ALPHA_VALUES),
@@ -315,7 +296,7 @@ def parse_sweep_config(path) -> SweepConfig:
             raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         values[key.strip()] = val.strip()
-    unknown = set(values) - {"n_values", "alpha_values", "checks", "epsilon", "output_dir"}
+    unknown = set(values) - {f.name for f in fields(SweepConfig)}
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
     missing = {"n_values", "alpha_values"} - set(values)

@@ -264,6 +264,18 @@ class TestBoundSet:
         bs = bound_set(LaguerreParams(10, 100.0), C=None)
         assert bs.range_lower is None
 
+    @pytest.mark.parametrize("C", ["auto", 0.5, None])
+    def test_degree_one_has_no_spacing_bounds(self, C):
+        # n = 1 has no spacings; the window and delta fields are still set.
+        params = LaguerreParams(1, 1.0)
+        bs = bound_set(params, C=C)
+        assert bs.uniform_lower is None
+        assert bs.range_lower is None
+        assert bs.proof_range_lower is None
+        assert bs.range_constant is None
+        assert (bs.krasikov_min_lower, bs.krasikov_max_upper) == krasikov_window(params)
+        assert bs.delta_max == delta_extremum(params)[1]
+
     def test_invalid_constant_raises(self):
         with pytest.raises(ParameterError):
             bound_set(LaguerreParams(10, 100.0), C=0.0)

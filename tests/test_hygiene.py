@@ -1,4 +1,4 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import and private name in the package is used."""
 
 import ast
 from pathlib import Path
@@ -33,3 +33,36 @@ def test_scan_finds_a_dead_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Private module-level functions, classes and constants no module reads."""
+    trees = [ast.parse(source) for source in sources]
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):  # module._name
+                read.add(node.attr)
+    return [name for name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_scan_finds_a_dead_private_name():
+    used = "from .b import _shared\n_LIMIT = 3\ndef f():\n    return _LIMIT + _shared()\n"
+    other = "def _shared():\n    return 1\ndef _left_behind():\n    return 2\n__version__ = '1'\n"
+    assert unread_private_names([used, other]) == ["_left_behind"]
+
+
+def test_private_names_are_read():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_names(sources) == []

@@ -1,10 +1,11 @@
 """Evaluation-layer tests: recurrence values, derivatives, equation residuals."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -37,8 +38,23 @@ def product_formula_at_zero(n: int, alpha: float) -> ScaledValue:
 
 
 def mp_laguerre(n: int, alpha: float, x: float):
+    """Exact L_n^(alpha)(x) from the explicit sum, in rationals, rounded to 60 digits.
+
+    sum_k (-1)^k C(n+alpha, n-k) x^k / k!; the ratio of successive
+    coefficients is -(n-k) / ((alpha+k+1)(k+1)). mpmath's hypergeometric
+    laguerre fails to converge where the value is exactly zero, e.g. L_1^(2)(3).
+    """
+    a, t = Fraction(alpha), Fraction(x)
+    coeff = Fraction(1)
+    for j in range(1, n + 1):
+        coeff *= (a + j) / j
+    total, power = Fraction(0), Fraction(1)
+    for k in range(n + 1):
+        total += coeff * power
+        coeff *= Fraction(-(n - k)) / ((a + k + 1) * (k + 1))
+        power *= t
     with mp.workdps(60):
-        return mp.laguerre(n, mp.mpf(alpha), mp.mpf(x))
+        return +(mp.mpf(total.numerator) / total.denominator)
 
 
 def sv_to_mp(sv: ScaledValue):
@@ -125,6 +141,7 @@ class TestEvaluate:
         alpha=st.floats(min_value=0.0, max_value=5.0),
         x=st.floats(min_value=0.0, max_value=30.0),
     )
+    @example(n=1, alpha=2.0, x=3.0)  # an exact zero: L_1^(2)(3) = 0
     def test_recurrence_tracks_oracle_within_envelope(self, n, alpha, x):
         # |L_n^(a)(x)| <= L_n^(a)(0) e^(x/2) for a >= 0 bounds the noise scale.
         exact = mp_laguerre(n, alpha, x)

@@ -170,6 +170,9 @@ class TestRunSweep:
                           checks=frozenset(), output_dir=tmp_path)
         summary = run_sweep(cfg)
         pair = summary["pairs"][0]
+        # min_ratio is reported even when bounds is not checked
+        rows = spacing_rows(zeros(LaguerreParams(3, 1.0)))
+        assert pair["min_ratio"] == min(r.ratio for r in rows)
         assert pair["max_bethe_residual"] is None
         assert pair["krasikov_ok"] is None
         assert pair["bulk_fraction"] is None
@@ -192,6 +195,23 @@ class TestRunSweep:
         record = summary["failures"][0]
         assert record["check"] == "bethe"
         assert record["n"] == 5 and record["alpha"] == 1.0
+
+    def test_nan_residual_fails_closed(self, tmp_path, monkeypatch, capsys):
+        # A NaN residual is no pass: verify and sweep both report bethe
+        # failing and exit 1.
+        import laguerre_spacings.bethe as bethe_module
+
+        monkeypatch.setattr(bethe_module, "max_rel_residual", lambda reports: math.nan)
+        assert main(["verify", "--n", "5", "--alpha", "1", "--checks", "bethe"]) == 1
+        assert capsys.readouterr().out == "bethe: max residual nan (FAIL at 1e-08)\n"
+        cfg_file = tmp_path / "cfg"
+        cfg_file.write_text(
+            f"n_values = 5\nalpha_values = 1\nchecks = bethe\noutput_dir = {tmp_path / 'o'}\n"
+        )
+        assert main(["sweep", "--config", str(cfg_file)]) == 1
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert [f["check"] for f in summary["failures"]] == ["bethe"]
+        assert math.isnan(summary["pairs"][0]["max_bethe_residual"])
 
 
 PAPER_GRID_DIGESTS = (Path(__file__).resolve().parents[1]
@@ -258,10 +278,48 @@ class TestCli:
         out = capsys.readouterr().out
         assert "not applicable" in out
 
+    def test_bounds_degree_one(self, capsys):
+        assert main(["bounds", "--n", "1", "--alpha", "1"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == [
+            "uniform spacing lower bound: not applicable (n = 1 has no spacings)",
+            "large-alpha bound: not applicable (n = 1 has no spacings)",
+        ]
+
     def test_verify_pass(self, capsys):
         assert main(["verify", "--n", "10", "--alpha", "1"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
+
+    # Exact stdout and exit codes of verify, including the user's check order
+    # and repeats; a change to either is a change of the CLI contract.
+    @pytest.mark.parametrize("argv,out", [
+        (["--n", "1", "--alpha", "1"],
+         "bethe: max residual 0 (PASS at 1e-08)\n"
+         "bounds: no spacings for n = 1 (skipped)\n"
+         "krasikov: window [1.57415, 3.45376] (PASS)\n"),
+        (["--n", "10", "--alpha", "1"],
+         "bethe: max residual 1.03e-15 (PASS at 1e-08)\n"
+         "bounds: min spacing/bound ratio 2.50998 (PASS)\n"
+         "krasikov: window [0.263381, 35.3178] (PASS)\n"),
+        (["--n", "10", "--alpha", "1", "--checks", "krasikov,bethe,bethe"],
+         "krasikov: window [0.263381, 35.3178] (PASS)\n"
+         "bethe: max residual 1.03e-15 (PASS at 1e-08)\n"
+         "bethe: max residual 1.03e-15 (PASS at 1e-08)\n"),
+    ])
+    def test_verify_output_pinned(self, argv, out, capsys):
+        assert main(["verify", *argv]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_verify_fail_output_pinned(self, monkeypatch, capsys):
+        import laguerre_spacings.report as report_module
+
+        monkeypatch.setattr(report_module, "BETHE_RESIDUAL_TOL", 1e-30)
+        assert main(["verify", "--n", "10", "--alpha", "1"]) == 1
+        assert capsys.readouterr().out == (
+            "bethe: max residual 1.03e-15 (FAIL at 1e-30)\n"
+            "bounds: min spacing/bound ratio 2.50998 (PASS)\n"
+            "krasikov: window [0.263381, 35.3178] (PASS)\n")
 
     def test_verify_rejects_unknown_check(self, capsys):
         assert main(["verify", "--n", "5", "--alpha", "1", "--checks", "bogus"]) == 2
