@@ -15,12 +15,18 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 
-# Rescale whenever the running recurrence values leave [2**-512, 2**512];
-# one recurrence step multiplies by at most ~2**16 for the supported
-# parameter ranges, so intermediate products never reach the double limit.
+# Rescale whenever the running recurrence values leave [2**-512, 2**512].
+# One step multiplies them by about |2k+1+alpha-x|/(k+1), which is about
+# alpha/(k+1) across the zeros, so a step's products (up to 2**512 times
+# alpha or x) stay finite only while alpha and x stay below about 2**512
+# (~1.3e154; about 2**499 for the compensated mode's error terms). Past
+# that a float call raises _range_error's ParameterError.
 _RESCALE_HI = 2.0**512
 _RESCALE_LO = 2.0**-512
-_FEW_LANES = 16  # shorter arrays run lane by lane on floats: numpy's per-call cost dominates
+# Shorter arrays run lane by lane on floats, where numpy's per-call cost
+# dominates. Measured break-even at n in {100, 1000}: about 40 lanes for the
+# compensated mode and 48 for refine's stacked plain pass.
+_FEW_LANES = 40
 
 
 @dataclass(frozen=True)
@@ -35,7 +41,8 @@ class LaguerreParams:
             raise ParameterError(f"degree must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ParameterError(f"degree must be >= 1, got {self.n}")
-        if not isinstance(self.alpha, Real) or not math.isfinite(self.alpha):
+        if (not isinstance(self.alpha, Real) or isinstance(self.alpha, bool)
+                or not math.isfinite(self.alpha)):
             raise ParameterError(f"alpha must be a finite real, got {self.alpha!r}")
         if self.alpha <= -1.0:
             raise ParameterError(f"alpha must be > -1, got {self.alpha}")
@@ -127,35 +134,123 @@ def _two_prod(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _rescale_exponent(prev, cur):
-    """The power of two taking max(|prev|, |cur|) back near 1 (0 in lanes left alone), or None."""
-    if isinstance(cur, float):
-        m = max(abs(prev), abs(cur))
-        return math.frexp(m)[1] if m > _RESCALE_HI or 0.0 < m < _RESCALE_LO else None
-    m = np.maximum(np.abs(prev), np.abs(cur))
-    if m.max(initial=1.0) > _RESCALE_HI or m.min(initial=1.0) < _RESCALE_LO:
-        return np.where((m > _RESCALE_HI) | ((m > 0.0) & (m < _RESCALE_LO)), np.frexp(m)[1], 0)
-    return None
+def _plain_lane(n, alpha, x):
+    """_recurrence's plain mode on one float lane, degree n >= 1."""
+    hi, lo, frexp, ldexp = _RESCALE_HI, _RESCALE_LO, math.frexp, math.ldexp
+    shift, prev, cur, k = 0, 1.0, alpha + 1.0 - x, 1.0
+    for _ in range(n - 1):
+        k1 = k + 1.0
+        prev, cur = cur, ((k + k1 + alpha - x) * cur - (k + alpha) * prev) / k1
+        k = k1
+        if not lo <= abs(cur) <= hi:  # see _recurrence; a nan takes the full test
+            m = max(abs(prev), abs(cur))
+            if m > hi or 0.0 < m < lo:
+                e = frexp(m)[1]
+                prev, cur, shift = ldexp(prev, -e), ldexp(cur, -e), shift + e
+    return cur, shift
+
+
+def _compensated_lane(n, alpha, x):
+    """_recurrence's compensated mode on one float lane, degree n >= 1: the
+    array step's _two_sum and _two_prod inlined, operation for operation."""
+    hi, lo, frexp, ldexp, split = _RESCALE_HI, _RESCALE_LO, math.frexp, math.ldexp, _SPLITTER
+    nx = -x
+    s = alpha + 1.0
+    bb = s - alpha
+    e1 = (alpha - (s - bb)) + (1.0 - bb)
+    cur = s + nx
+    bb = cur - s
+    shift, prev, prev_c, cur_c = 0, 1.0, 0.0, e1 + ((s - (cur - bb)) + (nx - bb))
+    ph, pl, k = 1.0, 0.0, 1.0  # ph + pl: the Veltkamp split of prev, carried from cur's
+    for _ in range(n - 1):
+        k1 = k + 1.0
+        t = k + k1  # 2k+1, exact
+        s = t + alpha
+        bb = s - t
+        e0 = (t - (s - bb)) + (alpha - bb)
+        a_main = s + nx
+        bb = a_main - s
+        a_err = e0 + ((s - (a_main - bb)) + (nx - bb))
+        b_main = k + alpha
+        bb = b_main - k
+        b_err = (k - (b_main - bb)) + (alpha - bb)
+
+        t1 = a_main * cur
+        t = split * a_main
+        ah = t - (t - a_main)
+        al = a_main - ah
+        t = split * cur
+        ch = t - (t - cur)
+        cl = cur - ch
+        t1e = ((ah * ch - t1) + ah * cl + al * ch) + al * cl
+        t1e += a_main * cur_c + a_err * cur
+        t2 = b_main * prev
+        t = split * b_main
+        bh = t - (t - b_main)
+        bl = b_main - bh
+        t2e = ((bh * ph - t2) + bh * pl + bl * ph) + bl * pl
+        t2e += b_main * prev_c + b_err * prev
+        nt2 = -t2
+        num = t1 + nt2
+        bb = num - t1
+        num_e = (t1 - (num - bb)) + (nt2 - bb)
+        num_e += t1e - t2e
+
+        q = num / k1
+        qc = q * k1
+        t = split * q
+        qh = t - (t - q)
+        ql = q - qh
+        t = split * k1
+        kh = t - (t - k1)
+        kl = k1 - kh
+        q_err = (((num - qc) - (((qh * kh - qc) + qh * kl + ql * kh) + ql * kl)) + num_e) / k1
+
+        prev, prev_c, ph, pl = cur, cur_c, ch, cl
+        cur = q + q_err
+        bb = cur - q
+        cur_c = (q - (cur - bb)) + (q_err - bb)
+        k = k1
+        if not lo <= abs(cur) <= hi:  # see _recurrence; a nan takes the full test
+            m = max(abs(prev), abs(cur))
+            if m > hi or 0.0 < m < lo:
+                e = frexp(m)[1]
+                prev, cur, shift = ldexp(prev, -e), ldexp(cur, -e), shift + e
+                prev_c, cur_c = ldexp(prev_c, -e), ldexp(cur_c, -e)
+                t = split * prev
+                ph = t - (t - prev)
+                pl = prev - ph
+    return cur + cur_c, shift
 
 
 def _recurrence(n, alpha, x, compensated: bool):
     """L_n^(alpha)(x) as (value, shift) for value * 2**shift; x is a float or an array.
 
-    An array lane does the float path's operations in the same order, which
-    keeps it bit-identical to a float call; regrouping a sum breaks that.
+    An array lane does a float call's operations in the same order, which
+    keeps it bit-identical to the float call; regrouping a sum breaks that.
     Plain noise is of order n*eps of the largest intermediate value, which
     near the clustered small zeros can dwarf the local scale |z L'|. The
     compensated mode carries first-order rounding corrections (error-free
     transformations of Ogita, Rump and Oishi) to ~eps of the true value,
-    at ~10x the arithmetic cost.
+    at 6-8x the cost of the plain mode.
 
-    With an array x, n and alpha may be lane arrays too; a lane leaves the
-    pass, its value taken, after its own last step.
+    A float call runs one of the two tight loops above. With an array x, n
+    and alpha may be lane arrays too; a lane leaves the pass, its value
+    taken, after its own last step.
+
+    Rescaling: a lane rescales by the power of two taking m = max(|prev|,
+    |cur|) back near 1 whenever m leaves [2**-512, 2**512]. After the first
+    step, |prev| is a |cur| that passed this test a step ago, so the test can
+    fire only where |cur| left the range or is nan, and the loops run it
+    only then; where it fires for |cur| > 2**512 alone, m is |cur|. L_1 is
+    untested, so the array pass runs the full test on step 1. Over an array,
+    the gate takes nan-skipping reductions (fmin, fmax), so a lane that left
+    double range never stops the other lanes' rescaling.
     """
-    lanes = isinstance(x, np.ndarray)
-    if not lanes and n == 0:
-        return 1.0, 0
-    ldexp = np.ldexp if lanes else math.ldexp
+    if not isinstance(x, np.ndarray):
+        if n == 0:
+            return 1.0, 0
+        return (_compensated_lane if compensated else _plain_lane)(n, alpha, x)
     shift, prev, prev_c, cur_c = 0, 1.0, 0.0, 0.0
     if compensated:
         cur, e1 = _two_sum(alpha, 1.0)
@@ -163,11 +258,10 @@ def _recurrence(n, alpha, x, compensated: bool):
         cur_c = e1 + e2
     else:
         cur = alpha + 1.0 - x  # L_1
-    top, stop = n, 0
-    if lanes:  # degree-0 lanes keep out's L_0 = 1
-        out, out_shift, index = np.ones(x.size), np.zeros(x.size, dtype=np.int64), np.arange(x.size)
-        stops = iter(sorted(set(n[n > 0].tolist())))
-        top, stop = n.max(initial=0) + 1, next(stops, 0)
+    # degree-0 lanes keep out's L_0 = 1
+    out, out_shift, index = np.ones(x.size), np.zeros(x.size, dtype=np.int64), np.arange(x.size)
+    stops = iter(sorted(set(n[n > 0].tolist())))
+    top, stop = n.max(initial=0) + 1, next(stops, 0)
     for k in range(1, top):
         if k == stop:  # lanes of degree k are done
             last, live = n == k, n > k
@@ -203,12 +297,24 @@ def _recurrence(n, alpha, x, compensated: bool):
             prev, prev_c = cur, cur_c
             cur, cur_c = _two_sum(q, q_err)
 
-        e = _rescale_exponent(prev, cur)
-        if e is not None:
-            prev, cur, shift = ldexp(prev, -e), ldexp(cur, -e), shift + e
-            if compensated:
-                prev_c, cur_c = ldexp(prev_c, -e), ldexp(cur_c, -e)
-    return (out, out_shift) if lanes else ((cur + cur_c if compensated else cur), shift)
+        size = np.abs(cur)
+        if k == 1 or np.fmin.reduce(size) < _RESCALE_LO:
+            m = np.maximum(np.abs(prev), size)
+            e = np.where((m > _RESCALE_HI) | ((m > 0.0) & (m < _RESCALE_LO)), np.frexp(m)[1], 0)
+        elif np.fmax.reduce(size) > _RESCALE_HI:  # then m = |cur| wherever m > 2**512
+            e = np.where(size > _RESCALE_HI, np.frexp(size)[1], 0)
+        else:
+            continue
+        prev, cur, shift = np.ldexp(prev, -e), np.ldexp(cur, -e), shift + e
+        if compensated:
+            prev_c, cur_c = np.ldexp(prev_c, -e), np.ldexp(cur_c, -e)
+    return out, out_shift
+
+
+def _range_error(n, alpha, x) -> ParameterError:
+    """The error of a float call whose recurrence overflowed (see _RESCALE_HI)."""
+    return ParameterError(f"the recurrence for L_n^(alpha)(x) left double range at "
+                          f"(n, alpha, x) = ({n}, {alpha!r}, {x!r})")
 
 
 def _evaluate(n, alpha, x, compensated: bool):
@@ -216,11 +322,19 @@ def _evaluate(n, alpha, x, compensated: bool):
     if not isinstance(low, Integral) or isinstance(low, bool) or low < 0:
         raise ParameterError(f"degree must be an integer >= 0, got {low!r}")
     many = isinstance(alpha, np.ndarray)  # the first bad lane's alpha stands for all
+    if many and alpha.dtype.kind not in "iuf":
+        raise ParameterError(f"alpha lanes must be finite reals, got dtype {alpha.dtype}")
+    if not many and (not isinstance(alpha, Real) or isinstance(alpha, bool)):
+        raise ParameterError(f"alpha must be a finite real, got {alpha!r}")
     for a in alpha[~(alpha > -1.0) | np.isinf(alpha)][:1].tolist() if many else [alpha]:
         if not math.isfinite(a) or a <= -1.0:
             raise ParameterError(f"alpha must be > -1, got {a!r}")
     if not any(isinstance(v, np.ndarray) for v in (n, alpha, x)):
-        return ScaledValue.from_float(*_recurrence(n, alpha, _check_point(x), compensated))
+        x = _check_point(x)
+        value, shift = _recurrence(n, alpha, x, compensated)
+        if not math.isfinite(value):
+            raise _range_error(n, alpha, x)
+        return ScaledValue.from_float(value, shift)
     x = np.broadcast_to(np.asarray(x, dtype=float), np.broadcast(n, alpha, x).shape)
     n, alpha = np.broadcast_to(n, x.shape), (np.broadcast_to(alpha, x.shape) if many else alpha)
     for bad in x[~(x >= 0.0) | np.isinf(x)][:1]:

@@ -8,10 +8,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bounds
-from .errors import ConvergenceError, ParameterError, RefinementError
+from .errors import ConvergenceError, RefinementError
 from .laguerre import (
     LaguerreParams,
-    ScaledValue,
+    _range_error,
     laguerre_polynomial,
     laguerre_polynomial_compensated,
 )
@@ -60,22 +60,34 @@ def eigen_zeros(jacobi: JacobiMatrix) -> np.ndarray:
     (no eigenvectors). Raises ConvergenceError if any eigenvalue needs
     more than 50 sweeps, which indicates a numerics bug rather than a
     user error. The sweeps run on Python lists, whose element access is
-    several times cheaper than numpy scalar indexing.
+    several times cheaper than numpy scalar indexing. Each sweep's rotations
+    also run the split test on the entries they leave behind, in place of
+    the scan that would follow; same tests, same order, same bits.
     """
     n = jacobi.dimension
     d = jacobi.diag.astype(float).tolist()
     e = jacobi.offdiag.astype(float).tolist() + [0.0]
+    eps, hypot, copysign = _EPS, math.hypot, math.copysign
+    # The split scans from l and from l + 1, when the last sweep's rotations
+    # already ran the scan's test on their final values (else None).
+    split = above = None
     for l in range(n):
         sweeps = 0
         while True:
-            # Look for a negligible off-diagonal element to split at.
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
-                m += 1
+            if split is None:  # look for a negligible off-diagonal element to split at
+                dm = abs(d[l])
+                for m in range(l, n - 1):
+                    dn = abs(d[m + 1])
+                    if abs(e[m]) <= eps * (dm + dn):
+                        break
+                    dm = dn
+                else:
+                    m = n - 1
+                above = None
+            else:
+                m = split
             if m == l:
+                split, above = above, None
                 break
             sweeps += 1
             if sweeps > _MAX_QL_SWEEPS:
@@ -84,33 +96,47 @@ def eigen_zeros(jacobi: JacobiMatrix) -> np.ndarray:
                 )
             # Wilkinson shift from the leading 2x2 block.
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            r = hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + copysign(r, g))
             s = c = 1.0
             p = 0.0
-            underflow = False
+            dn = d[m]  # d[i + 1], carried down the sweep: the rotation at i reads it first
+            # The scan's test at j = i + 1, on e[j], d[j] and d[j + 1] as
+            # this sweep leaves them; the lowest hit in (l, m], else m.
+            low, d_up = m, abs(d[m + 1]) if m + 1 < n else 0.0  # |d[j + 1]|
             for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
+                ei = e[i]
+                f = s * ei
+                b = c * ei
+                h = hypot(f, g)
+                e[i + 1] = h
+                if h == 0.0:
                     # Recover from an underflowed rotation and restart the sweep.
                     d[i + 1] -= p
                     e[m] = 0.0
-                    underflow = True
+                    split = None
                     break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
+                s = f / h
+                c = g / h
+                g = dn - p
+                dn = d[i]
+                r = (dn - g) * s + 2.0 * c * b
                 p = s * r
-                d[i + 1] = g + p
+                dj = g + p
                 g = c * r - b
-            if not underflow:
+                d[i + 1] = dj
+                dj = abs(dj)
+                if h <= eps * (dj + d_up):
+                    low = i + 1
+                d_up = dj
+            else:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
+                if m + 1 < n and not 0.0 <= eps * (abs(d[m]) + abs(d[m + 1])):
+                    split = None  # a nan: the scan would not stop at m
+                else:
+                    split, above = (l if abs(g) <= eps * (abs(d[l]) + d_up) else low), low
     return np.sort(np.array(d))
 
 
@@ -186,13 +212,15 @@ def _newton_correction(params: LaguerreParams, z: np.ndarray, compensated: np.nd
     dmant, dexpo = both[counts[0]:], both_e[counts[0]:]
     with np.errstate(all="ignore"):  # as ScaledValue.ratio_to: +0.0 for a zero quotient
         steps = -np.ldexp(mant / dmant + 0.0, expo - dexpo)
-    failed = {}
+    failed = {}  # each lane's error as its float calls raise it, numerator first
     for j in np.flatnonzero(~np.isfinite(mant) | ~np.isfinite(dmant) | (dmant == 0.0)):
-        try:  # ScaledValue rejects a nan or inf mantissa as the float call does
-            ScaledValue(float(mant[j]), 0), ScaledValue(float(dmant[j]), 0)
-            failed[j] = RefinementError(f"derivative vanished at {float(z[j])!r} during refinement")
-        except ParameterError as exc:
-            failed[j] = exc
+        x = float(z[j])
+        if not np.isfinite(mant[j]):
+            failed[j] = _range_error(n, alpha, x)
+        elif not np.isfinite(dmant[j]):
+            failed[j] = _range_error(n - 1, alpha + 1.0, x)
+        else:
+            failed[j] = RefinementError(f"derivative vanished at {x!r} during refinement")
     return steps, failed
 
 

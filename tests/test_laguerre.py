@@ -99,7 +99,7 @@ class TestParams:
         assert p.n == 3 and p.alpha == -0.5
 
     @pytest.mark.parametrize("n,alpha", [(0, 0.0), (-1, 0.0), (2, -1.0),
-                                         (2, -2.0), (2, math.nan), (1.5, 0.0)])
+                                         (2, -2.0), (2, math.nan), (1.5, 0.0), (2, True)])
     def test_rejects(self, n, alpha):
         with pytest.raises(ParameterError):
             LaguerreParams(n, alpha)
@@ -160,6 +160,19 @@ class TestEvaluate:
         comp = sv_to_mp(laguerre_polynomial_compensated(200, 0.5, z0))
         assert abs(comp - exact) < 1e-3 * abs(plain - exact)
         assert abs(comp - exact) <= 1e-12 * abs(exact)
+
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    def test_non_real_alpha_rejected(self, evaluator):
+        for alpha in (True, "1", np.array([True, False]), np.array([0.5, True], dtype=object)):
+            with pytest.raises(ParameterError, match="alpha"):
+                evaluator(2, alpha, 1.0)
+
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    def test_overflow_names_the_call(self, evaluator):
+        # L_1 = 1e160 is past 2**512, so the first step's product overflows.
+        with pytest.raises(ParameterError, match=r"left double range at "
+                                                 r"\(n, alpha, x\) = \(5, 1e\+160, 1\.0\)"):
+            evaluator(5, 1e160, 1.0)
 
     def test_domain_errors(self):
         p = LaguerreParams(2, 0.0)
@@ -231,6 +244,20 @@ class TestArrayLanes:
             evaluator(n, alpha, np.linspace(0.0, 5.0, 20))
         with pytest.raises(ParameterError, match=match):
             evaluator(n, alpha, np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    def test_lane_out_of_range_leaves_others_alone(self, evaluator):
+        # The last lane leaves double range; the others must still rescale as
+        # their float calls do instead of overflowing with it.
+        degrees, x = np.array([200] * 21), np.array([3e4 + 100 * i for i in range(20)] + [1.0])
+        alphas = np.array([1e4] * 20 + [1e200])
+        mantissas, exponents = evaluator(degrees, alphas, x)
+        pointwise = [evaluator(200, 1e4, v) for v in x[:20].tolist()]
+        assert mantissas[:20].tobytes() == np.array([sv.mantissa for sv in pointwise]).tobytes()
+        assert exponents[:20].tolist() == [sv.exponent2 for sv in pointwise]
+        assert not np.isfinite(mantissas[20])
+        with pytest.raises(ParameterError, match="left double range"):
+            evaluator(200, 1e200, 1.0)
 
     def test_lanes_span_many_scales(self):
         _, exponents = laguerre_polynomial(200, 1e4, np.linspace(0.0, 3e4, 64))

@@ -220,6 +220,8 @@ class TestRefineAgainstReference:
         (2, 0.0, [1.0, 1.0 + 1e-15]),  # near-duplicate
         (5, 0.0, [1.0, 2.0, 2.0 + 1e-14, 3.0, 3.0 + 1e-14]),
         (3, 0.0, [2.0, 1.0, 3.0]),  # disorder
+        (3, 1e155, [1.0, 2.0, 3.0]),  # the recurrence overflows in every lane
+        (3, 1e150, [1.0, 1e155, 2e155]),  # ... in some lanes only
     ] + [(n, a, perturbed_seeds(n, a, s, reach)) for n, a in [(10, 1.0), (30, 0.2), (100, 1e3)]
          for s in range(3) for reach in (0.2, 0.9)])
     def test_bad_and_perturbed_seeds(self, n, alpha, seeds):
