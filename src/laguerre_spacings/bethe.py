@@ -97,12 +97,17 @@ def bethe_lhs(zs: ZeroSet, k: int) -> float:
     return _pairwise_sums(zs.zeros, np.array([_rank_to_index(zs, k)]))[0]
 
 
+def _rhs(params: LaguerreParams, x):
+    """(Delta(x) - 2 a'(x)) / 3 at a float or an array of points x > 0."""
+    coeffs = ode_coefficients(params)
+    return (coeffs.delta_of_x(x) - 2.0 * coeffs.a_prime(x)) / 3.0
+
+
 def bethe_rhs(params: LaguerreParams, x_k: float) -> float:
     """(Delta(x_k) - 2 a'(x_k)) / 3 from the rational coefficient forms."""
     if not (isinstance(x_k, (int, float)) and math.isfinite(x_k)) or x_k <= 0.0:
         raise DomainError(f"zeros live on (0, inf), got {x_k!r}")
-    coeffs = ode_coefficients(params)
-    return (coeffs.delta_of_x(x_k) - 2.0 * coeffs.a_prime(x_k)) / 3.0
+    return _rhs(params, x_k)
 
 
 def verify_identity(zs: ZeroSet) -> list[BetheReport]:
@@ -112,8 +117,7 @@ def verify_identity(zs: ZeroSet) -> list[BetheReport]:
     the report then carries the absolute rhs magnitude as its residual.
     """
     sums = _pairwise_sums(zs.zeros, np.arange(zs.n))
-    coeffs, x = ode_coefficients(zs.params), zs.zeros[::-1]  # rank order; zeros are > 0
-    rhs_by_rank = ((coeffs.delta_of_x(x) - 2.0 * coeffs.a_prime(x)) / 3.0).tolist()  # bethe_rhs's bits
+    rhs_by_rank = _rhs(zs.params, zs.zeros[::-1]).tolist()  # rank order; zeros are > 0
     reports = []
     for k, rhs in enumerate(rhs_by_rank, start=1):
         x_k = zs.zero_at_rank(k)
@@ -169,8 +173,8 @@ def remark1_cap(zs: ZeroSet) -> tuple[float, float]:
         raise ParameterError("the crude cap needs at least two zeros")
     min_gap = float(min(zs.spacings_descending()))
     crude_cap = (math.pi * math.pi / 3.0) / (min_gap * min_gap)
-    for k in range(1, zs.n + 1):
-        lhs = bethe_lhs(zs, k)
+    sums_by_rank = _pairwise_sums(zs.zeros, np.arange(zs.n))[::-1].tolist()
+    for k, lhs in enumerate(sums_by_rank, start=1):
         if lhs > crude_cap * (1.0 + _CHAIN_SLACK):
             raise CheckFailure(
                 f"pairwise sum {lhs} at rank {k} exceeds crude cap {crude_cap}"

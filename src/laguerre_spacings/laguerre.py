@@ -23,9 +23,9 @@ from .errors import DomainError, ParameterError
 # that a float call raises _range_error's ParameterError.
 _RESCALE_HI = 2.0**512
 _RESCALE_LO = 2.0**-512
-# Shorter arrays run lane by lane on floats, where numpy's per-call cost
-# dominates. Measured break-even at n in {100, 1000}: about 40 lanes for the
-# compensated mode and 48 for refine's stacked plain pass.
+# Shorter plain arrays run lane by lane on floats, where numpy's per-call
+# cost dominates. Measured break-even for refine's stacked plain pass at n in
+# {100, 1000}: about 48 lanes (40 is not retuned to it).
 _FEW_LANES = 40
 
 
@@ -114,28 +114,12 @@ def _check_point(x: float, positive: bool = False) -> float:
     return x
 
 
-_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
-
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a, b):
-    p = a * b
-    t = _SPLITTER * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLITTER * b
-    bh = t - (t - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 def _plain_lane(n, alpha, x):
-    """_recurrence's plain mode on one float lane, degree n >= 1."""
+    """L_n^(alpha)(x) = value * 2**shift as (value, shift) at a float x, degree n >= 1.
+
+    The noise is of order n*eps of the largest intermediate value, which near
+    the clustered small zeros can dwarf the local scale |z L'|.
+    """
     hi, lo, frexp, ldexp = _RESCALE_HI, _RESCALE_LO, math.frexp, math.ldexp
     shift, prev, cur, k = 0, 1.0, alpha + 1.0 - x, 1.0
     for _ in range(n - 1):
@@ -151,9 +135,11 @@ def _plain_lane(n, alpha, x):
 
 
 def _compensated_lane(n, alpha, x):
-    """_recurrence's compensated mode on one float lane, degree n >= 1: the
-    array step's _two_sum and _two_prod inlined, operation for operation."""
-    hi, lo, frexp, ldexp, split = _RESCALE_HI, _RESCALE_LO, math.frexp, math.ldexp, _SPLITTER
+    """_plain_lane to ~eps of the true value, at 6-8x its cost: each step carries
+    first-order rounding corrections by the error-free transformations (two-sum,
+    Veltkamp-split two-product) of Ogita, Rump and Oishi."""
+    hi, lo, frexp, ldexp = _RESCALE_HI, _RESCALE_LO, math.frexp, math.ldexp
+    split = 134217729.0  # 2**27 + 1, the Veltkamp splitting constant
     nx = -x
     s = alpha + 1.0
     bb = s - alpha
@@ -223,20 +209,19 @@ def _compensated_lane(n, alpha, x):
     return cur + cur_c, shift
 
 
-def _recurrence(n, alpha, x, compensated: bool):
-    """L_n^(alpha)(x) as (value, shift) for value * 2**shift; x is a float or an array.
+def _lane(n, alpha, x, compensated: bool):
+    """A float call's (value, shift), any degree n >= 0."""
+    if n == 0:
+        return 1.0, 0
+    return (_compensated_lane if compensated else _plain_lane)(n, alpha, x)
 
-    An array lane does a float call's operations in the same order, which
-    keeps it bit-identical to the float call; regrouping a sum breaks that.
-    Plain noise is of order n*eps of the largest intermediate value, which
-    near the clustered small zeros can dwarf the local scale |z L'|. The
-    compensated mode carries first-order rounding corrections (error-free
-    transformations of Ogita, Rump and Oishi) to ~eps of the true value,
-    at 6-8x the cost of the plain mode.
 
-    A float call runs one of the two tight loops above. With an array x, n
-    and alpha may be lane arrays too; a lane leaves the pass, its value
-    taken, after its own last step.
+def _recurrence(n, alpha, x):
+    """_plain_lane over the lanes of an array x, a degree array n and a float or array alpha.
+
+    A lane does _plain_lane's operations in the same order, which keeps it
+    bit-identical to the float call; regrouping a sum breaks that. A lane
+    leaves the pass, its value taken, after its own last step.
 
     Rescaling: a lane rescales by the power of two taking m = max(|prev|,
     |cur|) back near 1 whenever m leaves [2**-512, 2**512]. After the first
@@ -247,17 +232,7 @@ def _recurrence(n, alpha, x, compensated: bool):
     the gate takes nan-skipping reductions (fmin, fmax), so a lane that left
     double range never stops the other lanes' rescaling.
     """
-    if not isinstance(x, np.ndarray):
-        if n == 0:
-            return 1.0, 0
-        return (_compensated_lane if compensated else _plain_lane)(n, alpha, x)
-    shift, prev, prev_c, cur_c = 0, 1.0, 0.0, 0.0
-    if compensated:
-        cur, e1 = _two_sum(alpha, 1.0)
-        cur, e2 = _two_sum(cur, -x)
-        cur_c = e1 + e2
-    else:
-        cur = alpha + 1.0 - x  # L_1
+    shift, prev, cur = 0, 1.0, alpha + 1.0 - x  # L_0, L_1
     # degree-0 lanes keep out's L_0 = 1
     out, out_shift, index = np.ones(x.size), np.zeros(x.size, dtype=np.int64), np.arange(x.size)
     stops = iter(sorted(set(n[n > 0].tolist())))
@@ -265,38 +240,14 @@ def _recurrence(n, alpha, x, compensated: bool):
     for k in range(1, top):
         if k == stop:  # lanes of degree k are done
             last, live = n == k, n > k
-            out[index[last]] = (cur + cur_c if compensated else cur)[last]
+            out[index[last]] = cur[last]
             out_shift[index[last]] = shift[last] if np.ndim(shift) else shift
-            n, index, x, alpha, shift, prev, cur, prev_c, cur_c = (
-                v[live] if np.ndim(v) else v
-                for v in (n, index, x, alpha, shift, prev, cur, prev_c, cur_c))
+            n, index, x, alpha, shift, prev, cur = (
+                v[live] if np.ndim(v) else v for v in (n, index, x, alpha, shift, prev, cur))
             stop = next(stops, 0)
             if not index.size:
                 break
-        if not compensated:
-            prev, cur = cur, ((2.0 * k + 1.0 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
-        else:
-            # 2k+1 and k+1 are exact; the alpha and x additions can round.
-            s, e0 = _two_sum(2.0 * k + 1.0, alpha)
-            a_main, e1 = _two_sum(s, -x)
-            a_err = e0 + e1
-            b_main, b_err = _two_sum(float(k), alpha)
-            c_exact = k + 1.0
-
-            t1, t1e = _two_prod(a_main, cur)
-            t1e += a_main * cur_c + a_err * cur
-            t2, t2e = _two_prod(b_main, prev)
-            t2e += b_main * prev_c + b_err * prev
-            num, num_e = _two_sum(t1, -t2)
-            num_e += t1e - t2e
-
-            q = num / c_exact
-            qc, qce = _two_prod(q, c_exact)
-            q_err = (((num - qc) - qce) + num_e) / c_exact
-
-            prev, prev_c = cur, cur_c
-            cur, cur_c = _two_sum(q, q_err)
-
+        prev, cur = cur, ((2.0 * k + 1.0 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
         size = np.abs(cur)
         if k == 1 or np.fmin.reduce(size) < _RESCALE_LO:
             m = np.maximum(np.abs(prev), size)
@@ -306,8 +257,6 @@ def _recurrence(n, alpha, x, compensated: bool):
         else:
             continue
         prev, cur, shift = np.ldexp(prev, -e), np.ldexp(cur, -e), shift + e
-        if compensated:
-            prev_c, cur_c = np.ldexp(prev_c, -e), np.ldexp(cur_c, -e)
     return out, out_shift
 
 
@@ -331,7 +280,7 @@ def _evaluate(n, alpha, x, compensated: bool):
             raise ParameterError(f"alpha must be > -1, got {a!r}")
     if not any(isinstance(v, np.ndarray) for v in (n, alpha, x)):
         x = _check_point(x)
-        value, shift = _recurrence(n, alpha, x, compensated)
+        value, shift = _lane(n, alpha, x, compensated)
         if not math.isfinite(value):
             raise _range_error(n, alpha, x)
         return ScaledValue.from_float(value, shift)
@@ -339,11 +288,11 @@ def _evaluate(n, alpha, x, compensated: bool):
     n, alpha = np.broadcast_to(n, x.shape), (np.broadcast_to(alpha, x.shape) if many else alpha)
     for bad in x[~(x >= 0.0) | np.isinf(x)][:1]:
         _check_point(float(bad))  # raises the float path's DomainError
-    if x.size < _FEW_LANES:
+    if compensated or x.size < _FEW_LANES:  # the array pass is plain only
         per_lane = zip(n.tolist(), np.broadcast_to(alpha, x.shape).tolist(), x.tolist())
-        value, shift = np.reshape([_recurrence(*lane, compensated) for lane in per_lane], (-1, 2)).T
+        value, shift = np.reshape([_lane(*lane, compensated) for lane in per_lane], (-1, 2)).T
     else:
-        value, shift = _recurrence(n, alpha, x, compensated)
+        value, shift = _recurrence(n, alpha, x)
     m, e = np.frexp(value)  # ScaledValue.from_float, lane by lane
     zero = value == 0.0
     return np.where(zero, 0.0, 2.0 * m), np.where(zero, 0, e - 1 + np.int64(shift))
@@ -365,7 +314,10 @@ def laguerre_polynomial(n: int, alpha: float, x):
 
 def laguerre_polynomial_compensated(n: int, alpha: float, x):
     """laguerre_polynomial to ~eps of the true value even near the clustered
-    small zeros, by error-free transformations; used for zero certification."""
+    small zeros, by error-free transformations; used for zero certification.
+
+    Arrays run lane by lane on floats, about 1 ms per lane at n = 1000.
+    """
     return _evaluate(n, alpha, x, compensated=True)
 
 
@@ -388,7 +340,7 @@ def _aligned_terms(params: LaguerreParams, x: float):
     """
     n, alpha = params.n, params.alpha
     u = laguerre_polynomial(n, alpha, x)
-    du = laguerre_polynomial(n - 1, alpha + 1.0, x).negated()
+    du = evaluate_derivative(params, x)
     ddu = laguerre_polynomial(n - 2, alpha + 2.0, x) if n >= 2 else ScaledValue.from_float(0.0)
 
     def product(coef: float, sv: ScaledValue):

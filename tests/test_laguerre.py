@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from laguerre_spacings import (
     ode_residual_relative,
 )
 from laguerre_spacings.bounds import edge_params
-from laguerre_spacings.laguerre import laguerre_polynomial_compensated
+from laguerre_spacings.laguerre import _FEW_LANES, laguerre_polynomial_compensated
 
 
 def product_formula_at_zero(n: int, alpha: float) -> ScaledValue:
@@ -203,6 +204,10 @@ class TestArrayLanes:
         (1, 2.0, lambda: np.arange(17.0)),  # one step; L_1(3) is an exact zero
         (0, 2.0, lambda: np.linspace(0.0, 40.0, 17)),  # no recurrence step
         (50, 1.0, lambda: np.array([0.0, 3.0, 30.0, 150.0])),  # short: lanes run on floats
+        # either side of the plain mode's switch from float lanes to the array pass
+        (1000, -0.5, partial(np.linspace, 0.0, 3900.0, _FEW_LANES - 1)),
+        (1000, -0.5, partial(np.linspace, 0.0, 3900.0, _FEW_LANES)),
+        (1000, -0.5, partial(np.linspace, 0.0, 3900.0, _FEW_LANES + 1)),
     ])
     def test_lanes_match_pointwise_calls(self, evaluator, n, alpha, make_points):
         points = make_points()
