@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .errors import CheckFailure, DomainError, ParameterError
-from .laguerre import LaguerreParams
+from .errors import CheckFailure, ParameterError
+from .laguerre import LaguerreParams, _check_point
 from .solver import ZeroSet
 
 # Tiny slack for comparisons between mathematically strict inequalities
@@ -104,10 +104,8 @@ def _rhs(params: LaguerreParams, x):
 
 
 def bethe_rhs(params: LaguerreParams, x_k: float) -> float:
-    """(Delta(x_k) - 2 a'(x_k)) / 3 from the rational coefficient forms."""
-    if not (isinstance(x_k, (int, float)) and math.isfinite(x_k)) or x_k <= 0.0:
-        raise DomainError(f"zeros live on (0, inf), got {x_k!r}")
-    return _rhs(params, x_k)
+    """(Delta(x_k) - 2 a'(x_k)) / 3 from the rational coefficient forms, at x_k > 0."""
+    return _rhs(params, _check_point(x_k, positive=True))
 
 
 def verify_identity(zs: ZeroSet) -> list[BetheReport]:

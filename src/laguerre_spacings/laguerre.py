@@ -76,12 +76,7 @@ class ScaledValue:
 
     def to_float(self) -> float:
         """Collapse to a double; returns +-inf / 0.0 outside double range."""
-        if self.mantissa == 0.0:
-            return 0.0
-        try:
-            return math.ldexp(self.mantissa, self.exponent2)
-        except OverflowError:
-            return math.copysign(math.inf, self.mantissa)
+        return _to_double(self.mantissa, self.exponent2)
 
     def negated(self) -> "ScaledValue":
         return ScaledValue(-self.mantissa, self.exponent2)
@@ -93,13 +88,17 @@ class ScaledValue:
         """self / other as a double; other must be nonzero."""
         if other.mantissa == 0.0:
             raise ZeroDivisionError("ratio_to a zero ScaledValue")
-        q = self.mantissa / other.mantissa
-        if q == 0.0:
-            return 0.0
-        try:
-            return math.ldexp(q, self.exponent2 - other.exponent2)
-        except OverflowError:
-            return math.copysign(math.inf, q)
+        return _to_double(self.mantissa / other.mantissa, self.exponent2 - other.exponent2)
+
+
+def _to_double(m: float, e: int) -> float:
+    """m * 2**e as a double: 0.0 for m == 0, +-inf past double range."""
+    if m == 0.0:
+        return 0.0
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
 
 
 def _check_point(x: float, positive: bool = False) -> float:
@@ -332,42 +331,23 @@ def evaluate_derivative(params: LaguerreParams, x: float) -> ScaledValue:
 
 
 def _aligned_terms(params: LaguerreParams, x: float):
-    """Second-order-equation terms and their scales on a common binary exponent.
+    """Second-order-equation terms and their scales on a common binary exponent, at x > 0.
 
     Returns (term_mantissas, scale_mantissas, common_exponent) for the
     combination u'' - (1-(alpha+1)/x) u' + (n/x) u; scales are the aligned
     magnitudes of u'', u' and u*n/x.
     """
-    n, alpha = params.n, params.alpha
+    n, alpha, x = params.n, params.alpha, _check_point(x, positive=True)
     u = laguerre_polynomial(n, alpha, x)
     du = evaluate_derivative(params, x)
     ddu = laguerre_polynomial(n - 2, alpha + 2.0, x) if n >= 2 else ScaledValue.from_float(0.0)
-
-    def product(coef: float, sv: ScaledValue):
-        if coef == 0.0 or sv.is_zero():
-            return None
-        m, e = math.frexp(coef * sv.mantissa)
-        return (2.0 * m, e - 1 + sv.exponent2)
-
-    terms = [
-        product(1.0, ddu),
-        product(-(1.0 - (alpha + 1.0) / x), du),
-        product(n / x, u),
-    ]
-    scales = [
-        product(1.0, ddu),
-        product(1.0, du),
-        product(n / x, u),
-    ]
-    exps = [t[1] for t in terms if t is not None] + [s[1] for s in scales if s is not None]
-    if not exps:
-        return [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], 0
-    common = max(exps)
-
-    def align(t):
-        return 0.0 if t is None else math.ldexp(t[0], t[1] - common)
-
-    return [align(t) for t in terms], [abs(align(s)) for s in scales], common
+    c_du, c_u = -(1.0 - (alpha + 1.0) / x), n / x
+    # coefficient * mantissa with its exponent: the three terms, then the three scales
+    products = [(c * sv.mantissa, sv.exponent2)
+                for c, sv in ((1.0, ddu), (c_du, du), (c_u, u), (1.0, ddu), (1.0, du), (c_u, u))]
+    common = max((math.frexp(p)[1] - 1 + e for p, e in products if p != 0.0), default=0)
+    aligned = [math.ldexp(p, e - common) for p, e in products]  # one rounding each
+    return aligned[:3], [abs(s) for s in aligned[3:]], common
 
 
 def ode_residual(params: LaguerreParams, x: float) -> float:
@@ -377,20 +357,12 @@ def ode_residual(params: LaguerreParams, x: float) -> float:
     polynomial's own magnitude exceeds double range; use
     ode_residual_relative for a scale-free measure.
     """
-    x = _check_point(x, positive=True)
     terms, _, common = _aligned_terms(params, x)
-    s = sum(terms)
-    if s == 0.0:
-        return 0.0
-    try:
-        return math.ldexp(s, common)
-    except OverflowError:
-        return math.copysign(math.inf, s)
+    return _to_double(sum(terms), common)
 
 
 def ode_residual_relative(params: LaguerreParams, x: float) -> float:
     """|ode_residual| / max(|u''|, |u'|, |u|*n/x), computed without overflow."""
-    x = _check_point(x, positive=True)
     terms, scales, _ = _aligned_terms(params, x)
     top = max(scales)
     if top == 0.0:

@@ -45,7 +45,8 @@ class SpacingRow:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid and options for one sweep run."""
+    """Grid and options for one sweep run. Each value (parse_sweep_config's strings, say)
+    is converted here, once; a malformed one raises ParameterError naming its key."""
 
     n_values: tuple
     alpha_values: tuple
@@ -54,12 +55,13 @@ class SweepConfig:
     output_dir: Path = Path("sweep-out")
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        object.__setattr__(
-            self, "alpha_values", tuple(float(a) for a in self.alpha_values)
-        )
-        object.__setattr__(self, "checks", frozenset(self.checks))
-        object.__setattr__(self, "output_dir", Path(self.output_dir))
+        for key, convert in (("n_values", lambda v: tuple(int(n) for n in v)),
+                             ("alpha_values", lambda v: tuple(float(a) for a in v)),
+                             ("checks", frozenset), ("epsilon", float), ("output_dir", Path)):
+            try:
+                object.__setattr__(self, key, convert(getattr(self, key)))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ParameterError(f"malformed {key}: {exc}") from None
         if not self.n_values or not self.alpha_values:
             raise ParameterError("n_values and alpha_values must be non-empty")
         bad = self.checks - VALID_CHECKS
@@ -284,7 +286,8 @@ def parse_sweep_config(path) -> SweepConfig:
     """Read a flat key/value config file (lists comma-separated).
 
     Recognized keys match SweepConfig fields: n_values, alpha_values,
-    checks, epsilon, output_dir. Lines starting with '#' are comments.
+    checks, epsilon, output_dir. Lines starting with '#' are comments. The
+    parser only splits the lists; SweepConfig converts every value.
     """
     text = Path(path).read_text()
     values = {}
@@ -302,18 +305,6 @@ def parse_sweep_config(path) -> SweepConfig:
     missing = {"n_values", "alpha_values"} - set(values)
     if missing:
         raise ParameterError(f"missing config keys: {sorted(missing)}")
-
-    def split_list(text: str) -> list[str]:
-        return [piece.strip() for piece in text.split(",") if piece.strip()]
-
-    kwargs = {
-        "n_values": [int(p) for p in split_list(values["n_values"])],
-        "alpha_values": [float(p) for p in split_list(values["alpha_values"])],
-    }
-    if "checks" in values:
-        kwargs["checks"] = frozenset(split_list(values["checks"]))
-    if "epsilon" in values:
-        kwargs["epsilon"] = float(values["epsilon"])
-    if "output_dir" in values:
-        kwargs["output_dir"] = Path(values["output_dir"])
-    return SweepConfig(**kwargs)
+    for key in {"n_values", "alpha_values", "checks"} & set(values):
+        values[key] = [piece.strip() for piece in values[key].split(",") if piece.strip()]
+    return SweepConfig(**values)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,14 +145,15 @@ class ZeroSet:
     """The n zeros of L_n^(alpha), ascending, with per-zero residual diagnostics.
 
     residuals[i] measures |L(z_i)| in units of eps * |z_i * L'(z_i)|; values
-    at or below 64 certify z_i as a floating-point zero. Note the ascending
-    storage order: descending-rank conventions map rank k to index n - k.
+    at or below 64 certify z_i as a floating-point zero, and every instance
+    carries that certificate: construction raises RefinementError above the
+    cap. Note the ascending storage order: descending-rank conventions map
+    rank k to index n - k.
     """
 
     params: LaguerreParams
     zeros: np.ndarray
     residuals: np.ndarray
-    method: str = field(default="eigen+newton")
 
     def __post_init__(self):
         z = np.asarray(self.zeros, dtype=float)
@@ -171,7 +172,7 @@ class ZeroSet:
             raise RefinementError(
                 f"zeros escape the bracketing window ({edge.V2}, {edge.U2})"
             )
-        if self.method == "eigen+newton" and np.max(r) > _RESIDUAL_CAP:
+        if np.max(r) > _RESIDUAL_CAP:
             raise RefinementError(
                 f"worst residual {np.max(r):.3g} exceeds {_RESIDUAL_CAP} ulp-equivalents"
             )

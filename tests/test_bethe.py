@@ -210,7 +210,6 @@ def test_check_failure_is_raised_for_doctored_zero_set():
     honest = zeros(params)
     doctored = honest.zeros.copy()
     doctored[2] = doctored[1] + 1e-4  # huge gap term at rank 1
-    fake = ZeroSet(params=params, zeros=doctored, residuals=np.zeros(3),
-                   method="eigen-only")
+    fake = ZeroSet(params=params, zeros=doctored, residuals=np.zeros(3))
     with pytest.raises(CheckFailure):
         inequality_chain(fake, 1)

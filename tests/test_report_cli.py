@@ -110,6 +110,19 @@ class TestSweepConfig:
         with pytest.raises(ParameterError):
             parse_sweep_config(bad)
 
+    @pytest.mark.parametrize("line,key", [
+        ("n_values = 10, x", "n_values"),
+        ("alpha_values = 1, y", "alpha_values"),
+        ("epsilon = abc", "epsilon"),
+    ])
+    def test_parse_names_the_malformed_key(self, tmp_path, line, key):
+        values = {"n_values": "n_values = 10", "alpha_values": "alpha_values = 1"}
+        values[key] = line
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("\n".join(values.values()) + "\n")
+        with pytest.raises(ParameterError, match=f"malformed {key}"):
+            parse_sweep_config(bad)
+
 
 class TestRunSweep:
     def test_files_schema_and_determinism(self, tmp_path):
@@ -342,6 +355,18 @@ class TestCli:
         given = argv[argv.index("--alpha") + 1]
         assert build_parser().parse_args(argv).alpha == float(given)
         assert main(argv) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--n", "5", "--alpha", "1", "--C", "abc"],
+        ["bessel-probe", "--alpha", "0.5", "--k", "1", "--ngrid", "20,x"],
+        ["bessel-probe", "--alpha", "0.5", "--k", "1", "--ngrid", "20.5"],
+    ])
+    def test_malformed_option_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and f"argument {argv[-2]}: invalid" in err
 
     def test_figure1_and_bessel_probe(self, tmp_path, capsys):
         assert main(["figure1", "--out", str(tmp_path / "fig")]) == 0

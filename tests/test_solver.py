@@ -251,7 +251,6 @@ class TestZeros:
     def test_single_zero_closed_form(self):
         zs = zeros(LaguerreParams(1, -0.5))
         assert zs.zeros.tolist() == [0.5]
-        assert zs.method == "eigen+newton"
 
     def test_two_zeros_closed_form(self):
         zs = zeros(LaguerreParams(2, 1.0))
