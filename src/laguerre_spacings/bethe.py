@@ -46,11 +46,12 @@ class ODECoefficients:
 
 @dataclass(frozen=True)
 class BetheReport:
-    """Both sides of the identity at the rank-k zero (k=1 is the largest).
+    """Both sides of the identity at the rank-k zero (k=1 is the largest), as floats.
 
     gap_term is 1/(x_k - x_{k+1})^2 for k < n and None for the smallest zero.
-    rel_residual is |lhs - rhs| / max(lhs, rhs), except for n = 1 where both
-    sides vanish identically and the residual is reported absolutely.
+    rel_residual is |lhs - rhs| / max(lhs, rhs), nan if either side is nan,
+    except for n = 1 where both sides vanish identically and the residual is
+    reported absolutely.
     """
 
     k: int
@@ -63,12 +64,6 @@ class BetheReport:
 def ode_coefficients(params: LaguerreParams) -> ODECoefficients:
     """a, a', b and Delta = b - a^2 at fixed (n, alpha)."""
     return ODECoefficients(params.n, params.alpha)
-
-
-def _rank_to_index(zs: ZeroSet, k: int) -> int:
-    if not 1 <= k <= zs.n:
-        raise ParameterError(f"rank {k} outside 1..{zs.n}")
-    return zs.n - k
 
 
 def _pairwise_sums(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -94,7 +89,9 @@ def bethe_lhs(zs: ZeroSet, k: int) -> float:
     """
     if zs.n < 2:
         raise ParameterError("the pairwise sum needs at least two zeros")
-    return _pairwise_sums(zs.zeros, np.array([_rank_to_index(zs, k)]))[0]
+    if not 1 <= k <= zs.n:
+        raise ParameterError(f"rank {k} outside 1..{zs.n}")
+    return _pairwise_sums(zs.zeros, np.array([zs.n - k]))[0]
 
 
 def _rhs(params: LaguerreParams, x):
@@ -109,34 +106,23 @@ def bethe_rhs(params: LaguerreParams, x_k: float) -> float:
 
 
 def verify_identity(zs: ZeroSet) -> list[BetheReport]:
-    """One report per zero, rank order k = 1..n.
+    """One report per zero, rank order k = 1..n, from rank-ordered arrays.
 
     For n = 1 the sum side is empty and the identity degenerates to rhs = 0;
-    the report then carries the absolute rhs magnitude as its residual.
+    the report then carries the absolute rhs magnitude as its residual. A nan
+    on either side gives a nan residual, which fails every tolerance.
     """
-    sums = _pairwise_sums(zs.zeros, np.arange(zs.n))
-    rhs_by_rank = _rhs(zs.params, zs.zeros[::-1]).tolist()  # rank order; zeros are > 0
-    reports = []
-    for k, rhs in enumerate(rhs_by_rank, start=1):
-        x_k = zs.zero_at_rank(k)
-        if zs.n == 1:
-            reports.append(BetheReport(k=k, lhs=0.0, rhs=rhs,
-                                       rel_residual=abs(rhs), gap_term=None))
-            continue
-        lhs = sums[zs.n - k]
-        top = max(lhs, rhs)
-        rel = abs(lhs - rhs) / top if top > 0.0 else 0.0
-        gap_term = None
-        if k < zs.n:
-            gap = x_k - zs.zero_at_rank(k + 1)
-            gap_term = 1.0 / (gap * gap)
-        reports.append(BetheReport(k=k, lhs=lhs, rhs=rhs,
-                                   rel_residual=rel, gap_term=gap_term))
-    return reports
+    lhs = _pairwise_sums(zs.zeros, np.arange(zs.n))[::-1]  # rank order
+    rhs = _rhs(zs.params, zs.zeros[::-1])  # zeros are > 0
+    rel = np.abs(rhs) if zs.n == 1 else np.abs(lhs - rhs) / np.maximum(lhs, rhs)
+    gaps = zs.spacings_descending()
+    columns = lhs.tolist(), rhs.tolist(), rel.tolist(), (1.0 / (gaps * gaps)).tolist() + [None]
+    return [BetheReport(k, *row) for k, row in enumerate(zip(*columns), start=1)]
 
 
 def max_rel_residual(reports: list[BetheReport]) -> float:
-    return max(r.rel_residual for r in reports)
+    """The worst rel_residual, nan if any is nan (Python's max skips a nan after the first)."""
+    return float(np.max([r.rel_residual for r in reports]))
 
 
 def inequality_chain(zs: ZeroSet, k: int) -> tuple[float, float, float]:
@@ -171,10 +157,7 @@ def remark1_cap(zs: ZeroSet) -> tuple[float, float]:
         raise ParameterError("the crude cap needs at least two zeros")
     min_gap = float(min(zs.spacings_descending()))
     crude_cap = (math.pi * math.pi / 3.0) / (min_gap * min_gap)
-    sums_by_rank = _pairwise_sums(zs.zeros, np.arange(zs.n))[::-1].tolist()
-    for k, lhs in enumerate(sums_by_rank, start=1):
-        if lhs > crude_cap * (1.0 + _CHAIN_SLACK):
-            raise CheckFailure(
-                f"pairwise sum {lhs} at rank {k} exceeds crude cap {crude_cap}"
-            )
+    sums = _pairwise_sums(zs.zeros, np.arange(zs.n))[::-1]  # rank order
+    for k in np.flatnonzero(sums > crude_cap * (1.0 + _CHAIN_SLACK))[:1].tolist():
+        raise CheckFailure(f"pairwise sum {sums[k]} at rank {k + 1} exceeds crude cap {crude_cap}")
     return min_gap, crude_cap

@@ -215,37 +215,35 @@ def _lane(n, alpha, x, compensated: bool):
     return (_compensated_lane if compensated else _plain_lane)(n, alpha, x)
 
 
+@np.errstate(all="ignore")  # overflow is silent, as on floats
 def _recurrence(n, alpha, x):
     """_plain_lane over the lanes of an array x, a degree array n and a float or array alpha.
 
     A lane does _plain_lane's operations in the same order, which keeps it
-    bit-identical to the float call; regrouping a sum breaks that. A lane
-    leaves the pass, its value taken, after its own last step.
+    bit-identical to the float call; regrouping a sum breaks that. A lane's
+    value is taken at its own degree; it then rides on to the top degree,
+    where it may overflow but touches no other lane.
 
     Rescaling: a lane rescales by the power of two taking m = max(|prev|,
     |cur|) back near 1 whenever m leaves [2**-512, 2**512]. After the first
     step, |prev| is a |cur| that passed this test a step ago, so the test can
     fire only where |cur| left the range or is nan, and the loops run it
-    only then; where it fires for |cur| > 2**512 alone, m is |cur|. L_1 is
-    untested, so the array pass runs the full test on step 1. Over an array,
-    the gate takes nan-skipping reductions (fmin, fmax), so a lane that left
-    double range never stops the other lanes' rescaling.
+    only then; where it fires for |cur| > 2**512 alone, m is |cur|. So each
+    lane's rescale is its own, whichever gate runs. L_1 is untested, so the
+    array pass runs the full test on step 1. Over an array, the gate takes
+    nan-skipping reductions (fmin, fmax), so a lane that left double range
+    never stops the other lanes' rescaling.
     """
-    shift, prev, cur = 0, 1.0, alpha + 1.0 - x  # L_0, L_1
+    shift, prev, cur = np.zeros(x.size, dtype=np.int64), 1.0, alpha + 1.0 - x  # L_0, L_1
     # degree-0 lanes keep out's L_0 = 1
-    out, out_shift, index = np.ones(x.size), np.zeros(x.size, dtype=np.int64), np.arange(x.size)
-    stops = iter(sorted(set(n[n > 0].tolist())))
-    top, stop = n.max(initial=0) + 1, next(stops, 0)
-    for k in range(1, top):
-        if k == stop:  # lanes of degree k are done
-            last, live = n == k, n > k
-            out[index[last]] = cur[last]
-            out_shift[index[last]] = shift[last] if np.ndim(shift) else shift
-            n, index, x, alpha, shift, prev, cur = (
-                v[live] if np.ndim(v) else v for v in (n, index, x, alpha, shift, prev, cur))
-            stop = next(stops, 0)
-            if not index.size:
-                break
+    out, out_shift = np.ones(x.size), np.zeros(x.size, dtype=np.int64)
+    stops, top = set(n.tolist()), n.max(initial=0)
+    for k in range(1, top + 1):
+        if k in stops:  # lanes of degree k are done
+            done = n == k
+            out[done], out_shift[done] = cur[done], shift[done]
+        if k == top:
+            break
         prev, cur = cur, ((2.0 * k + 1.0 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
         size = np.abs(cur)
         if k == 1 or np.fmin.reduce(size) < _RESCALE_LO:

@@ -46,7 +46,8 @@ class SpacingRow:
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid and options for one sweep run. Each value (parse_sweep_config's strings, say)
-    is converted here, once; a malformed one raises ParameterError naming its key."""
+    is converted here, once; a malformed one, or a string for a list, raises
+    ParameterError naming its key."""
 
     n_values: tuple
     alpha_values: tuple
@@ -58,8 +59,11 @@ class SweepConfig:
         for key, convert in (("n_values", lambda v: tuple(int(n) for n in v)),
                              ("alpha_values", lambda v: tuple(float(a) for a in v)),
                              ("checks", frozenset), ("epsilon", float), ("output_dir", Path)):
+            value = getattr(self, key)
             try:
-                object.__setattr__(self, key, convert(getattr(self, key)))
+                if isinstance(value, str) and key in ("n_values", "alpha_values", "checks"):
+                    raise TypeError(f"expected a list, got the string {value!r}")
+                object.__setattr__(self, key, convert(value))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ParameterError(f"malformed {key}: {exc}") from None
         if not self.n_values or not self.alpha_values:

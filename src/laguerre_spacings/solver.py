@@ -147,8 +147,10 @@ class ZeroSet:
     residuals[i] measures |L(z_i)| in units of eps * |z_i * L'(z_i)|; values
     at or below 64 certify z_i as a floating-point zero, and every instance
     carries that certificate: construction raises RefinementError above the
-    cap. Note the ascending storage order: descending-rank conventions map
-    rank k to index n - k.
+    cap. Each test fails closed, so a nan or infinite zero, or a nan or +inf
+    residual, is refused: the zeros are finite and strictly increasing. Note
+    the ascending storage order: descending-rank conventions map rank k to
+    index n - k.
     """
 
     params: LaguerreParams
@@ -165,14 +167,14 @@ class ZeroSet:
         n = self.params.n
         if z.size != n or r.size != n:
             raise RefinementError(f"expected {n} zeros, got {z.size}")
-        if n > 1 and np.min(np.diff(z)) <= 0.0:
+        if n > 1 and not np.min(np.diff(z)) > 0.0:  # a nan fails too
             raise RefinementError("zeros are not strictly increasing")
         edge = bounds.edge_params(self.params)
         if not (edge.V2 < z[0] and z[-1] < edge.U2):
             raise RefinementError(
                 f"zeros escape the bracketing window ({edge.V2}, {edge.U2})"
             )
-        if np.max(r) > _RESIDUAL_CAP:
+        if not np.max(r) <= _RESIDUAL_CAP:
             raise RefinementError(
                 f"worst residual {np.max(r):.3g} exceeds {_RESIDUAL_CAP} ulp-equivalents"
             )
@@ -251,7 +253,7 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
     n = params.n
     if seeds.size != n:
         raise RefinementError(f"expected {n} seeds, got {seeds.size}")
-    if n > 1 and np.min(np.diff(seeds)) <= 0.0:
+    if n > 1 and not np.min(np.diff(seeds)) > 0.0:
         raise RefinementError("seeds are not strictly increasing")
     _duplicate_guard(seeds)
 

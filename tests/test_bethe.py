@@ -1,6 +1,7 @@
 """Identity-layer tests: both sides at every zero, the chain, the crude cap."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,6 +141,17 @@ class TestIdentity:
         for r in reports[:-1]:
             assert r.gap_term == pytest.approx(1.0 / gaps[r.k - 1] ** 2, rel=1e-15)
         assert reports[-1].gap_term is None
+
+    def test_report_fields_are_floats(self):
+        for r in verify_identity(zeros(LaguerreParams(5, 1.0))):
+            assert {type(v) for v in (r.lhs, r.rhs, r.rel_residual)} == {float}
+            assert r.gap_term is None or type(r.gap_term) is float
+
+    def test_max_residual_keeps_a_later_nan(self):
+        # Python's max drops a nan that does not come first.
+        reports = verify_identity(zeros(LaguerreParams(5, 1.0)))
+        doctored = [replace(r, rel_residual=math.nan) if r.k == 3 else r for r in reports]
+        assert math.isnan(max_rel_residual(doctored))
 
 
 class TestChain:

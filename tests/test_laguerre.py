@@ -1,6 +1,7 @@
 """Evaluation-layer tests: recurrence values, derivatives, equation residuals."""
 
 import math
+import warnings
 from fractions import Fraction
 from functools import partial
 
@@ -263,6 +264,29 @@ class TestArrayLanes:
         assert not np.isfinite(mantissas[20])
         with pytest.raises(ParameterError, match="left double range"):
             evaluator(200, 1e200, 1.0)
+
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    def test_finished_lanes_ride_on_silently(self, evaluator):
+        # Once its value is taken, a lane rides on to the top degree: a
+        # degree-1 lane at x = 1e300 then overflows, with no warning and no
+        # effect on the other lanes.
+        degrees = np.tile([0, 1, 2, 7, 200, 201], 8)
+        alphas = np.random.default_rng(9).uniform(-0.5, 50.0, degrees.size)
+        x = np.random.default_rng(10).uniform(0.0, 900.0, degrees.size)
+        x[1::12] = 1e300  # every other degree-1 lane
+        assert degrees.size >= _FEW_LANES  # the array pass, in plain mode
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mantissas, exponents = evaluator(degrees, alphas, x)
+        pointwise = [evaluator(*lane) for lane in zip(degrees.tolist(), alphas.tolist(), x.tolist())]
+        assert mantissas.tobytes() == np.array([sv.mantissa for sv in pointwise]).tobytes()
+        assert exponents.tolist() == [sv.exponent2 for sv in pointwise]
+
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    def test_all_degree_zero_lanes(self, evaluator):
+        mantissas, exponents = evaluator(np.zeros(48, dtype=int), np.linspace(-0.5, 9.0, 48),
+                                         np.linspace(0.0, 1e300, 48))
+        assert mantissas.tolist() == [1.0] * 48 and exponents.tolist() == [0] * 48
 
     def test_lanes_span_many_scales(self):
         _, exponents = laguerre_polynomial(200, 1e4, np.linspace(0.0, 3e4, 64))

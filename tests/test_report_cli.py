@@ -123,6 +123,14 @@ class TestSweepConfig:
         with pytest.raises(ParameterError, match=f"malformed {key}"):
             parse_sweep_config(bad)
 
+    @pytest.mark.parametrize("key,text", [
+        ("n_values", "10"), ("alpha_values", "15"), ("checks", "bethe")])
+    def test_string_for_a_list_is_malformed(self, key, text):
+        # Iterated by character, n_values = "10" would run n in (1, 0).
+        values = {"n_values": [10], "alpha_values": [15], key: text}
+        with pytest.raises(ParameterError, match=f"malformed {key}: expected a list"):
+            SweepConfig(**values)
+
 
 class TestRunSweep:
     def test_files_schema_and_determinism(self, tmp_path):
@@ -225,6 +233,27 @@ class TestRunSweep:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert [f["check"] for f in summary["failures"]] == ["bethe"]
         assert math.isnan(summary["pairs"][0]["max_bethe_residual"])
+
+    def test_nan_pairwise_sum_fails_closed(self, tmp_path, monkeypatch, capsys):
+        # A nan pairwise sum in a middle rank is a nan identity residual, so
+        # verify and a one-pair sweep both fail bethe rather than pass it.
+        import laguerre_spacings.bethe as bethe_module
+
+        pairwise_sums = bethe_module._pairwise_sums
+
+        def nan_middle_row(x, rows):
+            sums = pairwise_sums(x, rows)
+            sums[sums.size // 2] = math.nan
+            return sums
+
+        monkeypatch.setattr(bethe_module, "_pairwise_sums", nan_middle_row)
+        assert main(["verify", "--n", "10", "--alpha", "1"]) == 1
+        assert "bethe: max residual nan (FAIL at 1e-08)\n" in capsys.readouterr().out
+        cfg_file = tmp_path / "cfg"
+        cfg_file.write_text(f"n_values = 10\nalpha_values = 1\noutput_dir = {tmp_path / 'o'}\n")
+        assert main(["sweep", "--config", str(cfg_file)]) == 1
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert [f["check"] for f in summary["failures"]] == ["bethe"]
 
 
 PAPER_GRID_DIGESTS = (Path(__file__).resolve().parents[1]

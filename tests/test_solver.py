@@ -198,6 +198,11 @@ class TestRefine:
         with pytest.raises(RefinementError):
             refine(LaguerreParams(3, 0.0), [1.0, 2.0])
 
+    def test_nan_seed_rejected_at_the_door(self):
+        # not a DomainError from deep inside the evaluator
+        with pytest.raises(RefinementError, match="seeds are not strictly increasing"):
+            refine(LaguerreParams(3, 0.0), [0.4, math.nan, 6.3])
+
 
 class TestRefineAgainstReference:
     """refine's lanes, history shortcut included, against the one-zero loop, bit for bit."""
@@ -347,3 +352,17 @@ class TestZeroSetInvariants:
         with pytest.raises(RefinementError):
             ZeroSet(params=params, zeros=good.zeros,
                     residuals=np.array([1.0, 65.0]))
+
+    def test_rejects_nan_interior_zero(self):
+        good = zeros(LaguerreParams(5, 1.0))
+        doctored = good.zeros.copy()
+        doctored[2] = math.nan
+        with pytest.raises(RefinementError, match="strictly increasing"):
+            ZeroSet(params=good.params, zeros=doctored, residuals=good.residuals)
+
+    def test_rejects_nan_residual(self):
+        good = zeros(LaguerreParams(5, 1.0))
+        residuals = good.residuals.copy()
+        residuals[2] = math.nan
+        with pytest.raises(RefinementError, match="worst residual nan"):
+            ZeroSet(params=good.params, zeros=good.zeros, residuals=residuals)
