@@ -8,7 +8,6 @@ import re
 import sys
 
 from . import bessel, bounds, report
-from .errors import CheckFailure
 from .laguerre import LaguerreParams
 from .solver import zeros
 
@@ -200,11 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except CheckFailure as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -208,29 +208,22 @@ def _compensated_lane(n, alpha, x):
     return cur + cur_c, shift
 
 
-def _lane(n, alpha, x, compensated: bool):
-    """A float call's (value, shift), any degree n >= 0."""
-    if n == 0:
-        return 1.0, 0
-    return (_compensated_lane if compensated else _plain_lane)(n, alpha, x)
-
-
 @np.errstate(all="ignore")  # overflow is silent, as on floats
 def _recurrence(n, alpha, x):
-    """_plain_lane over the lanes of an array x, a degree array n and a float or array alpha.
+    """_plain_lane over the lanes of equal-size degree, alpha and x arrays.
 
     A lane does _plain_lane's operations in the same order, which keeps it
-    bit-identical to the float call; regrouping a sum breaks that. A lane's
+    bit-identical to _plain_lane; regrouping a sum breaks that. A lane's
     value is taken at its own degree; it then rides on to the top degree,
     where it may overflow but touches no other lane.
 
     Rescaling: a lane rescales by the power of two taking m = max(|prev|,
-    |cur|) back near 1 whenever m leaves [2**-512, 2**512]. After the first
-    step, |prev| is a |cur| that passed this test a step ago, so the test can
-    fire only where |cur| left the range or is nan, and the loops run it
-    only then; where it fires for |cur| > 2**512 alone, m is |cur|. So each
-    lane's rescale is its own, whichever gate runs. L_1 is untested, so the
-    array pass runs the full test on step 1. Over an array, the gate takes
+    |cur|) back near 1 whenever m leaves [2**-512, 2**512]. |prev| is a |cur|
+    that passed this test a step ago, or L_1, which cannot exceed 2**512
+    without overflowing the first step's product; so the test can fire only
+    where |cur| left the range or is nan, and the loops run it only then;
+    where it fires for |cur| > 2**512 alone, m is |cur|. So each lane's
+    rescale is its own, whichever gate runs. Over an array, the gate takes
     nan-skipping reductions (fmin, fmax), so a lane that left double range
     never stops the other lanes' rescaling.
     """
@@ -246,7 +239,7 @@ def _recurrence(n, alpha, x):
             break
         prev, cur = cur, ((2.0 * k + 1.0 + alpha - x) * cur - (k + alpha) * prev) / (k + 1.0)
         size = np.abs(cur)
-        if k == 1 or np.fmin.reduce(size) < _RESCALE_LO:
+        if np.fmin.reduce(size) < _RESCALE_LO:
             m = np.maximum(np.abs(prev), size)
             e = np.where((m > _RESCALE_HI) | ((m > 0.0) & (m < _RESCALE_LO)), np.frexp(m)[1], 0)
         elif np.fmax.reduce(size) > _RESCALE_HI:  # then m = |cur| wherever m > 2**512
@@ -264,47 +257,48 @@ def _range_error(n, alpha, x) -> ParameterError:
 
 
 def _evaluate(n, alpha, x, compensated: bool):
+    """Lane arrays (mantissas, exponents) of L_n^(alpha)(x), or a ScaledValue when no
+    input is an array: a float call is a one-lane array call."""
     low = n.min(initial=0).item() if isinstance(n, np.ndarray) and n.dtype.kind in "iu" else n
     if not isinstance(low, Integral) or isinstance(low, bool) or low < 0:
         raise ParameterError(f"degree must be an integer >= 0, got {low!r}")
-    many = isinstance(alpha, np.ndarray)  # the first bad lane's alpha stands for all
-    if many and alpha.dtype.kind not in "iuf":
-        raise ParameterError(f"alpha lanes must be finite reals, got dtype {alpha.dtype}")
-    if not many and (not isinstance(alpha, Real) or isinstance(alpha, bool)):
+    lanes = np.asarray(alpha)  # the first bad lane's alpha stands for all
+    if lanes.dtype.kind not in "iuf" or not isinstance(alpha, (Real, np.ndarray)):
         raise ParameterError(f"alpha must be a finite real, got {alpha!r}")
-    for a in alpha[~(alpha > -1.0) | np.isinf(alpha)][:1].tolist() if many else [alpha]:
-        if not math.isfinite(a) or a <= -1.0:
-            raise ParameterError(f"alpha must be > -1, got {a!r}")
-    if not any(isinstance(v, np.ndarray) for v in (n, alpha, x)):
-        x = _check_point(x)
-        value, shift = _lane(n, alpha, x, compensated)
-        if not math.isfinite(value):
-            raise _range_error(n, alpha, x)
-        return ScaledValue.from_float(value, shift)
-    x = np.broadcast_to(np.asarray(x, dtype=float), np.broadcast(n, alpha, x).shape)
-    n, alpha = np.broadcast_to(n, x.shape), (np.broadcast_to(alpha, x.shape) if many else alpha)
-    for bad in x[~(x >= 0.0) | np.isinf(x)][:1]:
-        _check_point(float(bad))  # raises the float path's DomainError
-    if compensated or x.size < _FEW_LANES:  # the array pass is plain only
-        per_lane = zip(n.tolist(), np.broadcast_to(alpha, x.shape).tolist(), x.tolist())
-        value, shift = np.reshape([_lane(*lane, compensated) for lane in per_lane], (-1, 2)).T
+    for a in lanes[~(lanes > -1.0) | np.isinf(lanes)][:1].tolist():
+        raise ParameterError(f"alpha must be > -1, got {a!r}")
+    points = np.asarray(x if isinstance(x, np.ndarray) else _check_point(x), dtype=float)
+    shape = np.broadcast(n, lanes, points).shape
+    degrees, lanes, points = (np.broadcast_to(v, shape or (1,)) for v in (n, lanes, points))
+    for bad in points[~(points >= 0.0) | np.isinf(points)][:1]:
+        _check_point(float(bad))  # the first bad lane raises its DomainError
+    if compensated or points.size < _FEW_LANES:  # the array pass is plain only
+        kernel = _compensated_lane if compensated else _plain_lane
+        per_lane = zip(degrees.tolist(), lanes.tolist(), points.tolist())
+        value, shift = np.reshape([kernel(d, a, v) if d else (1.0, 0) for d, a, v in per_lane],
+                                  (-1, 2)).T
     else:
-        value, shift = _recurrence(n, alpha, x)
+        value, shift = _recurrence(degrees, lanes, points)
     m, e = np.frexp(value)  # ScaledValue.from_float, lane by lane
     zero = value == 0.0
-    return np.where(zero, 0.0, 2.0 * m), np.where(zero, 0, e - 1 + np.int64(shift))
+    m, e = np.where(zero, 0.0, 2.0 * m), np.where(zero, 0, e - 1 + np.int64(shift))
+    if shape:
+        return m, e
+    if not math.isfinite(m[0]):
+        raise _range_error(n, alpha, points.item())
+    return ScaledValue(m.item(), e.item())
 
 
 def laguerre_polynomial(n: int, alpha: float, x):
     """Evaluate L_n^(alpha)(x) for any degree n >= 0 by the ascending recurrence.
 
     Uses (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1} with
-    power-of-two rescaling; alpha > -1 and x >= 0 are required. A float x
-    gives a ScaledValue. A 1-D array x, or integer-degree and alpha arrays
-    broadcasting with x, give arrays (mantissas, exponents) whose lane i is
-    bit for bit the ScaledValue of the float call for (n[i], alpha[i], x[i]),
-    or for a lane that left double range, the nan or inf mantissa the float
-    call rejects.
+    power-of-two rescaling; alpha > -1 and x >= 0 are required. A 1-D array
+    x, or integer-degree and alpha arrays broadcasting with x, give arrays
+    (mantissas, exponents): lane i holds L_{n[i]}^(alpha[i])(x[i]), or for a
+    lane that left double range, a nan or inf mantissa. A float call (no
+    array argument) is a one-lane array call that returns its lane as a
+    ScaledValue, or raises ParameterError where the lane left double range.
     """
     return _evaluate(n, alpha, x, compensated=False)
 
@@ -340,6 +334,8 @@ def _aligned_terms(params: LaguerreParams, x: float):
     du = evaluate_derivative(params, x)
     ddu = laguerre_polynomial(n - 2, alpha + 2.0, x) if n >= 2 else ScaledValue.from_float(0.0)
     c_du, c_u = -(1.0 - (alpha + 1.0) / x), n / x
+    if not (math.isfinite(c_du) and math.isfinite(c_u)):
+        raise DomainError(f"evaluation point {x!r} is too small: n/x or (alpha+1)/x overflows")
     # coefficient * mantissa with its exponent: the three terms, then the three scales
     products = [(c * sv.mantissa, sv.exponent2)
                 for c, sv in ((1.0, ddu), (c_du, du), (c_u, u), (1.0, ddu), (1.0, du), (c_u, u))]

@@ -147,10 +147,10 @@ class ZeroSet:
     residuals[i] measures |L(z_i)| in units of eps * |z_i * L'(z_i)|; values
     at or below 64 certify z_i as a floating-point zero, and every instance
     carries that certificate: construction raises RefinementError above the
-    cap. Each test fails closed, so a nan or infinite zero, or a nan or +inf
-    residual, is refused: the zeros are finite and strictly increasing. Note
-    the ascending storage order: descending-rank conventions map rank k to
-    index n - k.
+    cap. Each test fails closed, so a nan or infinite zero, or a residual
+    that is nan or outside [0, 64], is refused: the zeros are finite and
+    strictly increasing. Note the ascending storage order: descending-rank
+    conventions map rank k to index n - k.
     """
 
     params: LaguerreParams
@@ -178,6 +178,8 @@ class ZeroSet:
             raise RefinementError(
                 f"worst residual {np.max(r):.3g} exceeds {_RESIDUAL_CAP} ulp-equivalents"
             )
+        if not np.min(r) >= 0.0:
+            raise RefinementError(f"negative residual {np.min(r):.3g}: a residual is a magnitude")
 
     @property
     def n(self) -> int:
@@ -255,6 +257,8 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
         raise RefinementError(f"expected {n} seeds, got {seeds.size}")
     if n > 1 and not np.min(np.diff(seeds)) > 0.0:
         raise RefinementError("seeds are not strictly increasing")
+    for bad in seeds[~np.isfinite(seeds)][:1].tolist():  # n = 1, or an infinite end
+        raise RefinementError(f"seeds must be finite, got {bad!r}")
     _duplicate_guard(seeds)
 
     mids = 0.5 * (seeds[:-1] + seeds[1:])

@@ -170,6 +170,12 @@ class TestEvaluate:
                 evaluator(2, alpha, 1.0)
 
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    def test_numpy_scalar_alpha_runs_in_double_precision(self, evaluator):
+        # a float call is a one-lane array call, so a float32 alpha is widened
+        # as an array lane's is, not carried through float32 arithmetic
+        assert evaluator(7, np.float32(0.5), 3.0) == evaluator(7, 0.5, 3.0)
+
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     def test_overflow_names_the_call(self, evaluator):
         # L_1 = 1e160 is past 2**512, so the first step's product overflows.
         with pytest.raises(ParameterError, match=r"left double range at "
@@ -327,6 +333,13 @@ class TestOdeResidual:
 
     def test_large_parameters_relative(self):
         assert ode_residual_relative(LaguerreParams(10, 100.0), 150.0) <= 1e-10
+
+    @pytest.mark.parametrize("n,alpha,x", [(2, 0.005, 1e-310), (1, 1e160, 1e-300)])
+    def test_point_too_small_for_the_coefficients_rejected(self, n, alpha, x):
+        # n/x or (alpha+1)/x overflows: a DomainError naming x, not nan or inf
+        for residual in (ode_residual, ode_residual_relative):
+            with pytest.raises(DomainError, match=f"evaluation point {x!r} is too small"):
+                residual(LaguerreParams(n, alpha), x)
 
     def test_zero_point_rejected(self):
         with pytest.raises(DomainError):

@@ -203,6 +203,13 @@ class TestRefine:
         with pytest.raises(RefinementError, match="seeds are not strictly increasing"):
             refine(LaguerreParams(3, 0.0), [0.4, math.nan, 6.3])
 
+    @pytest.mark.parametrize("n,seeds", [(1, [math.nan]), (3, [0.4, 2.3, math.inf]),
+                                         (3, [-math.inf, 2.3, 6.3])])
+    def test_non_finite_seed_rejected_at_the_door(self, n, seeds):
+        # no gap test catches these; they must not reach the evaluator either
+        with pytest.raises(RefinementError, match="seeds must be finite"):
+            refine(LaguerreParams(n, 0.0), seeds)
+
 
 class TestRefineAgainstReference:
     """refine's lanes, history shortcut included, against the one-zero loop, bit for bit."""
@@ -366,3 +373,9 @@ class TestZeroSetInvariants:
         residuals[2] = math.nan
         with pytest.raises(RefinementError, match="worst residual nan"):
             ZeroSet(params=good.params, zeros=good.zeros, residuals=residuals)
+
+    def test_rejects_negative_residuals(self):
+        good = zeros(LaguerreParams(3, 0.0))
+        with pytest.raises(RefinementError, match="negative"):
+            ZeroSet(params=good.params, zeros=good.zeros,
+                    residuals=np.array([-math.inf, -1e9, 0.0]))
