@@ -18,12 +18,10 @@ from .bessel import (
 )
 from .bethe import (
     BetheReport,
-    ODECoefficients,
     bethe_lhs,
     bethe_rhs,
     inequality_chain,
     max_rel_residual,
-    ode_coefficients,
     remark1_cap,
     verify_identity,
 )
@@ -33,7 +31,6 @@ from .bounds import (
     bound_set,
     delta,
     delta_extremum,
-    delta_rational,
     edge_params,
     krasikov_window,
     proof_range_spacing_lower,
@@ -51,11 +48,7 @@ from .errors import (
 from .laguerre import (
     LaguerreParams,
     ScaledValue,
-    evaluate,
-    evaluate_derivative,
     laguerre_polynomial,
-    ode_residual,
-    ode_residual_relative,
 )
 from .report import (
     SpacingRow,

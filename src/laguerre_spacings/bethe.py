@@ -24,27 +24,6 @@ _CHAIN_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
-class ODECoefficients:
-    """Coefficients of u'' - 2 a u' + b u = 0 for L_n^(alpha), at a float or an array of points."""
-
-    n: int
-    alpha: float
-
-    def a_of_x(self, x):
-        return 0.5 * (1.0 - (self.alpha + 1.0) / x)
-
-    def a_prime(self, x):
-        return (self.alpha + 1.0) / (2.0 * x * x)
-
-    def b_of_x(self, x):
-        return self.n / x
-
-    def delta_of_x(self, x):
-        a = self.a_of_x(x)
-        return self.b_of_x(x) - a * a
-
-
-@dataclass(frozen=True)
 class BetheReport:
     """Both sides of the identity at the rank-k zero (k=1 is the largest), as floats.
 
@@ -59,11 +38,6 @@ class BetheReport:
     rhs: float
     rel_residual: float
     gap_term: float | None
-
-
-def ode_coefficients(params: LaguerreParams) -> ODECoefficients:
-    """a, a', b and Delta = b - a^2 at fixed (n, alpha)."""
-    return ODECoefficients(params.n, params.alpha)
 
 
 def _pairwise_sums(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -95,9 +69,10 @@ def bethe_lhs(zs: ZeroSet, k: int) -> float:
 
 
 def _rhs(params: LaguerreParams, x):
-    """(Delta(x) - 2 a'(x)) / 3 at a float or an array of points x > 0."""
-    coeffs = ode_coefficients(params)
-    return (coeffs.delta_of_x(x) - 2.0 * coeffs.a_prime(x)) / 3.0
+    """(Delta(x) - 2 a'(x)) / 3 at a float or an array of points x > 0, where
+    a = (1 - (alpha+1)/x) / 2, a' = (alpha+1) / (2 x^2) and b = n/x."""
+    a = 0.5 * (1.0 - (params.alpha + 1.0) / x)
+    return (params.n / x - a * a - 2.0 * ((params.alpha + 1.0) / (2.0 * x * x))) / 3.0
 
 
 def bethe_rhs(params: LaguerreParams, x_k: float) -> float:

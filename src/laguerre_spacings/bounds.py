@@ -66,13 +66,6 @@ def delta(params: LaguerreParams, x: float) -> float:
     return (e.U2 - x) * (x - e.V2) / (4.0 * x * x)
 
 
-def delta_rational(params: LaguerreParams, x: float) -> float:
-    """Cross-check form n/x - (x - alpha - 1)^2 / (4 x^2) of the same function."""
-    x = _check_point(x, positive=True)
-    t = x - params.alpha - 1.0
-    return params.n / x - t * t / (4.0 * x * x)
-
-
 def delta_extremum(params: LaguerreParams) -> tuple[float, float]:
     """The unique maximum of delta on (0, inf): location and value.
 
@@ -96,8 +89,13 @@ def uniform_spacing_lower(params: LaguerreParams) -> float:
     )
 
 
-def resolve_range_constant(params: LaguerreParams, C) -> float:
-    """Normalize the caller's C: a positive number, or "auto" for C = n/alpha."""
+def resolve_range_constant(params: LaguerreParams, C) -> float | None:
+    """Normalize the caller's C, a positive number or "auto" for C = n/alpha,
+    or None where alpha < n/C and the large-alpha bound does not apply.
+
+    "auto" puts alpha in that regime by construction, so it is not tested
+    there: alpha >= n/(n/alpha) rounds false for some pairs, e.g. (2, 3.7).
+    """
     if isinstance(C, str):
         if C != "auto":
             raise ParameterError(f"C must be a positive number or 'auto', got {C!r}")
@@ -107,28 +105,27 @@ def resolve_range_constant(params: LaguerreParams, C) -> float:
     C = float(C)
     if not math.isfinite(C) or C <= 0.0:
         raise ParameterError(f"C must be positive, got {C}")
-    return C
+    return C if params.alpha >= params.n / C else None
 
 
-def _require_range_regime(params: LaguerreParams, C: float) -> None:
-    if params.alpha < params.n / C:
-        raise ParameterError(
-            f"alpha = {params.alpha} is below n/C = {params.n / C}; "
-            "the large-alpha bound does not apply"
-        )
+def _regime_constant(params: LaguerreParams, C) -> float:
+    """resolve_range_constant's C, or a ParameterError where the bound does not apply."""
+    resolved = resolve_range_constant(params, C)
+    if resolved is None:
+        raise ParameterError(f"alpha = {params.alpha} is below n/C = {params.n / float(C)}; "
+                             "the large-alpha bound does not apply")
+    return resolved
 
 
 def range_spacing_lower(params: LaguerreParams, C) -> float:
     """Gap lower bound (1/sqrt(C+1)) sqrt(alpha/n), valid when alpha >= n/C."""
-    C = resolve_range_constant(params, C)
-    _require_range_regime(params, C)
+    C = _regime_constant(params, C)
     return math.sqrt(params.alpha / params.n) / math.sqrt(C + 1.0)
 
 
 def proof_range_spacing_lower(params: LaguerreParams, C) -> float:
     """The sharper constant sqrt(3/(2(C+1))) sqrt(alpha/n) behind the stated bound."""
-    C = resolve_range_constant(params, C)
-    _require_range_regime(params, C)
+    C = _regime_constant(params, C)
     return math.sqrt(1.5 / (C + 1.0)) * math.sqrt(params.alpha / params.n)
 
 
@@ -137,8 +134,7 @@ def telescoped_bracket(params: LaguerreParams, C) -> tuple[float, float]:
     for the zero range x_max - x_min; the range also never exceeds U^2 - V^2."""
     if params.n < 2:
         raise ParameterError(f"no zero range exists for degree {params.n}")
-    C = resolve_range_constant(params, C)
-    _require_range_regime(params, C)
+    C = _regime_constant(params, C)
     root = math.sqrt(params.n * params.alpha)
     return root / math.sqrt(C + 1.0), 6.0 * math.sqrt(C + 1.0) * root
 
@@ -168,9 +164,9 @@ def bound_set(params: LaguerreParams, C="auto") -> BoundSet:
         C = None  # no admissible C when alpha <= 0
     if C is not None:
         resolved = resolve_range_constant(params, C)
-        if params.n >= 2 and params.alpha >= params.n / resolved:
-            range_lower = range_spacing_lower(params, resolved)
-            proof_lower = proof_range_spacing_lower(params, resolved)
+        if params.n >= 2 and resolved is not None:
+            range_lower = range_spacing_lower(params, C)
+            proof_lower = proof_range_spacing_lower(params, C)
             range_constant = resolved
     return BoundSet(
         uniform_lower=uniform_spacing_lower(params) if params.n >= 2 else None,

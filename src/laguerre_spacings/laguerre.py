@@ -78,9 +78,6 @@ class ScaledValue:
         """Collapse to a double; returns +-inf / 0.0 outside double range."""
         return _to_double(self.mantissa, self.exponent2)
 
-    def negated(self) -> "ScaledValue":
-        return ScaledValue(-self.mantissa, self.exponent2)
-
     def is_zero(self) -> bool:
         return self.mantissa == 0.0
 
@@ -262,12 +259,20 @@ def _evaluate(n, alpha, x, compensated: bool):
     low = n.min(initial=0).item() if isinstance(n, np.ndarray) and n.dtype.kind in "iu" else n
     if not isinstance(low, Integral) or isinstance(low, bool) or low < 0:
         raise ParameterError(f"degree must be an integer >= 0, got {low!r}")
+    if not isinstance(alpha, (float, bool, np.ndarray)) and isinstance(alpha, Real):
+        try:  # an int past int64 or a Fraction would become an object-dtype array
+            alpha = float(alpha)
+        except OverflowError:
+            raise ParameterError(f"alpha is too large for a double, got {alpha!r}") from None
     lanes = np.asarray(alpha)  # the first bad lane's alpha stands for all
     if lanes.dtype.kind not in "iuf" or not isinstance(alpha, (Real, np.ndarray)):
         raise ParameterError(f"alpha must be a finite real, got {alpha!r}")
     for a in lanes[~(lanes > -1.0) | np.isinf(lanes)][:1].tolist():
         raise ParameterError(f"alpha must be > -1, got {a!r}")
     points = np.asarray(x if isinstance(x, np.ndarray) else _check_point(x), dtype=float)
+    if max(getattr(n, "ndim", 0), lanes.ndim, points.ndim) > 1:  # n is an int or an array
+        raise ParameterError(f"lane arrays must be 1-D, got shapes "
+                             f"{np.shape(n)}, {lanes.shape} and {points.shape}")
     shape = np.broadcast(n, lanes, points).shape
     degrees, lanes, points = (np.broadcast_to(v, shape or (1,)) for v in (n, lanes, points))
     for bad in points[~(points >= 0.0) | np.isinf(points)][:1]:
@@ -293,12 +298,13 @@ def laguerre_polynomial(n: int, alpha: float, x):
     """Evaluate L_n^(alpha)(x) for any degree n >= 0 by the ascending recurrence.
 
     Uses (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1} with
-    power-of-two rescaling; alpha > -1 and x >= 0 are required. A 1-D array
-    x, or integer-degree and alpha arrays broadcasting with x, give arrays
-    (mantissas, exponents): lane i holds L_{n[i]}^(alpha[i])(x[i]), or for a
-    lane that left double range, a nan or inf mantissa. A float call (no
-    array argument) is a one-lane array call that returns its lane as a
-    ScaledValue, or raises ParameterError where the lane left double range.
+    power-of-two rescaling; alpha > -1 (a real that fits a double) and x >= 0
+    are required. A 1-D array x, or integer-degree and alpha arrays
+    broadcasting with x, give arrays (mantissas, exponents): lane i holds
+    L_{n[i]}^(alpha[i])(x[i]), or for a lane that left double range, a nan or
+    inf mantissa; an array of more dimensions raises ParameterError. A float
+    call (no array argument) is a one-lane array call that returns its lane
+    as a ScaledValue, or raises ParameterError where the lane left double range.
     """
     return _evaluate(n, alpha, x, compensated=False)
 
@@ -310,55 +316,3 @@ def laguerre_polynomial_compensated(n: int, alpha: float, x):
     Arrays run lane by lane on floats, about 1 ms per lane at n = 1000.
     """
     return _evaluate(n, alpha, x, compensated=True)
-
-
-def evaluate(params: LaguerreParams, x: float) -> ScaledValue:
-    """L_n^(alpha)(x) as a ScaledValue."""
-    return laguerre_polynomial(params.n, params.alpha, x)
-
-
-def evaluate_derivative(params: LaguerreParams, x: float) -> ScaledValue:
-    """d/dx L_n^(alpha)(x), via the shift identity L_n^(a)' = -L_{n-1}^(a+1)."""
-    return laguerre_polynomial(params.n - 1, params.alpha + 1.0, x).negated()
-
-
-def _aligned_terms(params: LaguerreParams, x: float):
-    """Second-order-equation terms and their scales on a common binary exponent, at x > 0.
-
-    Returns (term_mantissas, scale_mantissas, common_exponent) for the
-    combination u'' - (1-(alpha+1)/x) u' + (n/x) u; scales are the aligned
-    magnitudes of u'', u' and u*n/x.
-    """
-    n, alpha, x = params.n, params.alpha, _check_point(x, positive=True)
-    u = laguerre_polynomial(n, alpha, x)
-    du = evaluate_derivative(params, x)
-    ddu = laguerre_polynomial(n - 2, alpha + 2.0, x) if n >= 2 else ScaledValue.from_float(0.0)
-    c_du, c_u = -(1.0 - (alpha + 1.0) / x), n / x
-    if not (math.isfinite(c_du) and math.isfinite(c_u)):
-        raise DomainError(f"evaluation point {x!r} is too small: n/x or (alpha+1)/x overflows")
-    # coefficient * mantissa with its exponent: the three terms, then the three scales
-    products = [(c * sv.mantissa, sv.exponent2)
-                for c, sv in ((1.0, ddu), (c_du, du), (c_u, u), (1.0, ddu), (1.0, du), (c_u, u))]
-    common = max((math.frexp(p)[1] - 1 + e for p, e in products if p != 0.0), default=0)
-    aligned = [math.ldexp(p, e - common) for p, e in products]  # one rounding each
-    return aligned[:3], [abs(s) for s in aligned[3:]], common
-
-
-def ode_residual(params: LaguerreParams, x: float) -> float:
-    """u'' - (1-(alpha+1)/x) u' + (n/x) u at u = L_n^(alpha); vanishes analytically.
-
-    The result is returned as a double and can overflow to +-inf when the
-    polynomial's own magnitude exceeds double range; use
-    ode_residual_relative for a scale-free measure.
-    """
-    terms, _, common = _aligned_terms(params, x)
-    return _to_double(sum(terms), common)
-
-
-def ode_residual_relative(params: LaguerreParams, x: float) -> float:
-    """|ode_residual| / max(|u''|, |u'|, |u|*n/x), computed without overflow."""
-    terms, scales, _ = _aligned_terms(params, x)
-    top = max(scales)
-    if top == 0.0:
-        return 0.0
-    return abs(sum(terms)) / top

@@ -17,7 +17,6 @@ from laguerre_spacings import (
     edge_params,
     inequality_chain,
     max_rel_residual,
-    ode_coefficients,
     remark1_cap,
     verify_identity,
     zeros,
@@ -27,24 +26,6 @@ from laguerre_spacings import (
 CUBIC_ROOTS = (0.4157745567834791, 2.294280360279041, 6.289945082937479)
 
 SWEEP = [(n, a) for n in (10, 20, 50, 100) for a in (1.0, 100.0, 1e3, 1e4)]
-
-
-class TestCoefficients:
-    @pytest.mark.parametrize("n,alpha", [(3, 0.0), (20, -0.5), (50, 1e3)])
-    def test_delta_forms_agree_on_window(self, n, alpha):
-        params = LaguerreParams(n, alpha)
-        coeffs = ode_coefficients(params)
-        e = edge_params(params)
-        for t in np.linspace(0.02, 0.98, 25):
-            x = e.V2 + t * (e.U2 - e.V2)
-            assert coeffs.delta_of_x(x) == pytest.approx(delta(params, x), rel=1e-12)
-
-    def test_a_prime_matches_finite_differences(self):
-        coeffs = ode_coefficients(LaguerreParams(7, 2.5))
-        for x in (0.8, 3.0, 17.0):
-            h = x * 1e-6
-            numeric = (coeffs.a_of_x(x + h) - coeffs.a_of_x(x - h)) / (2 * h)
-            assert coeffs.a_prime(x) == pytest.approx(numeric, rel=1e-6)
 
 
 class TestLhs:
@@ -80,6 +61,17 @@ class TestLhs:
 
 
 class TestRhs:
+    @pytest.mark.parametrize("n,alpha", [(3, 0.0), (20, -0.5), (50, 1e3)])
+    def test_matches_delta_form_on_window(self, n, alpha):
+        # (Delta - 2a')/3 with the paper's Delta = (U^2 - x)(x - V^2)/(4x^2) and
+        # 2a' = (alpha+1)/x^2: the same function as the rational form in bethe_rhs
+        params = LaguerreParams(n, alpha)
+        e = edge_params(params)
+        for t in np.linspace(0.02, 0.98, 25):
+            x = e.V2 + t * (e.U2 - e.V2)
+            expected = (delta(params, x) - (alpha + 1.0) / (x * x)) / 3.0
+            assert bethe_rhs(params, x) == pytest.approx(expected, rel=1e-12)
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 5.0, 1e3])
     def test_single_zero_closes_to_nothing(self, alpha):
         assert abs(bethe_rhs(LaguerreParams(1, alpha), alpha + 1.0)) <= 1e-14

@@ -14,7 +14,6 @@ from laguerre_spacings import (
     bound_set,
     delta,
     delta_extremum,
-    delta_rational,
     edge_params,
     krasikov_window,
     proof_range_spacing_lower,
@@ -73,19 +72,11 @@ class TestDelta:
         assert delta(params, e.U2) == 0.0
         assert delta(params, e.V2) == 0.0
 
-    @pytest.mark.parametrize("n,alpha", [(3, 0.0), (20, -0.5), (50, 1e3)])
-    def test_agrees_with_rational_form(self, n, alpha):
-        params = LaguerreParams(n, alpha)
-        e = edge_params(params)
-        for t in np.linspace(0.05, 0.95, 19):
-            x = e.V2 + t * (e.U2 - e.V2)
-            assert delta(params, x) == pytest.approx(delta_rational(params, x), rel=1e-12)
-
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             delta(LaguerreParams(2, 0.0), 0.0)
         with pytest.raises(DomainError):
-            delta_rational(LaguerreParams(2, 0.0), -1.0)
+            delta(LaguerreParams(2, 0.0), -1.0)
 
 
 class TestDeltaExtremum:
@@ -175,6 +166,25 @@ class TestRangeBound:
         assert range_spacing_lower(params, "auto") == pytest.approx(
             range_spacing_lower(params, 10.0 / 50.0), rel=1e-15
         )
+
+    @pytest.mark.parametrize("n,alpha", [(2, 3.7), (9, 1000.0)])
+    def test_auto_constant_applies_where_n_over_c_rounds_above_alpha(self, n, alpha):
+        # C = n/alpha puts alpha in the regime by construction, although
+        # alpha >= n/C rounds false here
+        params, C = LaguerreParams(n, alpha), n / alpha
+        assert alpha < n / C
+        stated = range_spacing_lower(params, "auto")
+        assert stated == math.sqrt(alpha / n) / math.sqrt(C + 1.0)
+        bs = bound_set(params)
+        assert (bs.range_lower, bs.range_constant) == (stated, C)
+        assert bs.proof_range_lower == proof_range_spacing_lower(params, "auto")
+        assert telescoped_bracket(params, "auto")[0] == math.sqrt(n * alpha) / math.sqrt(C + 1.0)
+
+    def test_auto_constant_applies_on_a_sample(self):
+        alphas = (0.1, 0.3, 1.0, 3.7, 10.0, 1e2, 1e3, 1e4, 1e6, 1e8)
+        for n in range(2, 201):
+            for alpha in alphas:
+                assert bound_set(LaguerreParams(n, alpha)).range_lower is not None, (n, alpha)
 
     def test_bad_constant(self):
         with pytest.raises(ParameterError):

@@ -1,4 +1,4 @@
-"""Evaluation-layer tests: recurrence values, derivatives, equation residuals."""
+"""Evaluation-layer tests: recurrence values, derivatives, the mpmath oracle on window grids."""
 
 import math
 import warnings
@@ -16,11 +16,7 @@ from laguerre_spacings import (
     LaguerreParams,
     ParameterError,
     ScaledValue,
-    evaluate,
-    evaluate_derivative,
     laguerre_polynomial,
-    ode_residual,
-    ode_residual_relative,
 )
 from laguerre_spacings.bounds import edge_params
 from laguerre_spacings.laguerre import _FEW_LANES, laguerre_polynomial_compensated
@@ -61,6 +57,11 @@ def mp_laguerre(n: int, alpha: float, x: float):
 
 def sv_to_mp(sv: ScaledValue):
     return mp.mpf(sv.mantissa) * mp.mpf(2) ** sv.exponent2
+
+
+def derivative(n: int, alpha: float, x: float) -> float:
+    """L_n^(alpha)'(x) = -L_{n-1}^(alpha+1)(x), the shift identity refine's Newton step uses."""
+    return -laguerre_polynomial(n - 1, alpha + 1.0, x).to_float()
 
 
 class TestScaledValue:
@@ -116,11 +117,11 @@ class TestEvaluate:
         assert laguerre_polynomial(0, 3.7, 5.0).to_float() == 1.0
 
     def test_degree_one_root(self):
-        assert evaluate(LaguerreParams(1, 2.0), 3.0).to_float() == 0.0
+        assert laguerre_polynomial(1, 2.0, 3.0).to_float() == 0.0
 
     def test_degree_two_hand_expansion(self):
         # L_2^(0)(x) = x^2/2 - 2x + 1, so L_2^(0)(2) = -1
-        assert evaluate(LaguerreParams(2, 0.0), 2.0).to_float() == pytest.approx(-1.0, rel=1e-15)
+        assert laguerre_polynomial(2, 0.0, 2.0).to_float() == pytest.approx(-1.0, rel=1e-15)
 
     @pytest.mark.parametrize("n,alpha", [(5, 0.0), (50, 1.0), (100, 1e4),
                                          (200, 1e4), (200, -0.9)])
@@ -176,6 +177,19 @@ class TestEvaluate:
         assert evaluator(7, np.float32(0.5), 3.0) == evaluator(7, 0.5, 3.0)
 
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    def test_real_alpha_runs_as_its_double(self, evaluator):
+        # an int past int64 or a Fraction is a finite real, not a bad dtype
+        points = np.linspace(0.0, 9.0, 50)
+        for alpha, double in ((10**20, 1e20), (Fraction(1, 2), 0.5), (-Fraction(9, 10), -0.9)):
+            assert evaluator(7, alpha, 3.0) == evaluator(7, double, 3.0)
+            for got, want in zip(evaluator(7, alpha, points), evaluator(7, double, points)):
+                assert got.tobytes() == want.tobytes()
+        with pytest.raises(ParameterError, match="alpha is too large for a double"):
+            evaluator(7, 10**400, 3.0)
+        with pytest.raises(ParameterError, match="alpha must be > -1, got -2.0"):
+            evaluator(7, Fraction(-2), 3.0)
+
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     def test_overflow_names_the_call(self, evaluator):
         # L_1 = 1e160 is past 2**512, so the first step's product overflows.
         with pytest.raises(ParameterError, match=r"left double range at "
@@ -189,7 +203,7 @@ class TestEvaluate:
                np.concatenate((np.linspace(0.0, 5.0, 19), [-math.inf]))]
         for x in bad:
             with pytest.raises(DomainError):
-                evaluate(p, x)
+                laguerre_polynomial(p.n, p.alpha, x)
             with pytest.raises(DomainError):
                 laguerre_polynomial_compensated(p.n, p.alpha, x)
 
@@ -294,6 +308,17 @@ class TestArrayLanes:
                                          np.linspace(0.0, 1e300, 48))
         assert mantissas.tolist() == [1.0] * 48 and exponents.tolist() == [0] * 48
 
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    @pytest.mark.parametrize("n,alpha,x", [
+        (3, 0.5, np.ones((2, 3))),
+        (3, 0.5, np.ones((8, 8))),
+        (np.full((2, 2), 3), 0.5, 1.0),
+        (3, np.full((1, 4), 0.5), np.ones(4)),
+    ])
+    def test_lanes_beyond_one_dimension_rejected(self, evaluator, n, alpha, x):
+        with pytest.raises(ParameterError, match="lane arrays must be 1-D"):
+            evaluator(n, alpha, x)
+
     def test_lanes_span_many_scales(self):
         _, exponents = laguerre_polynomial(200, 1e4, np.linspace(0.0, 3e4, 64))
         assert max(exponents) - min(exponents) > 500
@@ -305,56 +330,36 @@ class TestArrayLanes:
 
 class TestDerivative:
     def test_linear_case(self):
-        assert evaluate_derivative(LaguerreParams(1, 0.5), 7.0).to_float() == -1.0
+        assert derivative(1, 0.5, 7.0) == -1.0
 
     def test_quadratic_at_its_vertex(self):
         # L_2^(0)'(x) = x - 2
-        assert evaluate_derivative(LaguerreParams(2, 0.0), 2.0).to_float() == 0.0
+        assert derivative(2, 0.0, 2.0) == 0.0
 
     def test_shifted_identity_at_origin(self):
         # L_2^(1)'(0) = -L_1^(2)(0) = -3
-        assert evaluate_derivative(LaguerreParams(2, 1.0), 0.0).to_float() == -3.0
+        assert derivative(2, 1.0, 0.0) == -3.0
 
     @pytest.mark.parametrize("n,alpha,x", [(4, 0.0, 2.5), (9, 2.5, 11.0), (20, 10.0, 40.0)])
     def test_matches_central_differences(self, n, alpha, x):
-        p = LaguerreParams(n, alpha)
         h = x * 1e-7
-        numeric = (evaluate(p, x + h).to_float() - evaluate(p, x - h).to_float()) / (2 * h)
-        analytic = evaluate_derivative(p, x).to_float()
-        assert numeric == pytest.approx(analytic, rel=1e-6)
+        numeric = (laguerre_polynomial(n, alpha, x + h).to_float()
+                   - laguerre_polynomial(n, alpha, x - h).to_float()) / (2 * h)
+        assert numeric == pytest.approx(derivative(n, alpha, x), rel=1e-6)
 
 
-class TestOdeResidual:
-    def test_linear_case_closes(self):
-        assert ode_residual(LaguerreParams(1, 0.0), 1.0) == pytest.approx(0.0, abs=1e-16)
-
-    def test_quadratic_case(self):
-        assert abs(ode_residual(LaguerreParams(2, 0.0), 1.0)) <= 1e-14
-
-    def test_large_parameters_relative(self):
-        assert ode_residual_relative(LaguerreParams(10, 100.0), 150.0) <= 1e-10
-
-    @pytest.mark.parametrize("n,alpha,x", [(2, 0.005, 1e-310), (1, 1e160, 1e-300)])
-    def test_point_too_small_for_the_coefficients_rejected(self, n, alpha, x):
-        # n/x or (alpha+1)/x overflows: a DomainError naming x, not nan or inf
-        for residual in (ode_residual, ode_residual_relative):
-            with pytest.raises(DomainError, match=f"evaluation point {x!r} is too small"):
-                residual(LaguerreParams(n, alpha), x)
-
-    def test_zero_point_rejected(self):
-        with pytest.raises(DomainError):
-            ode_residual(LaguerreParams(2, 0.0), 0.0)
-        with pytest.raises(DomainError):
-            ode_residual_relative(LaguerreParams(2, 0.0), -3.0)
-
+class TestOracleOnWindowGrid:
     @pytest.mark.parametrize("n", [1, 5, 25, 100, 200])
     @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 1.0, 10.0, 100.0, 1e3, 1e4])
-    def test_relative_residual_on_window_grid(self, n, alpha):
-        params = LaguerreParams(n, alpha)
-        edge = edge_params(params)
-        width = edge.U2 - edge.V2
-        worst = 0.0
-        for j in range(50):
-            x = edge.V2 + width * (j + 0.5) / 50.0
-            worst = max(worst, ode_residual_relative(params, x))
-        assert worst <= 1e-10
+    def test_array_call_matches_mpmath(self, n, alpha):
+        # 50 midpoints across the zero window (V^2, U^2). The error is measured
+        # against max(|L|, |x L'|), the scale of L near its zeros, where |L|
+        # alone vanishes; mp.laguerre at 40 digits is the oracle.
+        edge = edge_params(LaguerreParams(n, alpha))
+        points = edge.V2 + (edge.U2 - edge.V2) * (np.arange(50) + 0.5) / 50.0
+        mantissas, exponents = laguerre_polynomial(n, alpha, points)
+        with mp.workdps(40):
+            for m, e, x in zip(mantissas.tolist(), exponents.tolist(), points.tolist()):
+                exact = mp.laguerre(n, alpha, x)
+                scale = max(abs(exact), abs(x * mp.laguerre(n - 1, alpha + 1, x)))
+                assert abs(mp.ldexp(m, e) - exact) <= 1e-12 * scale, x

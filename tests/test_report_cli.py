@@ -320,6 +320,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "not applicable" in out
 
+    def test_bounds_auto_applies_where_n_over_c_rounds_above_alpha(self, capsys):
+        # auto C = 9/1000, and 1000 >= 9/C rounds false
+        assert main(["bounds", "--n", "9", "--alpha", "1000"]) == 0
+        out = capsys.readouterr().out
+        assert "large-alpha bound (C = 0.009): " in out
+        assert "not applicable" not in out
+
     def test_bounds_degree_one(self, capsys):
         assert main(["bounds", "--n", "1", "--alpha", "1"]) == 0
         out = capsys.readouterr().out.splitlines()
