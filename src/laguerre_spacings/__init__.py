@@ -17,12 +17,7 @@ from .bessel import (
     limit_probe,
 )
 from .bethe import (
-    BetheReport,
-    bethe_lhs,
-    bethe_rhs,
-    inequality_chain,
-    max_rel_residual,
-    remark1_cap,
+    IdentityCheck,
     verify_identity,
 )
 from .bounds import (
@@ -33,13 +28,9 @@ from .bounds import (
     delta_extremum,
     edge_params,
     krasikov_window,
-    proof_range_spacing_lower,
-    range_spacing_lower,
-    telescoped_bracket,
     uniform_spacing_lower,
 )
 from .errors import (
-    CheckFailure,
     ConvergenceError,
     DomainError,
     ParameterError,

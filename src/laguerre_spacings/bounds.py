@@ -29,15 +29,20 @@ class BoundSet:
     """All spacing/window bounds for one (n, alpha), ready for reporting.
 
     uniform_lower and the large-alpha fields are None for n = 1, which has no
-    spacings; range_lower and proof_range_lower are also None when no
-    admissible C was supplied; proof_range_lower carries the sharper constant
-    sqrt(3/(2(C+1))) that the stated bound rounds down to 1/sqrt(C+1).
+    spacings; the large-alpha fields are also None when no admissible C was
+    supplied. They are, with C = range_constant and valid when alpha >= n/C:
+    range_lower, the gap lower bound (1/sqrt(C+1)) sqrt(alpha/n);
+    proof_range_lower, the sharper constant sqrt(3/(2(C+1))) behind it; and
+    range_bracket, the telescoped bracket [sqrt(n alpha)/sqrt(C+1),
+    6 sqrt(C+1) sqrt(n alpha)] on the zero range x_max - x_min (which also
+    never exceeds U^2 - V^2).
     """
 
     uniform_lower: float | None
     range_lower: float | None
     proof_range_lower: float | None
     range_constant: float | None
+    range_bracket: tuple | None
     krasikov_min_lower: float
     krasikov_max_upper: float
     delta_max: float
@@ -89,56 +94,6 @@ def uniform_spacing_lower(params: LaguerreParams) -> float:
     )
 
 
-def resolve_range_constant(params: LaguerreParams, C) -> float | None:
-    """Normalize the caller's C, a positive number or "auto" for C = n/alpha,
-    or None where alpha < n/C and the large-alpha bound does not apply.
-
-    "auto" puts alpha in that regime by construction, so it is not tested
-    there: alpha >= n/(n/alpha) rounds false for some pairs, e.g. (2, 3.7).
-    """
-    if isinstance(C, str):
-        if C != "auto":
-            raise ParameterError(f"C must be a positive number or 'auto', got {C!r}")
-        if params.alpha <= 0.0:
-            raise ParameterError("auto C = n/alpha needs alpha > 0")
-        return params.n / params.alpha
-    C = float(C)
-    if not math.isfinite(C) or C <= 0.0:
-        raise ParameterError(f"C must be positive, got {C}")
-    return C if params.alpha >= params.n / C else None
-
-
-def _regime_constant(params: LaguerreParams, C) -> float:
-    """resolve_range_constant's C, or a ParameterError where the bound does not apply."""
-    resolved = resolve_range_constant(params, C)
-    if resolved is None:
-        raise ParameterError(f"alpha = {params.alpha} is below n/C = {params.n / float(C)}; "
-                             "the large-alpha bound does not apply")
-    return resolved
-
-
-def range_spacing_lower(params: LaguerreParams, C) -> float:
-    """Gap lower bound (1/sqrt(C+1)) sqrt(alpha/n), valid when alpha >= n/C."""
-    C = _regime_constant(params, C)
-    return math.sqrt(params.alpha / params.n) / math.sqrt(C + 1.0)
-
-
-def proof_range_spacing_lower(params: LaguerreParams, C) -> float:
-    """The sharper constant sqrt(3/(2(C+1))) sqrt(alpha/n) behind the stated bound."""
-    C = _regime_constant(params, C)
-    return math.sqrt(1.5 / (C + 1.0)) * math.sqrt(params.alpha / params.n)
-
-
-def telescoped_bracket(params: LaguerreParams, C) -> tuple[float, float]:
-    """Two-sided bracket [sqrt(n alpha)/sqrt(C+1), 6 sqrt(C+1) sqrt(n alpha)]
-    for the zero range x_max - x_min; the range also never exceeds U^2 - V^2."""
-    if params.n < 2:
-        raise ParameterError(f"no zero range exists for degree {params.n}")
-    C = _regime_constant(params, C)
-    root = math.sqrt(params.n * params.alpha)
-    return root / math.sqrt(C + 1.0), 6.0 * math.sqrt(C + 1.0) * root
-
-
 def krasikov_window(params: LaguerreParams) -> tuple[float, float]:
     """Sharpened extreme-zero window, one-sided bounds exactly as printed:
     V^2 + 3 V^(4/3) (U^2-V^2)^(-1/3) below, U^2 - 3 U^(4/3) (U^2-V^2)^(-1/3) + 2 above."""
@@ -155,24 +110,36 @@ def bound_set(params: LaguerreParams, C="auto") -> BoundSet:
 
     C may be a positive number, "auto" (C = n/alpha), or None to skip the
     large-alpha bounds; they are also skipped when n = 1, when alpha < n/C
-    or when "auto" is requested with alpha <= 0.
+    or when "auto" is requested with alpha <= 0. "auto" puts alpha in the
+    regime alpha >= n/C by construction, so that test is not made there: it
+    rounds false for some pairs, e.g. (2, 3.7).
     """
     x_star, delta_max = delta_extremum(params)
     kras_lo, kras_hi = krasikov_window(params)
-    range_lower = proof_lower = range_constant = None
-    if C == "auto" and params.alpha <= 0.0:
-        C = None  # no admissible C when alpha <= 0
+    range_lower = proof_lower = bracket = None
+    if isinstance(C, str):
+        if C != "auto":
+            raise ParameterError(f"C must be a positive number or 'auto', got {C!r}")
+        C = params.n / params.alpha if params.alpha > 0.0 else None  # none admissible if alpha <= 0
+    elif C is not None:
+        C = float(C)
+        if not math.isfinite(C) or C <= 0.0:
+            raise ParameterError(f"C must be positive, got {C}")
+        if params.alpha < params.n / C:
+            C = None
+    if params.n < 2:
+        C = None  # no spacings and no zero range
     if C is not None:
-        resolved = resolve_range_constant(params, C)
-        if params.n >= 2 and resolved is not None:
-            range_lower = range_spacing_lower(params, C)
-            proof_lower = proof_range_spacing_lower(params, C)
-            range_constant = resolved
+        range_lower = math.sqrt(params.alpha / params.n) / math.sqrt(C + 1.0)
+        proof_lower = math.sqrt(1.5 / (C + 1.0)) * math.sqrt(params.alpha / params.n)
+        root = math.sqrt(params.n * params.alpha)
+        bracket = root / math.sqrt(C + 1.0), 6.0 * math.sqrt(C + 1.0) * root
     return BoundSet(
         uniform_lower=uniform_spacing_lower(params) if params.n >= 2 else None,
         range_lower=range_lower,
         proof_range_lower=proof_lower,
-        range_constant=range_constant,
+        range_constant=C,
+        range_bracket=bracket,
         krasikov_min_lower=kras_lo,
         krasikov_max_upper=kras_hi,
         delta_max=delta_max,

@@ -16,6 +16,3 @@ class ConvergenceError(RuntimeError):
 class RefinementError(RuntimeError):
     """Newton refinement left its bracket or a zero-set invariant failed."""
 
-
-class CheckFailure(RuntimeError):
-    """A numerical verification (identity or inequality) did not hold."""

@@ -42,7 +42,7 @@ class LaguerreParams:
         if self.n < 1:
             raise ParameterError(f"degree must be >= 1, got {self.n}")
         if (not isinstance(self.alpha, Real) or isinstance(self.alpha, bool)
-                or not math.isfinite(self.alpha)):
+                or not math.isfinite(_as_double(self.alpha))):
             raise ParameterError(f"alpha must be a finite real, got {self.alpha!r}")
         if self.alpha <= -1.0:
             raise ParameterError(f"alpha must be > -1, got {self.alpha}")
@@ -96,6 +96,14 @@ def _to_double(m: float, e: int) -> float:
         return math.ldexp(m, e)
     except OverflowError:
         return math.copysign(math.inf, m)
+
+
+def _as_double(alpha: Real) -> float:
+    """A Real scalar alpha as a float, or a ParameterError where it is too large for one."""
+    try:
+        return float(alpha)
+    except OverflowError:
+        raise ParameterError(f"alpha is too large for a double, got {alpha!r}") from None
 
 
 def _check_point(x: float, positive: bool = False) -> float:
@@ -260,10 +268,7 @@ def _evaluate(n, alpha, x, compensated: bool):
     if not isinstance(low, Integral) or isinstance(low, bool) or low < 0:
         raise ParameterError(f"degree must be an integer >= 0, got {low!r}")
     if not isinstance(alpha, (float, bool, np.ndarray)) and isinstance(alpha, Real):
-        try:  # an int past int64 or a Fraction would become an object-dtype array
-            alpha = float(alpha)
-        except OverflowError:
-            raise ParameterError(f"alpha is too large for a double, got {alpha!r}") from None
+        alpha = _as_double(alpha)  # an int past int64 or a Fraction: no object-dtype array
     lanes = np.asarray(alpha)  # the first bad lane's alpha stands for all
     if lanes.dtype.kind not in "iuf" or not isinstance(alpha, (Real, np.ndarray)):
         raise ParameterError(f"alpha must be a finite real, got {alpha!r}")
@@ -273,7 +278,13 @@ def _evaluate(n, alpha, x, compensated: bool):
     if max(getattr(n, "ndim", 0), lanes.ndim, points.ndim) > 1:  # n is an int or an array
         raise ParameterError(f"lane arrays must be 1-D, got shapes "
                              f"{np.shape(n)}, {lanes.shape} and {points.shape}")
-    shape = np.broadcast(n, lanes, points).shape
+    try:
+        shape = np.broadcast(n, lanes, points).shape
+    except ValueError:
+        raise ParameterError(f"lane arrays do not broadcast, got shapes "
+                             f"{np.shape(n)}, {lanes.shape} and {points.shape}") from None
+    # alpha lanes run in double, as their float calls do (a float32 lane would not)
+    lanes = np.asarray(lanes, dtype=float)
     degrees, lanes, points = (np.broadcast_to(v, shape or (1,)) for v in (n, lanes, points))
     for bad in points[~(points >= 0.0) | np.isinf(points)][:1]:
         _check_point(float(bad))  # the first bad lane raises its DomainError

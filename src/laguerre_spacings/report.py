@@ -95,16 +95,14 @@ def spacing_rows(zs: ZeroSet) -> list[SpacingRow]:
     return rows
 
 
-def bulk_stats(zs: ZeroSet, epsilon: float, c: float = BULK_FACTOR) -> float:
-    """Fraction of bulk spacings within a factor c of the uniform bound.
+def bulk_stats(zs: ZeroSet, epsilon: float) -> float:
+    """Fraction of bulk spacings within a factor BULK_FACTOR of the uniform bound.
 
     Bulk means ranks i with epsilon*n <= i <= (1-epsilon)*n. Reported as an
     observation; nothing is asserted about its value.
     """
     if not 0.0 < epsilon < 0.5:
         raise ParameterError(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    if c < 1.0:
-        raise ParameterError(f"factor must be >= 1, got {c}")
     if zs.n < 3:
         raise ParameterError("bulk statistics need n >= 3")
     ub = bounds.uniform_spacing_lower(zs.params)
@@ -113,7 +111,7 @@ def bulk_stats(zs: ZeroSet, epsilon: float, c: float = BULK_FACTOR) -> float:
     in_bulk = [gaps[i - 1] for i in range(1, zs.n) if lo <= i <= hi]
     if not in_bulk:
         raise ParameterError("bulk window is empty for this n and epsilon")
-    return sum(1 for g in in_bulk if g <= c * ub) / len(in_bulk)
+    return sum(1 for g in in_bulk if g <= BULK_FACTOR * ub) / len(in_bulk)
 
 
 def _format_float(x: float) -> str:
@@ -181,16 +179,23 @@ def check_pair(params: LaguerreParams, checks, epsilon: float = 0.1) -> PairChec
         failed["bounds"] = f"minimum spacing/bound ratio {min_ratio} fell below 1"
     residual = None
     if "bethe" in checks:
-        residual = bethe.max_rel_residual(bethe.verify_identity(zs))
+        residual = bethe.verify_identity(zs).max_rel_residual
         if not residual <= BETHE_RESIDUAL_TOL:
             failed["bethe"] = f"max identity residual {residual} exceeds {BETHE_RESIDUAL_TOL}"
     window = krasikov_ok = None
     if "krasikov" in checks:
-        # ZeroSet already holds the zeros inside (V^2, U^2).
-        window = bounds.krasikov_window(params)
+        # ZeroSet already holds the zeros inside (V^2, U^2), so the range is at
+        # most U^2 - V^2, which is below the bracket's upper side.
+        bs = bounds.bound_set(params)
+        window = bs.krasikov_min_lower, bs.krasikov_max_upper
+        zero_range = zs.zeros[-1] - zs.zeros[0]
         krasikov_ok = bool(window[0] <= zs.zeros[0] and zs.zeros[-1] <= window[1])
         if not krasikov_ok:
             failed["krasikov"] = "extreme zeros escaped the sharpened window"
+        elif bs.range_bracket is not None and not bs.range_bracket[0] <= zero_range:
+            krasikov_ok = False
+            failed["krasikov"] = (f"zero range {zero_range} fell below the telescoped "
+                                  f"bracket's lower side {bs.range_bracket[0]}")
     bulk = bulk_stats(zs, epsilon) if "bulk" in checks and zs.n >= 3 else None
     return PairChecks(params, rows, min_ratio, residual, window, krasikov_ok, bulk, failed)
 

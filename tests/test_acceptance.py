@@ -14,18 +14,13 @@ from mpmath import mp
 
 from laguerre_spacings import (
     LaguerreParams,
-    bethe_lhs,
-    bethe_rhs,
+    bound_set,
     edge_params,
     figure1,
     krasikov_window,
     laguerre_polynomial,
     limit_probe,
-    max_rel_residual,
-    proof_range_spacing_lower,
-    range_spacing_lower,
     spacing_rows,
-    telescoped_bracket,
     uniform_spacing_lower,
     verify_identity,
     zeros,
@@ -57,11 +52,10 @@ def zero_sets():
 def test_criterion_1_bethe_identity(zero_sets):
     with criterion(1, "identity residual <= 1e-8; exact 1/8 case"):
         for pair, zs in zero_sets.items():
-            assert max_rel_residual(verify_identity(zs)) <= 1e-8, pair
-        zs = zero_sets[(2, 0.0)]
-        for k in (1, 2):
-            assert abs(bethe_lhs(zs, k) - 0.125) <= 1e-13
-            assert abs(bethe_rhs(zs.params, zs.zero_at_rank(k)) - 0.125) <= 1e-13
+            assert verify_identity(zs).max_rel_residual <= 1e-8, pair
+        check = verify_identity(zero_sets[(2, 0.0)])
+        assert np.all(np.abs(check.lhs - 0.125) <= 1e-13)
+        assert np.all(np.abs(check.rhs - 0.125) <= 1e-13)
 
 
 def test_criterion_2_uniform_dominance(zero_sets):
@@ -80,8 +74,8 @@ def test_criterion_3_large_alpha_bound(zero_sets):
         for n, a in applicable:
             zs = zero_sets[(n, a)]
             gaps = zs.spacings_descending()
-            stated = range_spacing_lower(zs.params, 1.0)
-            sharper = proof_range_spacing_lower(zs.params, 1.0)
+            bs = bound_set(zs.params, 1.0)
+            stated, sharper = bs.range_lower, bs.proof_range_lower
             assert np.all(gaps >= stated), (n, a)
             assert np.all(gaps >= sharper), (n, a)
 
@@ -101,7 +95,7 @@ def test_criterion_5_telescoped_bracket(zero_sets):
     with criterion(5, "zero range inside the telescoped bracket (alpha >= n)"):
         for n, a in [(n, a) for n, a in GRID if a >= n]:
             zs = zero_sets[(n, a)]
-            lo, hi = telescoped_bracket(zs.params, 1.0)
+            lo, hi = bound_set(zs.params, 1.0).range_bracket
             zero_range = float(zs.zeros[-1] - zs.zeros[0])
             width = 4.0 * math.sqrt(n * (n + a + 1.0))
             assert lo <= zero_range <= hi, (n, a)

@@ -16,9 +16,6 @@ from laguerre_spacings import (
     delta_extremum,
     edge_params,
     krasikov_window,
-    proof_range_spacing_lower,
-    range_spacing_lower,
-    telescoped_bracket,
     uniform_spacing_lower,
     zeros,
 )
@@ -143,28 +140,27 @@ class TestUniformBound:
 
 class TestRangeBound:
     def test_example(self):
-        got = range_spacing_lower(LaguerreParams(10, 100.0), 1.0)
+        got = bound_set(LaguerreParams(10, 100.0), 1.0).range_lower
         assert got == pytest.approx(math.sqrt(10.0) / math.sqrt(2.0), rel=1e-14)
 
     def test_boundary_accepted(self):
-        got = range_spacing_lower(LaguerreParams(10, 10.0), 1.0)
+        got = bound_set(LaguerreParams(10, 10.0), 1.0).range_lower
         assert got == pytest.approx(1 / math.sqrt(2), rel=1e-14)
 
-    def test_out_of_regime_rejected(self):
-        with pytest.raises(ParameterError):
-            range_spacing_lower(LaguerreParams(10, 5.0), 1.0)
+    def test_out_of_regime_is_none(self):
+        # just below alpha = n/C the bound does not apply
+        assert bound_set(LaguerreParams(10, 9.999), 1.0).range_lower is None
 
     def test_proof_constant_dominates(self):
-        params = LaguerreParams(10, 100.0)
-        stated = range_spacing_lower(params, 1.0)
-        sharper = proof_range_spacing_lower(params, 1.0)
+        bs = bound_set(LaguerreParams(10, 100.0), 1.0)
+        stated, sharper = bs.range_lower, bs.proof_range_lower
         assert sharper == pytest.approx(stated * math.sqrt(1.5), rel=1e-14)
         assert sharper > stated
 
     def test_auto_constant(self):
         params = LaguerreParams(10, 50.0)
-        assert range_spacing_lower(params, "auto") == pytest.approx(
-            range_spacing_lower(params, 10.0 / 50.0), rel=1e-15
+        assert bound_set(params, "auto").range_lower == pytest.approx(
+            bound_set(params, 10.0 / 50.0).range_lower, rel=1e-15
         )
 
     @pytest.mark.parametrize("n,alpha", [(2, 3.7), (9, 1000.0)])
@@ -173,12 +169,11 @@ class TestRangeBound:
         # alpha >= n/C rounds false here
         params, C = LaguerreParams(n, alpha), n / alpha
         assert alpha < n / C
-        stated = range_spacing_lower(params, "auto")
-        assert stated == math.sqrt(alpha / n) / math.sqrt(C + 1.0)
         bs = bound_set(params)
-        assert (bs.range_lower, bs.range_constant) == (stated, C)
-        assert bs.proof_range_lower == proof_range_spacing_lower(params, "auto")
-        assert telescoped_bracket(params, "auto")[0] == math.sqrt(n * alpha) / math.sqrt(C + 1.0)
+        assert bs.range_lower == math.sqrt(alpha / n) / math.sqrt(C + 1.0)
+        assert bs.range_constant == C
+        assert bs.proof_range_lower == math.sqrt(1.5 / (C + 1.0)) * math.sqrt(alpha / n)
+        assert bs.range_bracket[0] == math.sqrt(n * alpha) / math.sqrt(C + 1.0)
 
     def test_auto_constant_applies_on_a_sample(self):
         alphas = (0.1, 0.3, 1.0, 3.7, 10.0, 1e2, 1e3, 1e4, 1e6, 1e8)
@@ -188,27 +183,26 @@ class TestRangeBound:
 
     def test_bad_constant(self):
         with pytest.raises(ParameterError):
-            range_spacing_lower(LaguerreParams(10, 100.0), -1.0)
+            bound_set(LaguerreParams(10, 100.0), -1.0)
         with pytest.raises(ParameterError):
-            range_spacing_lower(LaguerreParams(10, 100.0), "later")
+            bound_set(LaguerreParams(10, 100.0), "later")
 
 
 class TestTelescopedBracket:
     def test_example_values(self):
-        lo, hi = telescoped_bracket(LaguerreParams(10, 100.0), 1.0)
+        lo, hi = bound_set(LaguerreParams(10, 100.0), 1.0).range_bracket
         assert lo == pytest.approx(math.sqrt(1000.0) / math.sqrt(2.0), rel=1e-14)
         assert hi == pytest.approx(6 * math.sqrt(2.0) * math.sqrt(1000.0), rel=1e-14)
 
     def test_quadratic_range_inside(self):
-        params = LaguerreParams(2, 1000.0)
-        lo, hi = telescoped_bracket(params, 1.0)
+        lo, hi = bound_set(LaguerreParams(2, 1000.0), 1.0).range_bracket
         true_range = 2 * math.sqrt(1002.0)
         assert lo <= true_range <= hi
 
     @pytest.mark.parametrize("n,alpha", [(n, a) for n, a in SWEEP if a >= n])
     def test_solver_range_inside_bracket(self, n, alpha):
         params = LaguerreParams(n, alpha)
-        lo, hi = telescoped_bracket(params, 1.0)
+        lo, hi = bound_set(params, 1.0).range_bracket
         z = zeros(params).zeros
         true_range = z[-1] - z[0]
         width = 4 * math.sqrt(n * (n + alpha + 1.0))
@@ -217,10 +211,8 @@ class TestTelescopedBracket:
         assert hi >= width
 
     def test_regime_required(self):
-        with pytest.raises(ParameterError):
-            telescoped_bracket(LaguerreParams(10, 5.0), 1.0)
-        with pytest.raises(ParameterError):
-            telescoped_bracket(LaguerreParams(1, 100.0), 1.0)
+        assert bound_set(LaguerreParams(10, 5.0), 1.0).range_bracket is None
+        assert bound_set(LaguerreParams(1, 100.0), 1.0).range_bracket is None
 
 
 class TestKrasikovWindow:
@@ -252,7 +244,7 @@ class TestBoundSet:
         bs = bound_set(LaguerreParams(10, 100.0), C="auto")
         assert bs.range_constant == pytest.approx(0.1)
         assert bs.range_lower == pytest.approx(
-            range_spacing_lower(LaguerreParams(10, 100.0), 0.1), rel=1e-15
+            bound_set(LaguerreParams(10, 100.0), 0.1).range_lower, rel=1e-15
         )
         assert bs.proof_range_lower > bs.range_lower
         assert bs.uniform_lower > 0
@@ -265,6 +257,7 @@ class TestBoundSet:
         assert bs.range_lower is None
         assert bs.proof_range_lower is None
         assert bs.range_constant is None
+        assert bs.range_bracket is None
 
     def test_auto_with_nonpositive_alpha_skipped(self):
         bs = bound_set(LaguerreParams(10, -0.5), C="auto")
@@ -283,6 +276,7 @@ class TestBoundSet:
         assert bs.range_lower is None
         assert bs.proof_range_lower is None
         assert bs.range_constant is None
+        assert bs.range_bracket is None
         assert (bs.krasikov_min_lower, bs.krasikov_max_upper) == krasikov_window(params)
         assert bs.delta_max == delta_extremum(params)[1]
 

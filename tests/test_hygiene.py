@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import and private name in the package is used."""
+"""Source hygiene: every module-level import and private name in the package is used,
+and every error class in errors.py is raised somewhere."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,33 @@ def test_scan_finds_a_dead_private_name():
 def test_private_names_are_read():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_names(sources) == []
+
+
+def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
+    """Exception classes of errors_source that no raise statement in sources names."""
+    defined = [node.name for node in ast.parse(errors_source).body
+               if isinstance(node, ast.ClassDef)]
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    return [name for name in defined if name not in raised]
+
+
+def test_scan_finds_an_error_raised_nowhere():
+    errors = "class UsedError(ValueError):\n    pass\nclass HandledOnly(RuntimeError):\n    pass\n"
+    user = ("from . import errors\n"
+            "def f(x):\n"
+            "    try:\n"
+            "        raise errors.UsedError(x)\n"
+            "    except HandledOnly:\n"  # a handler alone keeps no error alive
+            "        return 0\n")
+    assert unraised_errors(errors, [user]) == ["HandledOnly"]
+
+
+def test_every_error_class_is_raised():
+    errors = (PACKAGE / "errors.py").read_text()
+    sources = [path.read_text() for path in MODULES if path.name != "errors.py"]
+    assert unraised_errors(errors, sources) == []

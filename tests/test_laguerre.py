@@ -102,7 +102,8 @@ class TestParams:
         assert p.n == 3 and p.alpha == -0.5
 
     @pytest.mark.parametrize("n,alpha", [(0, 0.0), (-1, 0.0), (2, -1.0),
-                                         (2, -2.0), (2, math.nan), (1.5, 0.0), (2, True)])
+                                         (2, -2.0), (2, math.nan), (1.5, 0.0), (2, True),
+                                         (2, 10**400), (2, Fraction(10**400, 3))])
     def test_rejects(self, n, alpha):
         with pytest.raises(ParameterError):
             LaguerreParams(n, alpha)
@@ -318,6 +319,26 @@ class TestArrayLanes:
     def test_lanes_beyond_one_dimension_rejected(self, evaluator, n, alpha, x):
         with pytest.raises(ParameterError, match="lane arrays must be 1-D"):
             evaluator(n, alpha, x)
+
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    @pytest.mark.parametrize("n,alpha,x", [
+        (np.array([3, 2]), 0.5, np.ones(3)),
+        (3, np.array([0.5, 1.0]), np.ones(3)),
+        (np.array([3, 2, 1]), np.full(4, 0.5), 1.0),
+    ])
+    def test_lanes_that_do_not_broadcast_rejected(self, evaluator, n, alpha, x):
+        with pytest.raises(ParameterError, match=r"do not broadcast, got shapes \("):
+            evaluator(n, alpha, x)
+
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_narrow_alpha_lanes_run_in_double(self, evaluator, dtype):
+        # numpy would keep alpha + 1.0 in float32 (or float16) in the array pass
+        alphas, x = np.full(64, 0.3, dtype=dtype), np.linspace(0.0, 80.0, 64)
+        mantissas, exponents = evaluator(60, alphas, x)
+        pointwise = [evaluator(60, a, v) for a, v in zip(alphas.tolist(), x.tolist())]
+        assert mantissas.tobytes() == np.array([sv.mantissa for sv in pointwise]).tobytes()
+        assert exponents.tolist() == [sv.exponent2 for sv in pointwise]
 
     def test_lanes_span_many_scales(self):
         _, exponents = laguerre_polynomial(200, 1e4, np.linspace(0.0, 3e4, 64))

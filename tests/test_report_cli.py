@@ -3,14 +3,17 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from laguerre_spacings import (
     LaguerreParams,
     ParameterError,
     SweepConfig,
+    ZeroSet,
     bulk_stats,
     parse_sweep_config,
     run_sweep,
@@ -47,22 +50,16 @@ class TestBulkStats:
         # Frozen after the first full run: 52 of the 81 bulk spacings of
         # (n=100, alpha=1e4) sit within a factor 2 of the uniform bound.
         zs = zeros(LaguerreParams(100, 1e4))
-        assert bulk_stats(zs, 0.1, 2.0) == pytest.approx(52 / 81, abs=1e-12)
-
-    def test_range_contract(self):
-        frac = bulk_stats(zeros(LaguerreParams(10, 1.0)), 0.1, 1.1)
-        assert 0.0 <= frac <= 1.0
+        assert bulk_stats(zs, 0.1) == pytest.approx(52 / 81, abs=1e-12)
 
     def test_rejections(self):
         zs = zeros(LaguerreParams(10, 1.0))
         with pytest.raises(ParameterError):
-            bulk_stats(zs, 0.5, 2.0)
+            bulk_stats(zs, 0.5)
         with pytest.raises(ParameterError):
-            bulk_stats(zs, 0.0, 2.0)
+            bulk_stats(zs, 0.0)
         with pytest.raises(ParameterError):
-            bulk_stats(zs, 0.1, 0.5)
-        with pytest.raises(ParameterError):
-            bulk_stats(zeros(LaguerreParams(2, 1.0)), 0.1, 2.0)
+            bulk_stats(zeros(LaguerreParams(2, 1.0)), 0.1)
 
 
 class TestSweepConfig:
@@ -222,7 +219,13 @@ class TestRunSweep:
         # failing and exit 1.
         import laguerre_spacings.bethe as bethe_module
 
-        monkeypatch.setattr(bethe_module, "max_rel_residual", lambda reports: math.nan)
+        verify_identity = bethe_module.verify_identity
+
+        def nan_residuals(zs):
+            check = verify_identity(zs)
+            return replace(check, rel_residual=np.full(zs.n, math.nan))
+
+        monkeypatch.setattr(bethe_module, "verify_identity", nan_residuals)
         assert main(["verify", "--n", "5", "--alpha", "1", "--checks", "bethe"]) == 1
         assert capsys.readouterr().out == "bethe: max residual nan (FAIL at 1e-08)\n"
         cfg_file = tmp_path / "cfg"
@@ -369,6 +372,20 @@ class TestCli:
             "bethe: max residual 1.03e-15 (FAIL at 1e-30)\n"
             "bounds: min spacing/bound ratio 2.50998 (PASS)\n"
             "krasikov: window [0.263381, 35.3178] (PASS)\n")
+
+    def test_verify_fails_a_range_below_the_telescoped_bracket(self, monkeypatch, capsys):
+        # At n = 2, alpha = 1e4 the bracket's lower side (141.4) is above the
+        # uniform bound (122.5); zeros 100 apart sit inside the sharpened
+        # window and (V^2, U^2) but below the bracket, and must fail.
+        import laguerre_spacings.report as report_module
+
+        params = LaguerreParams(2, 1e4)
+        fake = ZeroSet(params=params, zeros=np.array([9950.0, 10050.0]), residuals=np.zeros(2))
+        monkeypatch.setattr(report_module, "zeros", lambda p: fake)
+        assert main(["verify", "--n", "2", "--alpha", "1e4", "--checks", "krasikov"]) == 1
+        assert capsys.readouterr().out == "krasikov: window [9887.34, 10118.3] (FAIL)\n"
+        assert "telescoped bracket" in report_module.check_pair(params, {"krasikov"}).failed[
+            "krasikov"]
 
     def test_verify_rejects_unknown_check(self, capsys):
         assert main(["verify", "--n", "5", "--alpha", "1", "--checks", "bogus"]) == 2
