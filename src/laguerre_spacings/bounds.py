@@ -110,9 +110,9 @@ def bound_set(params: LaguerreParams, C="auto") -> BoundSet:
 
     C may be a positive number, "auto" (C = n/alpha), or None to skip the
     large-alpha bounds; they are also skipped when n = 1, when alpha < n/C
-    or when "auto" is requested with alpha <= 0. "auto" puts alpha in the
-    regime alpha >= n/C by construction, so that test is not made there: it
-    rounds false for some pairs, e.g. (2, 3.7).
+    or under "auto" where alpha <= 0 or n/alpha overflows (a subnormal alpha).
+    "auto" puts alpha in the regime alpha >= n/C by construction, so that
+    test is not made there: it rounds false for some pairs, e.g. (2, 3.7).
     """
     x_star, delta_max = delta_extremum(params)
     kras_lo, kras_hi = krasikov_window(params)
@@ -127,8 +127,8 @@ def bound_set(params: LaguerreParams, C="auto") -> BoundSet:
             raise ParameterError(f"C must be positive, got {C}")
         if params.alpha < params.n / C:
             C = None
-    if params.n < 2:
-        C = None  # no spacings and no zero range
+    if params.n < 2 or C == math.inf:
+        C = None  # no spacings and no zero range, or n/alpha overflowed under "auto"
     if C is not None:
         range_lower = math.sqrt(params.alpha / params.n) / math.sqrt(C + 1.0)
         proof_lower = math.sqrt(1.5 / (C + 1.0)) * math.sqrt(params.alpha / params.n)

@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True, help="exponent in (-1, 1]")
     p.add_argument("--k", type=int, required=True, help="spacing rank at the clustered end")
     p.add_argument("--ngrid", type=integer_list, required=True,
-                   help="comma-separated degrees, ascending")
+                   help="comma-separated degrees")
     p.set_defaults(func=cmd_bessel_probe)
 
     for p in sub.choices.values():

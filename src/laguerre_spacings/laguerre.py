@@ -285,7 +285,8 @@ def _evaluate(n, alpha, x, compensated: bool):
                              f"{np.shape(n)}, {lanes.shape} and {points.shape}") from None
     # alpha lanes run in double, as their float calls do (a float32 lane would not)
     lanes = np.asarray(lanes, dtype=float)
-    degrees, lanes, points = (np.broadcast_to(v, shape or (1,)) for v in (n, lanes, points))
+    degrees, lanes, points = (v if np.shape(v) == (shape or (1,)) else
+                              np.broadcast_to(v, shape or (1,)) for v in (n, lanes, points))
     for bad in points[~(points >= 0.0) | np.isinf(points)][:1]:
         _check_point(float(bad))  # the first bad lane raises its DomainError
     if compensated or points.size < _FEW_LANES:  # the array pass is plain only

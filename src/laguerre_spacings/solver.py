@@ -30,7 +30,7 @@ class JacobiMatrix:
 
     build_jacobi fills it for the zeros of L_n^(alpha): diag[k] = 2k + alpha + 1,
     offdiag[k-1] = sqrt(k(k+alpha)), positive for alpha > -1. The bessel module
-    fills it for reciprocal Bessel zeros.
+    fills it for squared reciprocal Bessel zeros.
     """
 
     diag: np.ndarray
@@ -196,37 +196,32 @@ class ZeroSet:
         return float(self.zeros[self.n - k])
 
 
-def _newton_correction(params: LaguerreParams, z: np.ndarray, compensated: np.ndarray):
-    """The Newton steps L/L' at the lanes z, via L' = -L_{n-1}^(alpha+1), and {lane: error}.
+def _newton_correction(params: LaguerreParams, z: list, compensated: list):
+    """The Newton steps L/L' at the points z, via L' = -L_{n-1}^(alpha+1), the lowest
+    failed lane (len(z) if none) and its error (or None).
 
-    One plain pass gives the plain lanes' numerators and all derivatives. The
-    compensated lanes sharpen the numerator only; the derivative is far
-    from its own zeros here, so its plain relative accuracy is plenty.
+    z and compensated are per-lane lists (points, and the evaluator mode). One
+    plain pass gives every lane's numerator and derivative; the compensated
+    lanes then sharpen the numerator only: the derivative is far from its own
+    zeros here, so its plain relative accuracy is plenty.
     """
-    n, alpha = params.n, params.alpha
-    plain = ~compensated
-    counts = [np.count_nonzero(plain), z.size]
-    both, both_e = laguerre_polynomial(np.repeat([n, n - 1], counts),
-                                       np.repeat([alpha, alpha + 1.0], counts),
-                                       np.concatenate((z[plain], z)))
-    mant, expo = np.empty(z.size), np.zeros(z.size, dtype=np.int64)
-    mant[plain], expo[plain] = both[:counts[0]], both_e[:counts[0]]
-    if compensated.any():
-        mant[compensated], expo[compensated] = laguerre_polynomial_compensated(n, alpha,
-                                                                               z[compensated])
-    dmant, dexpo = both[counts[0]:], both_e[counts[0]:]
+    n, alpha, size = params.n, params.alpha, len(z)
+    both, both_e = laguerre_polynomial(np.repeat([n, n - 1], size),
+                                       np.repeat([alpha, alpha + 1.0], size), np.array(z + z))
+    mant, expo, dmant, dexpo = both[:size], both_e[:size], both[size:], both_e[size:]
+    if any(compensated):
+        lanes = np.array(compensated)
+        mant[lanes], expo[lanes] = laguerre_polynomial_compensated(n, alpha, np.array(z)[lanes])
     with np.errstate(all="ignore"):  # as ScaledValue.ratio_to: +0.0 for a zero quotient
-        steps = -np.ldexp(mant / dmant + 0.0, expo - dexpo)
-    failed = {}  # each lane's error as its float calls raise it, numerator first
-    for j in np.flatnonzero(~np.isfinite(mant) | ~np.isfinite(dmant) | (dmant == 0.0)):
-        x = float(z[j])
+        steps = (-np.ldexp(mant / dmant + 0.0, expo - dexpo)).tolist()
+    bad = ~np.isfinite(mant) | ~np.isfinite(dmant) | (dmant == 0.0)
+    for j in np.flatnonzero(bad)[:1].tolist():  # the lowest, as its float calls fail
         if not np.isfinite(mant[j]):
-            failed[j] = _range_error(n, alpha, x)
-        elif not np.isfinite(dmant[j]):
-            failed[j] = _range_error(n - 1, alpha + 1.0, x)
-        else:
-            failed[j] = RefinementError(f"derivative vanished at {x!r} during refinement")
-    return steps, failed
+            return steps, j, _range_error(n, alpha, z[j])
+        if not np.isfinite(dmant[j]):
+            return steps, j, _range_error(n - 1, alpha + 1.0, z[j])
+        return steps, j, RefinementError(f"derivative vanished at {z[j]!r} during refinement")
+    return steps, size, None
 
 
 def _duplicate_guard(values: np.ndarray) -> None:
@@ -242,7 +237,8 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
     value crossing the midpoint toward a neighbor raises RefinementError.
     All zeros iterate together as lanes, each with its own stop test and
     escalation, to the bits each would get alone; of several failing zeros,
-    the lowest one's error is raised.
+    the lowest one's error is raised. A round makes one batched evaluation of
+    its lanes, then runs each lane's control flow on Python floats.
 
     A lane retires as soon as its future is known, which keeps its bits: a
     step depends on the lane's mode and point alone, so a step back onto a
@@ -261,45 +257,48 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
         raise RefinementError(f"seeds must be finite, got {bad!r}")
     _duplicate_guard(seeds)
 
-    mids = 0.5 * (seeds[:-1] + seeds[1:])
-    lo = np.concatenate(([0.0], mids))
-    hi = np.concatenate((mids, [math.inf]))
-
-    refined, residuals = seeds.copy(), np.empty(n)
-    compensated = np.zeros(n, dtype=bool)
+    refined = seeds.tolist()
+    mids = [0.5 * (a + b) for a, b in zip(refined, refined[1:])]
+    lo, hi = [0.0] + mids, mids + [math.inf]
+    residuals, compensated = [0.0] * n, [False] * n
     # Newton steps taken in the current mode, set to the cap once the stop
     # test holds (the next evaluation measures the residual) and past it when done.
-    iterations = np.zeros(n, dtype=int)
-    cap, first_failure, error = _MAX_NEWTON_ITERATIONS, n, None
-    # Per lane, the points evaluated in the current mode by iteration, and their steps.
-    seen, seen_steps = np.full((n, cap + 1), np.nan), np.empty((n, cap + 1))
-    while (lanes := np.flatnonzero(iterations[:first_failure] <= cap)).size:
-        z, it = refined[lanes], iterations[lanes]
-        steps, failed = _newton_correction(params, z, compensated[lanes])
-        seen[lanes, it], seen_steps[lanes, it] = z, steps
-        step = it < cap
-        z[step] -= steps[step]
-        for j in np.flatnonzero(step & ~((lo[lanes] < z) & (z < hi[lanes])))[:1]:
-            failed.setdefault(j, RefinementError(f"zero {lanes[j]} drifted to {float(z[j])!r}, "
-                                                 "across its neighbors' midpoints"))
-        if failed:  # lanes at or above a failed one can no longer matter
-            first_failure, error = lanes[min(failed)], failed[min(failed)]
-        it[step] += 1
-        it[step & (np.abs(steps) <= 4.0 * _EPS * np.abs(z))] = cap
-        hit = step[:, None] & (seen[lanes] == z[:, None])  # an unrecorded (NaN) slot never hits
-        back = hit.any(axis=1)
-        j = hit[back].argmax(axis=1)
-        last = j + (cap - j) % (it[back] - j)  # where the loop would measure the residual
-        z[back], steps[back] = seen[lanes[back], last], seen_steps[lanes[back], last]
-        refined[lanes] = z
-        done = ~step | back
-        residuals[lanes[done]] = np.abs(steps[done]) / (_EPS * np.abs(z[done]))
-        # Recurrence noise swamped the local scale (clustered small zeros at
-        # large n); redo the polish with the sharper evaluator.
-        again = done & ~compensated[lanes] & ~(residuals[lanes] <= _ESCALATE_AT)
-        it[done], it[again] = cap + 1, 0
-        compensated[lanes[again]], seen[lanes[again]] = True, np.nan
-        iterations[lanes] = it
+    iterations = [0] * n
+    # Per lane, the steps taken at the points evaluated in the current mode, in order.
+    history = [{} for _ in range(n)]
+    cap, stop, error, lanes = _MAX_NEWTON_ITERATIONS, 4.0 * _EPS, None, list(range(n))
+    while lanes:
+        steps, first, failure = _newton_correction(params, [refined[i] for i in lanes],
+                                                   [compensated[i] for i in lanes])
+        error, active = failure or error, []  # lanes from a failed one on cannot matter
+        for i, step in zip(lanes[:first], steps):
+            z, it, seen = refined[i], iterations[i], history[i]
+            seen[z] = step
+            if it < cap:
+                z -= step
+                if not lo[i] < z < hi[i]:
+                    error = RefinementError(f"zero {i} drifted to {z!r}, "
+                                            "across its neighbors' midpoints")
+                    break
+                it = cap if abs(step) <= stop * abs(z) else it + 1
+                if z in seen:
+                    path = list(seen)
+                    back = path.index(z)
+                    z = path[back + (cap - back) % (it - back)]  # where the loop would measure
+                    step, it = seen[z], cap + 1
+            else:
+                it = cap + 1
+            refined[i] = z
+            if it > cap:
+                residuals[i] = abs(step) / (_EPS * abs(z))
+                # Recurrence noise swamped the local scale (clustered small zeros at
+                # large n); redo the polish with the sharper evaluator.
+                if not compensated[i] and not residuals[i] <= _ESCALATE_AT:
+                    compensated[i], it, history[i] = True, 0, {}
+            iterations[i] = it
+            if it <= cap:
+                active.append(i)
+        lanes = active
     if error is not None:
         raise error
     return ZeroSet(params=params, zeros=refined, residuals=residuals)

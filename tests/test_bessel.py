@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy.special import jv, jvp
 
 import laguerre_spacings
@@ -74,6 +75,15 @@ class TestZeros:
             scipy_bisect_zero(alpha, 1e-8, 1e-3), rel=1e-12
         )
         assert bessel_zero(alpha, 2) == pytest.approx(3.8317, abs=1e-4)
+
+    @pytest.mark.parametrize("alpha", [-1 + 2e-9, -0.999, -0.9, -0.5, 0.0, 0.37, 1.0])
+    def test_every_rank_within_2e_15_of_mpmath(self, alpha):
+        # 40-digit roots of J_alpha, started from the computed zeros
+        with mp.workdps(40):
+            for k in range(1, 21):
+                got = bessel_zero(alpha, k)
+                root = mp.findroot(lambda x: mp.besselj(alpha, x), mp.mpf(got))
+                assert abs(float((got - root) / root)) <= 2e-15, k
 
     @pytest.mark.parametrize("alpha,k", [(1.5, 1), (-1.0, 1), (0.0, 0), (0.0, 21),
                                          (0.0, 2.5), (0.0, True), (True, 1)])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from laguerre_spacings import JacobiMatrix, LaguerreParams, build_jacobi, eigen_zeros
+from laguerre_spacings.bessel import _ikebe_even_block
 from laguerre_spacings.laguerre import laguerre_polynomial, laguerre_polynomial_compensated
 
 PAPER_GRID = [(n, a) for n in (10, 20, 50, 100) for a in (1.0, 100.0, 1e3, 1e4)]
@@ -86,7 +87,8 @@ def test_evaluator_bits_pinned(mode, group):
 
 
 def _ikebe(alpha, dimension=100):
-    """The Bessel-zero matrix of `bessel` (reciprocal zeros as eigenvalues)."""
+    """Ikebe's full-size Bessel-zero matrix (reciprocal zeros as eigenvalues): a
+    zero-diagonal case; `bessel` solves the even block of its square instead."""
     k = np.arange(1, dimension, dtype=float)
     return JacobiMatrix(diag=np.zeros(dimension),
                         offdiag=0.5 / np.sqrt((alpha + k) * (alpha + k + 1.0)))
@@ -97,6 +99,7 @@ EIGEN_MATRICES = {
     "n1000_alpha-0.5": lambda: [build_jacobi(LaguerreParams(1000, -0.5))],
     "n1000_alpha1e4": lambda: [build_jacobi(LaguerreParams(1000, 1e4))],
     "ikebe_alpha0.3": lambda: [_ikebe(0.3)],
+    "ikebe_even_block_alpha0.3": lambda: [_ikebe_even_block(0.3)],
 }
 
 EIGEN_DIGESTS = {
@@ -104,6 +107,7 @@ EIGEN_DIGESTS = {
     "n1000_alpha-0.5": "d1d1318c247291b5d043c29c3bb6e656fd784d654d3d03c2c1feda9e52cac45d",
     "n1000_alpha1e4": "49ffb08740455df59a604d27ec9f850032027bca1d78460f4c8bd981ee2e45c9",
     "ikebe_alpha0.3": "685afb37d6b7d6715da2e44445d8397510e978c78143e94de75ec63eedcf8a12",
+    "ikebe_even_block_alpha0.3": "0324feb48f2e466a925f4d19a73d13b45cc871c2ac1e726d170a207677e29010",
 }
 
 

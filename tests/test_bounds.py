@@ -263,6 +263,15 @@ class TestBoundSet:
         bs = bound_set(LaguerreParams(10, -0.5), C="auto")
         assert bs.range_lower is None
 
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-310])
+    def test_auto_with_subnormal_alpha_skipped(self, alpha):
+        # n/alpha overflows to inf: no admissible C, rather than C = inf and bounds of 0
+        bs = bound_set(LaguerreParams(3, alpha), C="auto")
+        assert bs.range_constant is None
+        assert bs.range_lower is None
+        assert bs.proof_range_lower is None
+        assert bs.range_bracket is None
+
     def test_none_skips(self):
         bs = bound_set(LaguerreParams(10, 100.0), C=None)
         assert bs.range_lower is None

@@ -1,12 +1,14 @@
 """Source hygiene: every module-level import and private name in the package is used,
-and every error class in errors.py is raised somewhere."""
+every error class in errors.py is raised somewhere, and every span the benchmark
+requires names a public function of the package."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "laguerre_spacings"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "laguerre_spacings"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")  # __init__ re-exports
 
 
@@ -97,3 +99,50 @@ def test_every_error_class_is_raised():
     errors = (PACKAGE / "errors.py").read_text()
     sources = [path.read_text() for path in MODULES if path.name != "errors.py"]
     assert unraised_errors(errors, sources) == []
+
+
+def required_spans(source: str) -> list[str]:
+    """The span names of every `required_spans` tuple assigned in source."""
+    spans = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "required_spans" for t in targets):
+            spans += [elt.value for elt in node.value.elts]
+    return spans
+
+
+def unknown_spans(spans: list[str], sources: dict[str, str]) -> list[str]:
+    """Span names `module.function` that name no public top-level function of sources
+    (keyed by module name): the benchmark's tracer wraps only those."""
+    public = {f"{module}.{node.name}" for module, source in sources.items()
+              for node in ast.parse(source).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    return [span for span in spans if span not in public]
+
+
+def test_scan_finds_a_span_naming_no_public_function():
+    harness = ("class Workload:\n"
+               "    required_spans: tuple = ()\n"
+               "class Probe(Workload):\n"
+               "    required_spans = ('solver.refine', 'solver.polish',\n"
+               "                      'solver._step', 'cli.main')\n")
+    solver = ("def refine(p, a):\n"
+              "    return _step(p, a)\n"
+              "def _step(p, a):\n"
+              "    return a\n"
+              "class polish:\n"  # a class is no function the tracer wraps
+              "    pass\n")
+    sources = {"solver": solver, "cli": "def main():\n    pass\n"}
+    assert unknown_spans(required_spans(harness), sources) == ["solver.polish", "solver._step"]
+
+
+def test_benchmark_required_spans_name_public_functions():
+    spans = required_spans((ROOT / "bench" / "run.py").read_text())
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert "solver.refine" in spans
+    assert unknown_spans(spans, sources) == []

@@ -330,6 +330,11 @@ class TestCli:
         assert "large-alpha bound (C = 0.009): " in out
         assert "not applicable" not in out
 
+    def test_bounds_auto_with_subnormal_alpha(self, capsys):
+        assert main(["bounds", "--n", "3", "--alpha", "5e-324"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "large-alpha bound: not applicable (needs alpha >= n/C)"
+
     def test_bounds_degree_one(self, capsys):
         assert main(["bounds", "--n", "1", "--alpha", "1"]) == 0
         out = capsys.readouterr().out.splitlines()

@@ -251,6 +251,22 @@ class TestRefineAgainstReference:
         refine(LaguerreParams(20, 1.0), ql_seeds(20, 1.0))
         assert len(rounds) <= 6
 
+    @pytest.mark.parametrize("n,alpha,rounds", [
+        (40, 0.3, 23), (100, 1.0, 23), (1000, 1e4, 3),
+        (20, -0.7, 20), (40, -0.7, 23), (20, 0.15, 17), (40, 0.15, 14), (20, 0.95, 7),
+        (40, 0.95, 16),
+    ])
+    def test_plain_rounds_pinned(self, monkeypatch, n, alpha, rounds):
+        # One plain evaluator call per round, recorded with the earlier
+        # array-masked loop; the bit pins cannot see a rewrite that takes
+        # more rounds to reach the same bits.
+        calls = []
+        plain = solver.laguerre_polynomial
+        monkeypatch.setattr(solver, "laguerre_polynomial",
+                            lambda *args: calls.append(1) or plain(*args))
+        refine(LaguerreParams(n, alpha), ql_seeds(n, alpha))
+        assert len(calls) == rounds
+
 
 class TestZeros:
     def test_n1000_bits_pinned(self):
