@@ -42,7 +42,7 @@ from .laguerre import (
     laguerre_polynomial,
 )
 from .report import (
-    SpacingRow,
+    SpacingTable,
     SweepConfig,
     bulk_stats,
     figure1,

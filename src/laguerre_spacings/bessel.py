@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .laguerre import LaguerreParams
+from .laguerre import LaguerreParams, _degree
 from .solver import JacobiMatrix, eigen_zeros
 from .solver import zeros as solve_zeros
 
@@ -70,19 +70,16 @@ def bessel_zero(alpha: float, k: int) -> float:
 
 @dataclass(frozen=True)
 class BesselZeroTable:
-    """The first K zeros of J_alpha, strictly increasing."""
+    """The first zeros.size zeros of J_alpha, read-only and strictly increasing."""
 
     alpha: float
     zeros: np.ndarray
-    K: int
 
     def __post_init__(self):
         z = np.asarray(self.zeros, dtype=float)
         z.setflags(write=False)
         object.__setattr__(self, "zeros", z)
-        if z.size != self.K:
-            raise ParameterError(f"expected {self.K} zeros, got {z.size}")
-        if self.K > 1 and np.min(np.diff(z)) <= 0.0:
+        if z.size > 1 and np.min(np.diff(z)) <= 0.0:
             raise ParameterError("zeros are not strictly increasing")
 
 
@@ -91,63 +88,37 @@ def bessel_zero_table(alpha: float, count: int) -> BesselZeroTable:
     alpha = _require_alpha(alpha)
     if not _is_int(count) or not 1 <= count <= MAX_RANK:
         raise DomainError(f"count must be in 1..{MAX_RANK}, got {count!r}")
-    return BesselZeroTable(alpha=alpha, zeros=_zeros(alpha)[:count], K=count)
-
-
-@dataclass(frozen=True)
-class GapFactRow:
-    """Recorded facts about one consecutive zero pair (j_k, j_{k+1})."""
-
-    k: int
-    gap: float
-    gap_ge_pi: bool
-    gap_le_two_pi: bool
-    pair_sum: float
-    sum_ge_one_plus_alpha: bool
-    # Both printed variants of the intermediate sum bound are recorded but
-    # never asserted: with pi inside the square root and with pi squared.
-    sum_member_pi: float
-    sum_member_pi2: float
+    return BesselZeroTable(alpha=alpha, zeros=_zeros(alpha)[:count])
 
 
 @dataclass(frozen=True)
 class GapFactsReport:
+    """A zero table's gaps j_{k+1} - j_k and pair sums j_{k+1} + j_k; index k - 1 is pair k.
+
+    The flags compare against pi, 2 pi and 1 + alpha with _FLAG_SLACK; they
+    are recorded, not asserted (the band fails for |alpha| < 1/2).
+    """
+
     alpha: float
-    rows: tuple
+    gaps: np.ndarray
+    pair_sums: np.ndarray
 
     @property
     def all_gaps_in_band(self) -> bool:
-        return all(r.gap_ge_pi and r.gap_le_two_pi for r in self.rows)
+        return bool(np.all((self.gaps >= math.pi * (1.0 - _FLAG_SLACK))
+                           & (self.gaps <= 2.0 * math.pi * (1.0 + _FLAG_SLACK))))
 
     @property
     def all_sums_ok(self) -> bool:
-        return all(r.sum_ge_one_plus_alpha for r in self.rows)
+        return bool(np.all(self.pair_sums >= (1.0 + self.alpha) * (1.0 - _FLAG_SLACK)))
 
 
 def gap_facts(table: BesselZeroTable) -> GapFactsReport:
     """Per-pair gap and sum facts; flags only, assertions belong to tests."""
-    if table.K < 2:
+    z = table.zeros
+    if z.size < 2:
         raise ParameterError("gap facts need at least two zeros")
-    rows = []
-    for k in range(1, table.K):
-        z_k = float(table.zeros[k - 1])
-        z_next = float(table.zeros[k])
-        gap = z_next - z_k
-        pair_sum = z_next + z_k
-        base = (k - 0.25) ** 2
-        rows.append(
-            GapFactRow(
-                k=k,
-                gap=gap,
-                gap_ge_pi=gap >= math.pi * (1.0 - _FLAG_SLACK),
-                gap_le_two_pi=gap <= 2.0 * math.pi * (1.0 + _FLAG_SLACK),
-                pair_sum=pair_sum,
-                sum_ge_one_plus_alpha=pair_sum >= (1.0 + table.alpha) * (1.0 - _FLAG_SLACK),
-                sum_member_pi=2.0 * math.sqrt(base * math.pi + table.alpha**2),
-                sum_member_pi2=2.0 * math.sqrt(base * math.pi**2 + table.alpha**2),
-            )
-        )
-    return GapFactsReport(alpha=table.alpha, rows=tuple(rows))
+    return GapFactsReport(alpha=table.alpha, gaps=z[1:] - z[:-1], pair_sums=z[1:] + z[:-1])
 
 
 @dataclass(frozen=True)
@@ -174,11 +145,6 @@ class LimitProbe:
         """|scaled / asymptotic_limit - 1| per grid degree."""
         return np.abs(self.scaled_spacings / self.asymptotic_limit - 1.0)
 
-    @property
-    def printed_ratios(self) -> np.ndarray:
-        """scaled / target, for comparing against the unquartered difference."""
-        return self.scaled_spacings / self.target
-
 
 def limit_probe(alpha: float, k: int, n_grid) -> LimitProbe:
     """Track the k-th smallest spacing of L_n^(alpha) against the Bessel limit.
@@ -187,7 +153,7 @@ def limit_probe(alpha: float, k: int, n_grid) -> LimitProbe:
     spectrum); requires k+1 <= min(n_grid) so the spacing exists everywhere.
     """
     alpha = _require_alpha(alpha)
-    grid = tuple(int(n) for n in n_grid)
+    grid = tuple(_degree(n) for n in n_grid)
     if not grid:
         raise ParameterError("degree grid is empty")
     if not _is_int(k) or not 1 <= k <= MAX_RANK - 1:

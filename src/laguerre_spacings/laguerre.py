@@ -29,6 +29,13 @@ _RESCALE_LO = 2.0**-512
 _FEW_LANES = 40
 
 
+def _degree(n) -> int:
+    """n as an int; a value that is not Integral, or a bool, raises ParameterError naming it."""
+    if not isinstance(n, Integral) or isinstance(n, bool):
+        raise ParameterError(f"degree must be an integer, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class LaguerreParams:
     """Degree n >= 1 and exponent alpha > -1 identifying one polynomial."""
@@ -37,9 +44,7 @@ class LaguerreParams:
     alpha: float
 
     def __post_init__(self):
-        if not isinstance(self.n, Integral) or isinstance(self.n, bool):
-            raise ParameterError(f"degree must be an integer, got {self.n!r}")
-        if self.n < 1:
+        if _degree(self.n) < 1:
             raise ParameterError(f"degree must be >= 1, got {self.n}")
         if (not isinstance(self.alpha, Real) or isinstance(self.alpha, bool)
                 or not math.isfinite(_as_double(self.alpha))):

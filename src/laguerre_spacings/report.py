@@ -1,9 +1,10 @@
 """The one check engine: spacing tables, verification checks, CSV and JSON.
 
 check_pair solves one (n, alpha) and runs the requested checks; the verify
-command prints its verdicts, and sweep and figure1 run it over a grid. Output
-is deterministic: rows are written with 17-significant-digit decimal
-floats (round-trip safe), files are written atomically, and the summary is
+command prints its verdicts, and sweep and figure1 run it over a grid. A
+pair's spacings are one SpacingTable of arrays, not an object per gap. Output
+is deterministic: rows are written with 17-significant-digit decimal floats
+(round-trip safe), files are written atomically, and the summary is
 assembled in lexicographic (n, alpha) order regardless of config order.
 """
 
@@ -15,9 +16,11 @@ import tempfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import bethe, bounds
 from .errors import ParameterError
-from .laguerre import LaguerreParams
+from .laguerre import LaguerreParams, _degree
 from .solver import ZeroSet, zeros
 
 ASSERTED_CHECKS = frozenset({"bethe", "bounds", "krasikov"})
@@ -32,15 +35,17 @@ _CSV_HEADER = "i,spacing,uniform_bound,ratio\n"
 
 
 @dataclass(frozen=True)
-class SpacingRow:
-    """One spacing record; i = 1 is the gap below the largest zero."""
+class SpacingTable:
+    """The n - 1 gaps of one zero set, largest zeros first, against the uniform bound.
 
-    n: int
-    alpha: float
-    i: int
-    spacing: float
-    uniform_bound: float
-    ratio: float
+    Index i - 1 holds rank i, and i = 1 is the gap below the largest zero;
+    ratio is spacing / uniform_bound. For n = 1 both arrays are empty and
+    uniform_bound is None.
+    """
+
+    spacing: np.ndarray
+    ratio: np.ndarray
+    uniform_bound: float | None
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,8 @@ class SweepConfig:
     output_dir: Path = Path("sweep-out")
 
     def __post_init__(self):
-        for key, convert in (("n_values", lambda v: tuple(int(n) for n in v)),
+        for key, convert in (("n_values", lambda v: tuple(  # a config file's strings parse
+                                 _degree(int(n) if isinstance(n, str) else n) for n in v)),
                              ("alpha_values", lambda v: tuple(float(a) for a in v)),
                              ("checks", frozenset), ("epsilon", float), ("output_dir", Path)):
             value = getattr(self, key)
@@ -75,24 +81,13 @@ class SweepConfig:
             raise ParameterError(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
 
 
-def spacing_rows(zs: ZeroSet) -> list[SpacingRow]:
-    """Per-gap rows in descending-zero order (exactly n-1 of them)."""
+def spacing_rows(zs: ZeroSet) -> SpacingTable:
+    """The spacing table of one zero set (exactly n - 1 gaps)."""
     if zs.n < 2:
-        return []
+        return SpacingTable(np.empty(0), np.empty(0), None)
     ub = bounds.uniform_spacing_lower(zs.params)
-    rows = []
-    for i, gap in enumerate(zs.spacings_descending(), start=1):
-        rows.append(
-            SpacingRow(
-                n=zs.n,
-                alpha=zs.params.alpha,
-                i=i,
-                spacing=float(gap),
-                uniform_bound=ub,
-                ratio=float(gap) / ub,
-            )
-        )
-    return rows
+    gaps = zs.spacings_descending()
+    return SpacingTable(gaps, gaps / ub, ub)
 
 
 def bulk_stats(zs: ZeroSet, epsilon: float) -> float:
@@ -106,12 +101,11 @@ def bulk_stats(zs: ZeroSet, epsilon: float) -> float:
     if zs.n < 3:
         raise ParameterError("bulk statistics need n >= 3")
     ub = bounds.uniform_spacing_lower(zs.params)
-    gaps = zs.spacings_descending()
-    lo, hi = epsilon * zs.n, (1.0 - epsilon) * zs.n
-    in_bulk = [gaps[i - 1] for i in range(1, zs.n) if lo <= i <= hi]
-    if not in_bulk:
+    rank, lo, hi = np.arange(1, zs.n), epsilon * zs.n, (1.0 - epsilon) * zs.n
+    in_bulk = zs.spacings_descending()[(lo <= rank) & (rank <= hi)]
+    if not in_bulk.size:
         raise ParameterError("bulk window is empty for this n and epsilon")
-    return sum(1 for g in in_bulk if g <= BULK_FACTOR * ub) / len(in_bulk)
+    return int(np.count_nonzero(in_bulk <= BULK_FACTOR * ub)) / in_bulk.size
 
 
 def _format_float(x: float) -> str:
@@ -140,19 +134,16 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _pair_csv_text(rows: list[SpacingRow]) -> str:
-    lines = [_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.i},{_format_float(r.spacing)},"
-            f"{_format_float(r.uniform_bound)},{_format_float(r.ratio)}\n"
-        )
-    return "".join(lines)
+def _pair_csv_text(table: SpacingTable) -> str:
+    ub = _format_float(table.uniform_bound) if table.spacing.size else ""
+    return _CSV_HEADER + "".join(
+        f"{i},{_format_float(s)},{ub},{_format_float(r)}\n"
+        for i, (s, r) in enumerate(zip(table.spacing.tolist(), table.ratio.tolist()), start=1))
 
 
 @dataclass(frozen=True)
 class PairChecks:
-    """One (n, alpha) solved once: its spacing rows and each requested check.
+    """One (n, alpha) solved once: its spacing table and each requested check.
 
     A value is None when its check was not requested (min_ratio is always
     computed, and is None only for n = 1). failed maps each asserted check
@@ -160,7 +151,7 @@ class PairChecks:
     """
 
     params: LaguerreParams
-    rows: list
+    table: SpacingTable
     min_ratio: float | None
     max_bethe_residual: float | None
     krasikov_window: tuple | None
@@ -172,10 +163,10 @@ class PairChecks:
 def check_pair(params: LaguerreParams, checks, epsilon: float = 0.1) -> PairChecks:
     """Solve one pair and run the requested checks; every verdict fails closed."""
     zs = zeros(params)
-    rows = spacing_rows(zs)
-    min_ratio = min((r.ratio for r in rows), default=None)
+    table = spacing_rows(zs)
+    min_ratio = float(np.min(table.ratio)) if table.ratio.size else None
     failed = {}
-    if "bounds" in checks and rows and not min_ratio >= 1.0:
+    if "bounds" in checks and min_ratio is not None and not min_ratio >= 1.0:
         failed["bounds"] = f"minimum spacing/bound ratio {min_ratio} fell below 1"
     residual = None
     if "bethe" in checks:
@@ -197,7 +188,7 @@ def check_pair(params: LaguerreParams, checks, epsilon: float = 0.1) -> PairChec
             failed["krasikov"] = (f"zero range {zero_range} fell below the telescoped "
                                   f"bracket's lower side {bs.range_bracket[0]}")
     bulk = bulk_stats(zs, epsilon) if "bulk" in checks and zs.n >= 3 else None
-    return PairChecks(params, rows, min_ratio, residual, window, krasikov_ok, bulk, failed)
+    return PairChecks(params, table, min_ratio, residual, window, krasikov_ok, bulk, failed)
 
 
 def _write_pairs(config: SweepConfig) -> list[PairChecks]:
@@ -206,7 +197,7 @@ def _write_pairs(config: SweepConfig) -> list[PairChecks]:
     results = []
     for n, alpha in sorted({(n, a) for n in config.n_values for a in config.alpha_values}):
         pair = check_pair(LaguerreParams(n=n, alpha=alpha), config.checks, config.epsilon)
-        _write_atomic(config.output_dir / pair_filename(n, alpha), _pair_csv_text(pair.rows))
+        _write_atomic(config.output_dir / pair_filename(n, alpha), _pair_csv_text(pair.table))
         results.append(pair)
     return results
 

@@ -63,8 +63,8 @@ def test_criterion_2_uniform_dominance(zero_sets):
         for (n, a), zs in zero_sets.items():
             bound = uniform_spacing_lower(zs.params)
             assert np.all(zs.spacings_descending() > bound), (n, a)
-        rows = spacing_rows(zero_sets[(2, 0.0)])
-        assert abs(rows[0].ratio - 4.0) <= 4.0 * 1e-13
+        table = spacing_rows(zero_sets[(2, 0.0)])
+        assert abs(table.ratio[0] - 4.0) <= 4.0 * 1e-13
 
 
 def test_criterion_3_large_alpha_bound(zero_sets):

@@ -1,6 +1,7 @@
 """Bessel-zero tests: eigenproblem zeros, gap facts, and the scaled-spacing limit."""
 
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -95,7 +96,7 @@ class TestZeros:
 class TestTable:
     def test_strictly_increasing(self):
         table = bessel_zero_table(0.25, 12)
-        assert table.K == 12
+        assert table.zeros.size == 12
         assert np.all(np.diff(table.zeros) > 0)
 
     def test_count_cap(self):
@@ -110,8 +111,7 @@ class TestTable:
 class TestGapFacts:
     def test_half_integer_gaps_exactly_pi(self):
         facts = gap_facts(bessel_zero_table(0.5, 10))
-        for row in facts.rows:
-            assert row.gap == pytest.approx(math.pi, rel=1e-13)
+        assert facts.gaps == pytest.approx(np.full(9, math.pi), rel=1e-13)
         assert facts.all_gaps_in_band
         assert facts.all_sums_ok
 
@@ -119,27 +119,36 @@ class TestGapFacts:
         facts = gap_facts(bessel_zero_table(1.0, 10))
         assert facts.all_gaps_in_band
         # first pair sum is comfortably above 1 + alpha = 2
-        assert facts.rows[0].pair_sum >= 2.0
+        assert facts.pair_sums[0] >= 2.0
 
     def test_alpha_zero_first_gap_undershoots_pi(self):
         # The printed lower gap bound fails for |alpha| < 1/2: the first
         # gap of J_0 is 3.11525... < pi. Recorded as a flag, not asserted.
         facts = gap_facts(bessel_zero_table(0.0, 6))
-        first = facts.rows[0]
-        assert first.gap == pytest.approx(3.115252552590538, rel=1e-12)
-        assert not first.gap_ge_pi
-        assert first.gap_le_two_pi
+        assert facts.gaps[0] == pytest.approx(3.115252552590538, rel=1e-12)
+        assert facts.gaps[0] < math.pi
+        assert np.all(facts.gaps <= 2.0 * math.pi)
         assert facts.all_sums_ok
         assert not facts.all_gaps_in_band
 
     @pytest.mark.parametrize("alpha", [-0.9, -0.5, 0.0, 0.5, 1.0])
     def test_sum_facts_hold_everywhere(self, alpha):
-        facts = gap_facts(bessel_zero_table(alpha, 10))
+        table = bessel_zero_table(alpha, 10)
+        facts = gap_facts(table)
         assert facts.all_sums_ok
-        for row in facts.rows:
-            # both recorded variants of the intermediate member stay below
-            # the pair sum on this range (recorded, not part of the flag)
-            assert row.sum_member_pi <= row.pair_sum * (1 + 1e-9)
+        # the pi-variant of the intermediate member, 2 sqrt((k - 1/4)^2 pi + alpha^2),
+        # stays below the pair sum on this range (not part of the flag)
+        k = np.arange(1, table.zeros.size)
+        member_pi = 2.0 * np.sqrt((k - 0.25) ** 2 * math.pi + alpha**2)
+        assert np.all(member_pi <= facts.pair_sums * (1 + 1e-9))
+
+    @pytest.mark.parametrize("alpha", [-0.9, 0.3, 1.0])
+    def test_arrays_match_the_float_loop(self, alpha):
+        # Elementwise numpy arithmetic gives the bits of the per-pair float loop.
+        z = bessel_zero_table(alpha, 20).zeros.tolist()
+        facts = gap_facts(bessel_zero_table(alpha, 20))
+        assert facts.gaps.tolist() == [b - a for a, b in zip(z, z[1:])]
+        assert facts.pair_sums.tolist() == [b + a for a, b in zip(z, z[1:])]
 
     def test_needs_two_zeros(self):
         with pytest.raises(ParameterError):
@@ -156,7 +165,7 @@ class TestLimitProbe:
         assert devs[-1] <= 0.05
         # the squared-zero difference itself is approached once the quarter
         # from x ~ j^2/(4(n + (alpha+1)/2)) is accounted for
-        assert probe.printed_ratios[-1] == pytest.approx(0.25, abs=0.01)
+        assert probe.scaled_spacings[-1] / probe.target == pytest.approx(0.25, abs=0.01)
 
     def test_alpha_zero_probe(self):
         j1 = 2.404825557695773
@@ -174,6 +183,13 @@ class TestLimitProbe:
             limit_probe(0.5, 1, [])
         with pytest.raises(ParameterError):
             limit_probe(0.5, True, [3, 10])
+
+    @pytest.mark.parametrize("degree", [40.9, "x", True])
+    def test_degree_must_be_an_integer(self, degree):
+        # A float degree was truncated (40.9 ran n = 40), and a string raised
+        # int()'s untyped ValueError.
+        with pytest.raises(ParameterError, match=re.escape(f"got {degree!r}")):
+            limit_probe(0.5, 1, [10, degree])
 
     def test_small_rank_inverse_degree_scaling(self):
         # n * spacing moves by less than 10% between n = 100 and n = 200.

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from laguerre_spacings import (
     spacing_rows,
     zeros,
 )
+from laguerre_spacings import cli
 from laguerre_spacings.cli import build_parser, main
 from laguerre_spacings.report import pair_filename
 
@@ -27,22 +29,23 @@ from laguerre_spacings.report import pair_filename
 class TestSpacingRows:
     def test_counts_and_indexing(self):
         zs = zeros(LaguerreParams(5, 1.0))
-        rows = spacing_rows(zs)
-        assert len(rows) == 4
-        assert [r.i for r in rows] == [1, 2, 3, 4]
-        # i = 1 is the gap below the largest zero
-        assert rows[0].spacing == zs.zeros[-1] - zs.zeros[-2]
-        assert all(r.ratio >= 1.0 for r in rows)
+        table = spacing_rows(zs)
+        assert table.spacing.shape == table.ratio.shape == (4,)
+        # i = 1 (index 0) is the gap below the largest zero
+        assert table.spacing[0] == zs.zeros[-1] - zs.zeros[-2]
+        assert np.all(table.ratio >= 1.0)
 
     def test_single_pair_hand_values(self):
-        rows = spacing_rows(zeros(LaguerreParams(2, 0.0)))
-        assert len(rows) == 1
-        assert rows[0].spacing == pytest.approx(2 * math.sqrt(2), rel=1e-14)
-        assert rows[0].uniform_bound == pytest.approx(1 / math.sqrt(2), rel=1e-14)
-        assert rows[0].ratio == pytest.approx(4.0, rel=1e-13)
+        table = spacing_rows(zeros(LaguerreParams(2, 0.0)))
+        assert table.spacing.size == 1
+        assert table.spacing[0] == pytest.approx(2 * math.sqrt(2), rel=1e-14)
+        assert table.uniform_bound == pytest.approx(1 / math.sqrt(2), rel=1e-14)
+        assert table.ratio[0] == pytest.approx(4.0, rel=1e-13)
 
     def test_degenerate_degree_has_no_rows(self):
-        assert spacing_rows(zeros(LaguerreParams(1, 3.0))) == []
+        table = spacing_rows(zeros(LaguerreParams(1, 3.0)))
+        assert table.spacing.size == table.ratio.size == 0
+        assert table.uniform_bound is None
 
 
 class TestBulkStats:
@@ -51,6 +54,14 @@ class TestBulkStats:
         # (n=100, alpha=1e4) sit within a factor 2 of the uniform bound.
         zs = zeros(LaguerreParams(100, 1e4))
         assert bulk_stats(zs, 0.1) == pytest.approx(52 / 81, abs=1e-12)
+
+    @pytest.mark.parametrize("n,epsilon", [(10, 0.1), (20, 0.25), (50, 0.1), (7, 0.3)])
+    def test_rank_mask_matches_the_loop(self, n, epsilon):
+        # The window's ends fall on whole ranks for (10, 0.1) and (20, 0.25).
+        zs = zeros(LaguerreParams(n, 1e3))
+        gaps, ub = zs.spacings_descending().tolist(), spacing_rows(zs).uniform_bound
+        in_bulk = [gaps[i - 1] for i in range(1, n) if epsilon * n <= i <= (1 - epsilon) * n]
+        assert bulk_stats(zs, epsilon) == sum(g <= 2.0 * ub for g in in_bulk) / len(in_bulk)
 
     def test_rejections(self):
         zs = zeros(LaguerreParams(10, 1.0))
@@ -120,6 +131,14 @@ class TestSweepConfig:
         with pytest.raises(ParameterError, match=f"malformed {key}"):
             parse_sweep_config(bad)
 
+    @pytest.mark.parametrize("degree", [10.5, True])
+    def test_degree_must_be_an_integer(self, degree):
+        # Both were truncated: (10.5, True) ran n in (10, 1).
+        with pytest.raises(ParameterError, match=re.escape(
+                f"malformed n_values: degree must be an integer, got {degree!r}")):
+            SweepConfig(n_values=(10, degree), alpha_values=(1.0,))
+        assert SweepConfig(n_values=(np.int64(10), "3"), alpha_values=(1.0,)).n_values == (10, 3)
+
     @pytest.mark.parametrize("key,text", [
         ("n_values", "10"), ("alpha_values", "15"), ("checks", "bethe")])
     def test_string_for_a_list_is_malformed(self, key, text):
@@ -175,13 +194,13 @@ class TestRunSweep:
         text = (tmp_path / "n4_alpha2.csv").read_text().splitlines()
         assert text[0] == "i,spacing,uniform_bound,ratio"
         assert len(text) == 4  # header + n-1 rows
-        rows = spacing_rows(zeros(LaguerreParams(4, 2.0)))
-        for line, row in zip(text[1:], rows):
+        table = spacing_rows(zeros(LaguerreParams(4, 2.0)))
+        for row, line in enumerate(text[1:]):
             i, spacing, bound, ratio = line.split(",")
-            assert int(i) == row.i
-            assert float(spacing) == row.spacing  # 17 digits round-trip
-            assert float(bound) == row.uniform_bound
-            assert float(ratio) == row.ratio
+            assert int(i) == row + 1
+            assert float(spacing) == table.spacing[row]  # 17 digits round-trip
+            assert float(bound) == table.uniform_bound
+            assert float(ratio) == table.ratio[row]
 
     def test_empty_checks_produce_null_summary_fields(self, tmp_path):
         cfg = SweepConfig(n_values=(3,), alpha_values=(1.0,),
@@ -189,8 +208,8 @@ class TestRunSweep:
         summary = run_sweep(cfg)
         pair = summary["pairs"][0]
         # min_ratio is reported even when bounds is not checked
-        rows = spacing_rows(zeros(LaguerreParams(3, 1.0)))
-        assert pair["min_ratio"] == min(r.ratio for r in rows)
+        table = spacing_rows(zeros(LaguerreParams(3, 1.0)))
+        assert pair["min_ratio"] == min(table.ratio.tolist())
         assert pair["max_bethe_residual"] is None
         assert pair["krasikov_ok"] is None
         assert pair["bulk_fraction"] is None
@@ -368,6 +387,26 @@ class TestCli:
         assert main(["verify", *argv]) == 0
         assert capsys.readouterr().out == out
 
+    # Exact stdout of spacings and bessel-probe (the latter with a False band
+    # flag: the alpha = 0.3 gaps sit just below pi).
+    @pytest.mark.parametrize("argv,out", [
+        (["spacings", "--n", "4", "--alpha", "0.5"],
+         "   i                   spacing             uniform_bound         ratio\n"
+         "   1        5.0450500676392132        0.5539117094069973       9.10804\n"
+         "   2        2.9807387829076171        0.5539117094069973       5.38125\n"
+         "   3        1.6331226865308253        0.5539117094069973       2.94834\n"),
+        (["bessel-probe", "--alpha", "0.3", "--k", "3", "--ngrid", "10,20"],
+         "zeros of J_0.3: 2.85409722438, 5.98222132186, 9.11933899289, 12.2587154701\n"
+         "gap band [pi, 2pi] holds: False; pair sums >= 1+alpha: True\n"
+         "squared-zero difference: 67.1137613084; scaled-spacing limit: 16.7784403271\n"
+         "     n     scaled spacing    deviation\n"
+         "    10      17.5477783277       0.0459\n"
+         "    20      16.9719859114       0.0115\n"),
+    ])
+    def test_table_output_pinned(self, argv, out, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+
     def test_verify_fail_output_pinned(self, monkeypatch, capsys):
         import laguerre_spacings.report as report_module
 
@@ -391,6 +430,13 @@ class TestCli:
         assert capsys.readouterr().out == "krasikov: window [9887.34, 10118.3] (FAIL)\n"
         assert "telescoped bracket" in report_module.check_pair(params, {"krasikov"}).failed[
             "krasikov"]
+
+    def test_parser_is_built_once_and_commands_resolve_per_call(self, monkeypatch, capsys):
+        # A tracer rebinds cli.cmd_* after a warm-up call; the next call must run the new binding.
+        assert build_parser() is build_parser()
+        assert main(["verify", "--n", "2", "--alpha", "1"]) == 0
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: 7)
+        assert main(["verify", "--n", "2", "--alpha", "1"]) == 7
 
     def test_verify_rejects_unknown_check(self, capsys):
         assert main(["verify", "--n", "5", "--alpha", "1", "--checks", "bogus"]) == 2
