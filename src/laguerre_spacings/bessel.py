@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -33,12 +34,14 @@ _IKEBE_DIMENSION = 100
 _FLAG_SLACK = 1e-9
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_rank(value, top: int) -> bool:
+    """value is a non-bool Integral in 1..top (a numpy integer too, as for a degree)."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and 1 <= value <= top
 
 
 def _require_alpha(alpha: float) -> float:
-    if not (_is_int(alpha) or isinstance(alpha, float)) or not math.isfinite(alpha):
+    if (isinstance(alpha, bool) or not isinstance(alpha, (int, float))
+            or not math.isfinite(alpha)):
         raise DomainError(f"alpha must be a finite real, got {alpha!r}")
     if not -1.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (-1, 1], got {alpha}")
@@ -63,7 +66,7 @@ def _zeros(alpha: float) -> np.ndarray:
 def bessel_zero(alpha: float, k: int) -> float:
     """The k-th positive zero of J_alpha for alpha in (-1, 1], 1 <= k <= 20."""
     alpha = _require_alpha(alpha)
-    if not _is_int(k) or not 1 <= k <= MAX_RANK:
+    if not _is_rank(k, MAX_RANK):
         raise DomainError(f"rank must be an integer in 1..{MAX_RANK}, got {k!r}")
     return float(_zeros(alpha)[k - 1])
 
@@ -86,7 +89,7 @@ class BesselZeroTable:
 def bessel_zero_table(alpha: float, count: int) -> BesselZeroTable:
     """Tabulate j_{alpha,1} .. j_{alpha,count} (count <= 20)."""
     alpha = _require_alpha(alpha)
-    if not _is_int(count) or not 1 <= count <= MAX_RANK:
+    if not _is_rank(count, MAX_RANK):
         raise DomainError(f"count must be in 1..{MAX_RANK}, got {count!r}")
     return BesselZeroTable(alpha=alpha, zeros=_zeros(alpha)[:count])
 
@@ -156,8 +159,9 @@ def limit_probe(alpha: float, k: int, n_grid) -> LimitProbe:
     grid = tuple(_degree(n) for n in n_grid)
     if not grid:
         raise ParameterError("degree grid is empty")
-    if not _is_int(k) or not 1 <= k <= MAX_RANK - 1:
+    if not _is_rank(k, MAX_RANK - 1):
         raise ParameterError(f"rank must be in 1..{MAX_RANK - 1}, got {k!r}")
+    k = int(k)
     if k + 1 > min(grid):
         raise ParameterError(f"rank {k} needs degrees of at least {k + 1}")
     j_k = bessel_zero(alpha, k)

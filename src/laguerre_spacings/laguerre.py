@@ -25,7 +25,9 @@ _RESCALE_HI = 2.0**512
 _RESCALE_LO = 2.0**-512
 # Shorter plain arrays run lane by lane on floats, where numpy's per-call
 # cost dominates. Measured break-even for refine's stacked plain pass at n in
-# {100, 1000}: about 48 lanes (40 is not retuned to it).
+# {20, 40, 100, 1000}: about 48-56 lanes (a 40-lane call costs 0.6-0.9 of the
+# array pass). 40 is not retuned to it: few calls fall in between (10 of 164
+# per paper_sweep op, 1 of 28 per bessel_probe op).
 _FEW_LANES = 40
 
 
@@ -74,10 +76,7 @@ class ScaledValue:
 
     @classmethod
     def from_float(cls, value: float, shift: int = 0) -> "ScaledValue":
-        if value == 0.0:
-            return cls(0.0, 0)
-        m, e = math.frexp(value)  # |m| in [0.5, 1)
-        return cls(2.0 * m, e - 1 + shift)
+        return cls(*_normalized(value, shift))
 
     def to_float(self) -> float:
         """Collapse to a double; returns +-inf / 0.0 outside double range."""
@@ -91,6 +90,15 @@ class ScaledValue:
         if other.mantissa == 0.0:
             raise ZeroDivisionError("ratio_to a zero ScaledValue")
         return _to_double(self.mantissa / other.mantissa, self.exponent2 - other.exponent2)
+
+
+def _normalized(value: float, shift: int = 0) -> tuple:
+    """value * 2**shift as (mantissa, exponent2), |mantissa| in [1, 2) or 0; a nan or
+    inf value keeps it as its mantissa."""
+    if value == 0.0:
+        return 0.0, 0
+    m, e = math.frexp(value)  # |m| in [0.5, 1)
+    return 2.0 * m, e - 1 + shift
 
 
 def _to_double(m: float, e: int) -> float:
@@ -266,17 +274,77 @@ def _range_error(n, alpha, x) -> ParameterError:
                           f"(n, alpha, x) = ({n}, {alpha!r}, {x!r})")
 
 
-def _evaluate(n, alpha, x, compensated: bool):
-    """Lane arrays (mantissas, exponents) of L_n^(alpha)(x), or a ScaledValue when no
-    input is an array: a float call is a one-lane array call."""
-    low = n.min(initial=0).item() if isinstance(n, np.ndarray) and n.dtype.kind in "iu" else n
+def _lane_shape(n, alpha, x):
+    """The broadcast shape of the inputs, or None where there is none or it is not 0-d or 1-D."""
+    try:
+        shape = np.broadcast_shapes(*(v.shape for v in (n, alpha, x) if isinstance(v, np.ndarray)))
+    except ValueError:
+        return None
+    return shape if len(shape) < 2 else None
+
+
+def _check_degree(low) -> None:
+    """Refuse a lowest degree that is not an int >= 0 (an array of other dtype stands as itself)."""
     if not isinstance(low, Integral) or isinstance(low, bool) or low < 0:
         raise ParameterError(f"degree must be an integer >= 0, got {low!r}")
+
+
+def _check_alpha(alpha):
+    """alpha as a float or a real-dtype array; anything else raises ParameterError."""
     if not isinstance(alpha, (float, bool, np.ndarray)) and isinstance(alpha, Real):
         alpha = _as_double(alpha)  # an int past int64 or a Fraction: no object-dtype array
-    lanes = np.asarray(alpha)  # the first bad lane's alpha stands for all
-    if lanes.dtype.kind not in "iuf" or not isinstance(alpha, (Real, np.ndarray)):
+    if not isinstance(alpha, float) and not (isinstance(alpha, np.ndarray)
+                                             and alpha.dtype.kind in "iuf"):
         raise ParameterError(f"alpha must be a finite real, got {alpha!r}")
+    return alpha
+
+
+def _evaluate(n, alpha, x, compensated: bool):
+    """Lane arrays (mantissas, exponents) of L_n^(alpha)(x), or a ScaledValue when no
+    input is an array: a float call is a one-lane call.
+
+    The calls that run the float-lane kernels (compensated calls, and plain calls
+    of fewer than _FEW_LANES lanes) pass the door on Python values, the others
+    on arrays; both make the same checks in the same order. Malformed shapes
+    take the array door, whose checks refuse them.
+    """
+    shape = _lane_shape(n, alpha, x)
+    if shape is None or not compensated and shape and shape[0] >= _FEW_LANES:
+        return _evaluate_array(n, alpha, x)
+    int_lanes = isinstance(n, np.ndarray) and n.dtype.kind in "iu"
+    degrees = n.reshape(-1).tolist() if int_lanes else [n]
+    _check_degree(min(degrees, default=0) if int_lanes else n)
+    alpha = _check_alpha(alpha)
+    alphas = alpha.reshape(-1).tolist() if isinstance(alpha, np.ndarray) else [float(alpha)]
+    for a in alphas:
+        if not a > -1.0 or a == math.inf:  # the first bad lane's alpha stands for all
+            raise ParameterError(f"alpha must be > -1, got {a!r}")
+    points = (np.asarray(x, dtype=float).reshape(-1).tolist() if isinstance(x, np.ndarray)
+              else [_check_point(x)])
+    size = shape[0] if shape else 1
+    degrees, alphas, points = (v if len(v) == size else v * size
+                               for v in (degrees, alphas, points))
+    for v in points:
+        if not v >= 0.0 or v == math.inf:
+            _check_point(v)  # the first bad lane raises its DomainError
+    kernel = _compensated_lane if compensated else _plain_lane
+    mantissas, exponents = [], []
+    for d, a, v in zip(degrees, alphas, points):
+        m, e = _normalized(*kernel(int(d), float(a), v)) if d else (1.0, 0)
+        mantissas.append(m)
+        exponents.append(e)
+    if shape:
+        return np.array(mantissas, dtype=float), np.array(exponents, dtype=np.int64)
+    if not math.isfinite(mantissas[0]):
+        raise _range_error(n, alpha, points[0])
+    return ScaledValue(mantissas[0], exponents[0])
+
+
+def _evaluate_array(n, alpha, x):
+    """_evaluate's door on arrays, for plain calls of _FEW_LANES lanes or more."""
+    _check_degree(n.min(initial=0).item() if isinstance(n, np.ndarray)
+                  and n.dtype.kind in "iu" else n)
+    lanes = np.asarray(_check_alpha(alpha))
     for a in lanes[~(lanes > -1.0) | np.isinf(lanes)][:1].tolist():
         raise ParameterError(f"alpha must be > -1, got {a!r}")
     points = np.asarray(x if isinstance(x, np.ndarray) else _check_point(x), dtype=float)
@@ -290,25 +358,14 @@ def _evaluate(n, alpha, x, compensated: bool):
                              f"{np.shape(n)}, {lanes.shape} and {points.shape}") from None
     # alpha lanes run in double, as their float calls do (a float32 lane would not)
     lanes = np.asarray(lanes, dtype=float)
-    degrees, lanes, points = (v if np.shape(v) == (shape or (1,)) else
-                              np.broadcast_to(v, shape or (1,)) for v in (n, lanes, points))
+    degrees, lanes, points = (v if np.shape(v) == shape else np.broadcast_to(v, shape)
+                              for v in (n, lanes, points))
     for bad in points[~(points >= 0.0) | np.isinf(points)][:1]:
         _check_point(float(bad))  # the first bad lane raises its DomainError
-    if compensated or points.size < _FEW_LANES:  # the array pass is plain only
-        kernel = _compensated_lane if compensated else _plain_lane
-        per_lane = zip(degrees.tolist(), lanes.tolist(), points.tolist())
-        value, shift = np.reshape([kernel(d, a, v) if d else (1.0, 0) for d, a, v in per_lane],
-                                  (-1, 2)).T
-    else:
-        value, shift = _recurrence(degrees, lanes, points)
-    m, e = np.frexp(value)  # ScaledValue.from_float, lane by lane
+    value, shift = _recurrence(degrees, lanes, points)
+    m, e = np.frexp(value)  # _normalized, lane by lane
     zero = value == 0.0
-    m, e = np.where(zero, 0.0, 2.0 * m), np.where(zero, 0, e - 1 + np.int64(shift))
-    if shape:
-        return m, e
-    if not math.isfinite(m[0]):
-        raise _range_error(n, alpha, points.item())
-    return ScaledValue(m.item(), e.item())
+    return np.where(zero, 0.0, 2.0 * m), np.where(zero, 0, e - 1 + shift)
 
 
 def laguerre_polynomial(n: int, alpha: float, x):
@@ -320,7 +377,7 @@ def laguerre_polynomial(n: int, alpha: float, x):
     broadcasting with x, give arrays (mantissas, exponents): lane i holds
     L_{n[i]}^(alpha[i])(x[i]), or for a lane that left double range, a nan or
     inf mantissa; an array of more dimensions raises ParameterError. A float
-    call (no array argument) is a one-lane array call that returns its lane
+    call (no array argument) is a one-lane call that returns its lane
     as a ScaledValue, or raises ParameterError where the lane left double range.
     """
     return _evaluate(n, alpha, x, compensated=False)
@@ -330,6 +387,6 @@ def laguerre_polynomial_compensated(n: int, alpha: float, x):
     """laguerre_polynomial to ~eps of the true value even near the clustered
     small zeros, by error-free transformations; used for zero certification.
 
-    Arrays run lane by lane on floats, about 1 ms per lane at n = 1000.
+    Arrays run lane by lane on floats, about 1.1-1.4 ms per lane at n = 1000.
     """
     return _evaluate(n, alpha, x, compensated=True)

@@ -48,6 +48,13 @@ class SpacingTable:
     uniform_bound: float | None
 
 
+def _alpha(a) -> float:
+    """a as a float; a bool is refused, as LaguerreParams refuses it."""
+    if isinstance(a, (bool, np.bool_)):
+        raise TypeError(f"alpha must be a finite real, got {a!r}")
+    return float(a)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid and options for one sweep run. Each value (parse_sweep_config's strings, say)
@@ -63,7 +70,7 @@ class SweepConfig:
     def __post_init__(self):
         for key, convert in (("n_values", lambda v: tuple(  # a config file's strings parse
                                  _degree(int(n) if isinstance(n, str) else n) for n in v)),
-                             ("alpha_values", lambda v: tuple(float(a) for a in v)),
+                             ("alpha_values", lambda v: tuple(_alpha(a) for a in v)),
                              ("checks", frozenset), ("epsilon", float), ("output_dir", Path)):
             value = getattr(self, key)
             try:

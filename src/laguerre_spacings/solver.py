@@ -12,6 +12,7 @@ from .errors import ConvergenceError, RefinementError
 from .laguerre import (
     LaguerreParams,
     _range_error,
+    _to_double,
     laguerre_polynomial,
     laguerre_polynomial_compensated,
 )
@@ -197,31 +198,39 @@ class ZeroSet:
 
 
 def _newton_correction(params: LaguerreParams, z: list, compensated: list):
-    """The Newton steps L/L' at the points z, via L' = -L_{n-1}^(alpha+1), the lowest
-    failed lane (len(z) if none) and its error (or None).
+    """The Newton steps L/L' at the points z before the lowest failed lane, via
+    L' = -L_{n-1}^(alpha+1), that lane (len(z) if none) and its error (or None).
 
     z and compensated are per-lane lists (points, and the evaluator mode). One
     plain pass gives every lane's numerator and derivative; the compensated
     lanes then sharpen the numerator only: the derivative is far from its own
-    zeros here, so its plain relative accuracy is plenty.
+    zeros here, so its plain relative accuracy is plenty. The glue runs on
+    Python floats: most rounds have a few lanes, where numpy's dispatch would
+    cost more than the arithmetic.
     """
     n, alpha, size = params.n, params.alpha, len(z)
-    both, both_e = laguerre_polynomial(np.repeat([n, n - 1], size),
-                                       np.repeat([alpha, alpha + 1.0], size), np.array(z + z))
+    both, both_e = laguerre_polynomial(np.array([n, n - 1]).repeat(size),
+                                       np.array([alpha, alpha + 1.0]).repeat(size), np.array(z + z))
+    both, both_e = both.tolist(), both_e.tolist()
     mant, expo, dmant, dexpo = both[:size], both_e[:size], both[size:], both_e[size:]
     if any(compensated):
-        lanes = np.array(compensated)
-        mant[lanes], expo[lanes] = laguerre_polynomial_compensated(n, alpha, np.array(z)[lanes])
-    with np.errstate(all="ignore"):  # as ScaledValue.ratio_to: +0.0 for a zero quotient
-        steps = (-np.ldexp(mant / dmant + 0.0, expo - dexpo)).tolist()
-    bad = ~np.isfinite(mant) | ~np.isfinite(dmant) | (dmant == 0.0)
-    for j in np.flatnonzero(bad)[:1].tolist():  # the lowest, as its float calls fail
-        if not np.isfinite(mant[j]):
-            return steps, j, _range_error(n, alpha, z[j])
-        if not np.isfinite(dmant[j]):
-            return steps, j, _range_error(n - 1, alpha + 1.0, z[j])
-        return steps, j, RefinementError(f"derivative vanished at {z[j]!r} during refinement")
-    return steps, size, None
+        sharp = [i for i, c in enumerate(compensated) if c]
+        m, e = laguerre_polynomial_compensated(n, alpha, np.array([z[i] for i in sharp]))
+        for i, mi, ei in zip(sharp, m.tolist(), e.tolist()):
+            mant[i], expo[i] = mi, ei
+    steps = []
+    for m, e, dm, de in zip(mant, expo, dmant, dexpo):
+        if not (math.isfinite(m) and math.isfinite(dm) and dm != 0.0):
+            break
+        steps.append(-_to_double(m / dm, e - de))  # as ScaledValue.ratio_to: +0.0 for 0 / dm
+    first = len(steps)  # the lowest failed lane, as its float calls fail
+    if first == size:
+        return steps, size, None
+    if not math.isfinite(mant[first]):
+        return steps, first, _range_error(n, alpha, z[first])
+    if not math.isfinite(dmant[first]):
+        return steps, first, _range_error(n - 1, alpha + 1.0, z[first])
+    return steps, first, RefinementError(f"derivative vanished at {z[first]!r} during refinement")
 
 
 def _duplicate_guard(values: np.ndarray) -> None:

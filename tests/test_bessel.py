@@ -92,6 +92,10 @@ class TestZeros:
         with pytest.raises(DomainError):
             bessel_zero(alpha, k)
 
+    def test_numpy_integer_rank(self):
+        # Refused as "rank must be an integer" where a degree may be any Integral.
+        assert bessel_zero(0.5, np.int64(2)) == bessel_zero(0.5, 2)
+
 
 class TestTable:
     def test_strictly_increasing(self):
@@ -106,6 +110,10 @@ class TestTable:
             bessel_zero_table(0.0, 0)
         with pytest.raises(DomainError):
             bessel_zero_table(0.0, True)
+
+    def test_numpy_integer_count(self):
+        table = bessel_zero_table(0.5, np.int64(3))
+        assert table.zeros.tobytes() == bessel_zero_table(0.5, 3).zeros.tobytes()
 
 
 class TestGapFacts:
@@ -183,6 +191,11 @@ class TestLimitProbe:
             limit_probe(0.5, 1, [])
         with pytest.raises(ParameterError):
             limit_probe(0.5, True, [3, 10])
+
+    def test_numpy_integer_rank(self):
+        probe = limit_probe(0.5, np.int64(1), [10])
+        assert type(probe.k) is int
+        assert probe.scaled_spacings.tobytes() == limit_probe(0.5, 1, [10]).scaled_spacings.tobytes()
 
     @pytest.mark.parametrize("degree", [40.9, "x", True])
     def test_degree_must_be_an_integer(self, degree):

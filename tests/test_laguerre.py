@@ -173,7 +173,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     def test_numpy_scalar_alpha_runs_in_double_precision(self, evaluator):
-        # a float call is a one-lane array call, so a float32 alpha is widened
+        # a float call is a one-lane call, so a float32 alpha is widened
         # as an array lane's is, not carried through float32 arithmetic
         assert evaluator(7, np.float32(0.5), 3.0) == evaluator(7, 0.5, 3.0)
 
@@ -226,10 +226,6 @@ class TestArrayLanes:
         (1, 2.0, lambda: np.arange(17.0)),  # one step; L_1(3) is an exact zero
         (0, 2.0, lambda: np.linspace(0.0, 40.0, 17)),  # no recurrence step
         (50, 1.0, lambda: np.array([0.0, 3.0, 30.0, 150.0])),  # short: lanes run on floats
-        # either side of the plain mode's switch from float lanes to the array pass
-        (1000, -0.5, partial(np.linspace, 0.0, 3900.0, _FEW_LANES - 1)),
-        (1000, -0.5, partial(np.linspace, 0.0, 3900.0, _FEW_LANES)),
-        (1000, -0.5, partial(np.linspace, 0.0, 3900.0, _FEW_LANES + 1)),
     ])
     def test_lanes_match_pointwise_calls(self, evaluator, n, alpha, make_points):
         points = make_points()
@@ -237,6 +233,52 @@ class TestArrayLanes:
         pointwise = [evaluator(n, alpha, float(x)) for x in points]
         assert mantissas.tobytes() == np.array([sv.mantissa for sv in pointwise]).tobytes()
         assert exponents.tolist() == [sv.exponent2 for sv in pointwise]
+
+    # Either side of the plain mode's switch from the float-lane door to the array door.
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    @pytest.mark.parametrize("size", [1, _FEW_LANES - 1, _FEW_LANES, _FEW_LANES + 1])
+    def test_door_outputs_match_across_lane_counts(self, evaluator, size):
+        # Lane 0 is L_0 and the last lane leaves double range; a one-lane call takes each alone.
+        ordinary = [(1000, -0.5, x) for x in np.linspace(0.0, 3900.0, size).tolist()]
+        degree_zero, out_of_range = (0, 2.0, 7.0), (200, 1e200, 1.0)
+        calls = ([[lane] for lane in ordinary + [degree_zero, out_of_range]] if size == 1
+                 else [[degree_zero] + ordinary[1:-1] + [out_of_range]])
+        lost = evaluator(np.array([200]), np.array([1e200]), np.array([1.0]))
+        for lanes in calls:
+            mantissas, exponents = evaluator(*(np.array(v) for v in zip(*lanes)))
+            assert mantissas.dtype == np.float64 and exponents.dtype == np.int64
+            if lanes[-1] == out_of_range:
+                assert not math.isfinite(lost[0][0])
+                assert (mantissas[-1:].tobytes(), exponents[-1]) == (lost[0].tobytes(), lost[1][0])
+                lanes, mantissas, exponents = lanes[:-1], mantissas[:-1], exponents[:-1]
+            pointwise = [evaluator(*lane) for lane in lanes]
+            assert mantissas.tobytes() == np.array([sv.mantissa for sv in pointwise]).tobytes()
+            assert exponents.tolist() == [sv.exponent2 for sv in pointwise]
+
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    @pytest.mark.parametrize("key,value,kind", [
+        ("x", -1.0, DomainError), ("x", math.nan, DomainError), ("x", math.inf, DomainError),
+        ("alpha", -1.0, ParameterError), ("alpha", math.nan, ParameterError),
+        ("alpha", math.inf, ParameterError), ("n", -1, ParameterError),
+        ("n", True, ParameterError),
+    ])
+    def test_door_errors_match_across_lane_counts(self, evaluator, key, value, kind):
+        # A float call, then calls of 1, _FEW_LANES - 1 and _FEW_LANES + 1 lanes
+        # whose last lane is bad (a bool degree stays a scalar: an array of them
+        # is an array of another dtype).
+        errors = set()
+        for size in (None, 1, _FEW_LANES - 1, _FEW_LANES + 1):
+            call = {"n": 5, "alpha": 0.5, "x": 1.5}
+            if size is not None:
+                call["x"] = np.linspace(0.0, 9.0, size)
+            if size is None or value is True:
+                call[key] = value
+            else:
+                call[key] = np.append(np.resize(call[key], size - 1), value)
+            with pytest.raises(kind) as info:
+                evaluator(**call)
+            errors.add((type(info.value), str(info.value)))
+        assert len(errors) == 1, errors
 
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     @pytest.mark.parametrize("n,alpha,points", [

@@ -139,6 +139,13 @@ class TestSweepConfig:
             SweepConfig(n_values=(10, degree), alpha_values=(1.0,))
         assert SweepConfig(n_values=(np.int64(10), "3"), alpha_values=(1.0,)).n_values == (10, 3)
 
+    @pytest.mark.parametrize("alpha", [True, False, np.True_])
+    def test_alpha_must_not_be_a_bool(self, alpha):
+        # float() ran True as alpha = 1.0, where LaguerreParams(10, True) refuses it.
+        with pytest.raises(ParameterError, match=re.escape(
+                f"malformed alpha_values: alpha must be a finite real, got {alpha!r}")):
+            SweepConfig(n_values=(10,), alpha_values=(1.0, alpha))
+
     @pytest.mark.parametrize("key,text", [
         ("n_values", "10"), ("alpha_values", "15"), ("checks", "bethe")])
     def test_string_for_a_list_is_malformed(self, key, text):

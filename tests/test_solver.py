@@ -23,7 +23,7 @@ from laguerre_spacings import (
     zeros,
 )
 from laguerre_spacings.bounds import edge_params, krasikov_window
-from laguerre_spacings.laguerre import laguerre_polynomial_compensated
+from laguerre_spacings.laguerre import _FEW_LANES, laguerre_polynomial_compensated
 
 # Roots of x^3 - 9x^2 + 18x - 6 frozen from a 200-step bisection oracle
 # (the monic form of the degree-3, alpha=0 case).
@@ -266,6 +266,37 @@ class TestRefineAgainstReference:
                             lambda *args: calls.append(1) or plain(*args))
         refine(LaguerreParams(n, alpha), ql_seeds(n, alpha))
         assert len(calls) == rounds
+
+
+class TestNewtonCorrection:
+    """A round of fewer than _FEW_LANES lanes, whose evaluations take the float-lane
+    door, and a longer one, whose plain pass takes the array door, agree."""
+
+    @pytest.mark.parametrize("n,alpha,bad,error", [
+        (2, 0.0, None, None),
+        (2, 0.0, 2.0, "derivative vanished at 2.0 during refinement"),  # L_1^(1)(2) = 0
+        (3, 1e150, 1e155, "left double range at (n, alpha, x) = (3, 1e+150, 1e+155)"),
+    ])
+    def test_few_and_many_lane_rounds_agree(self, monkeypatch, n, alpha, bad, error):
+        plain = solver.laguerre_polynomial
+
+        def huge_at_7(degrees, alphas, x):  # L(7) 2**1100 times larger: the step overflows
+            mantissas, exponents = plain(degrees, alphas, x)
+            return mantissas, np.where((degrees == n) & (x == 7.0), exponents + 1100, exponents)
+
+        monkeypatch.setattr(solver, "laguerre_polynomial", huge_at_7)
+        ordinary = [0.5, 7.0, 1.5, 0.25, 7.0 + 1e-9]
+        few = ordinary + ([bad] if bad else []) + ordinary + ([bad] if bad else [])
+        rounds = []
+        for z in (few, few + ordinary * _FEW_LANES):
+            steps, first, err = solver._newton_correction(
+                LaguerreParams(n, alpha), z, [i % 3 == 2 for i in range(len(z))])
+            rounds.append((np.array(steps[:len(few)]).tobytes(), first if bad else first - len(z),
+                           type(err), str(err)))
+            assert len(steps) == first == (len(ordinary) if bad else len(z))
+            assert steps[1] == math.copysign(math.inf, steps[4]) and math.isfinite(steps[4])
+        assert rounds[0] == rounds[1]
+        assert (error or "None") in rounds[0][3]
 
 
 class TestZeros:
