@@ -26,8 +26,10 @@ _RESCALE_LO = 2.0**-512
 # Shorter plain arrays run lane by lane on floats, where numpy's per-call
 # cost dominates. Measured break-even for refine's stacked plain pass at n in
 # {20, 40, 100, 1000}: about 48-56 lanes (a 40-lane call costs 0.6-0.9 of the
-# array pass). 40 is not retuned to it: few calls fall in between (10 of 164
-# per paper_sweep op, 1 of 28 per bessel_probe op).
+# array pass), or more: that was measured on numpy checks, and the door's list
+# checks add 2-15 µs to a 40-80-lane array pass. 40 is not retuned to it: few
+# calls fall in between (10 of 164 per paper_sweep op, 1 of 28 per
+# bessel_probe op).
 _FEW_LANES = 40
 
 
@@ -275,12 +277,17 @@ def _range_error(n, alpha, x) -> ParameterError:
 
 
 def _lane_shape(n, alpha, x):
-    """The broadcast shape of the inputs, or None where there is none or it is not 0-d or 1-D."""
+    """The broadcast shape of the checked inputs, () or (size,); ParameterError for
+    an array of more dimensions or arrays that do not broadcast."""
+    shapes = [v.shape for v in (n, alpha, x) if isinstance(v, np.ndarray)]
+    if any(len(shape) > 1 for shape in shapes):
+        raise ParameterError(f"lane arrays must be 1-D, got shapes "
+                             f"{np.shape(n)}, {np.shape(alpha)} and {np.shape(x)}")
     try:
-        shape = np.broadcast_shapes(*(v.shape for v in (n, alpha, x) if isinstance(v, np.ndarray)))
+        return np.broadcast_shapes(*shapes)
     except ValueError:
-        return None
-    return shape if len(shape) < 2 else None
+        raise ParameterError(f"lane arrays do not broadcast, got shapes "
+                             f"{np.shape(n)}, {np.shape(alpha)} and {np.shape(x)}") from None
 
 
 def _check_degree(low) -> None:
@@ -303,14 +310,11 @@ def _evaluate(n, alpha, x, compensated: bool):
     """Lane arrays (mantissas, exponents) of L_n^(alpha)(x), or a ScaledValue when no
     input is an array: a float call is a one-lane call.
 
-    The calls that run the float-lane kernels (compensated calls, and plain calls
-    of fewer than _FEW_LANES lanes) pass the door on Python values, the others
-    on arrays; both make the same checks in the same order. Malformed shapes
-    take the array door, whose checks refuse them.
+    Every call passes one door on Python values (tolist()): the degree, alpha
+    and point checks, then the lanes. Compensated calls and plain calls of
+    fewer than _FEW_LANES lanes run the float-lane kernels; longer plain calls
+    run _recurrence on arrays built from the checked lanes.
     """
-    shape = _lane_shape(n, alpha, x)
-    if shape is None or not compensated and shape and shape[0] >= _FEW_LANES:
-        return _evaluate_array(n, alpha, x)
     int_lanes = isinstance(n, np.ndarray) and n.dtype.kind in "iu"
     degrees = n.reshape(-1).tolist() if int_lanes else [n]
     _check_degree(min(degrees, default=0) if int_lanes else n)
@@ -319,14 +323,21 @@ def _evaluate(n, alpha, x, compensated: bool):
     for a in alphas:
         if not a > -1.0 or a == math.inf:  # the first bad lane's alpha stands for all
             raise ParameterError(f"alpha must be > -1, got {a!r}")
-    points = (np.asarray(x, dtype=float).reshape(-1).tolist() if isinstance(x, np.ndarray)
-              else [_check_point(x)])
+    x = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else _check_point(x)
+    points = x.reshape(-1).tolist() if isinstance(x, np.ndarray) else [x]
+    shape = _lane_shape(n, alpha, x)
     size = shape[0] if shape else 1
     degrees, alphas, points = (v if len(v) == size else v * size
                                for v in (degrees, alphas, points))
     for v in points:
         if not v >= 0.0 or v == math.inf:
             _check_point(v)  # the first bad lane raises its DomainError
+    if not compensated and size >= _FEW_LANES:
+        value, shift = _recurrence(np.array(degrees, dtype=np.int64),
+                                   np.array(alphas, dtype=float), np.array(points))
+        m, e = np.frexp(value)  # _normalized, lane by lane
+        zero = value == 0.0
+        return np.where(zero, 0.0, 2.0 * m), np.where(zero, 0, e - 1 + shift)
     kernel = _compensated_lane if compensated else _plain_lane
     mantissas, exponents = [], []
     for d, a, v in zip(degrees, alphas, points):
@@ -338,34 +349,6 @@ def _evaluate(n, alpha, x, compensated: bool):
     if not math.isfinite(mantissas[0]):
         raise _range_error(n, alpha, points[0])
     return ScaledValue(mantissas[0], exponents[0])
-
-
-def _evaluate_array(n, alpha, x):
-    """_evaluate's door on arrays, for plain calls of _FEW_LANES lanes or more."""
-    _check_degree(n.min(initial=0).item() if isinstance(n, np.ndarray)
-                  and n.dtype.kind in "iu" else n)
-    lanes = np.asarray(_check_alpha(alpha))
-    for a in lanes[~(lanes > -1.0) | np.isinf(lanes)][:1].tolist():
-        raise ParameterError(f"alpha must be > -1, got {a!r}")
-    points = np.asarray(x if isinstance(x, np.ndarray) else _check_point(x), dtype=float)
-    if max(getattr(n, "ndim", 0), lanes.ndim, points.ndim) > 1:  # n is an int or an array
-        raise ParameterError(f"lane arrays must be 1-D, got shapes "
-                             f"{np.shape(n)}, {lanes.shape} and {points.shape}")
-    try:
-        shape = np.broadcast(n, lanes, points).shape
-    except ValueError:
-        raise ParameterError(f"lane arrays do not broadcast, got shapes "
-                             f"{np.shape(n)}, {lanes.shape} and {points.shape}") from None
-    # alpha lanes run in double, as their float calls do (a float32 lane would not)
-    lanes = np.asarray(lanes, dtype=float)
-    degrees, lanes, points = (v if np.shape(v) == shape else np.broadcast_to(v, shape)
-                              for v in (n, lanes, points))
-    for bad in points[~(points >= 0.0) | np.isinf(points)][:1]:
-        _check_point(float(bad))  # the first bad lane raises its DomainError
-    value, shift = _recurrence(degrees, lanes, points)
-    m, e = np.frexp(value)  # _normalized, lane by lane
-    zero = value == 0.0
-    return np.where(zero, 0.0, 2.0 * m), np.where(zero, 0, e - 1 + shift)
 
 
 def laguerre_polynomial(n: int, alpha: float, x):

@@ -234,7 +234,7 @@ class TestArrayLanes:
         assert mantissas.tobytes() == np.array([sv.mantissa for sv in pointwise]).tobytes()
         assert exponents.tolist() == [sv.exponent2 for sv in pointwise]
 
-    # Either side of the plain mode's switch from the float-lane door to the array door.
+    # Either side of the plain mode's switch from the float-lane kernels to _recurrence.
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     @pytest.mark.parametrize("size", [1, _FEW_LANES - 1, _FEW_LANES, _FEW_LANES + 1])
     def test_door_outputs_match_across_lane_counts(self, evaluator, size):

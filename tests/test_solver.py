@@ -269,8 +269,8 @@ class TestRefineAgainstReference:
 
 
 class TestNewtonCorrection:
-    """A round of fewer than _FEW_LANES lanes, whose evaluations take the float-lane
-    door, and a longer one, whose plain pass takes the array door, agree."""
+    """A round of fewer than _FEW_LANES lanes, whose evaluations run the float-lane
+    kernels, and a longer one, whose plain pass runs _recurrence, agree."""
 
     @pytest.mark.parametrize("n,alpha,bad,error", [
         (2, 0.0, None, None),
