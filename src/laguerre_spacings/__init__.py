@@ -1,10 +1,10 @@
 """Zeros of generalized Laguerre polynomials and their spacing bounds.
 
-The package computes all zeros of L_n^(alpha) for alpha > -1 via an in-repo
-symmetric tridiagonal eigensolver plus Newton certification, checks the
-pairwise inverse-square identity satisfied at every zero, evaluates the
-closed-form spacing and extreme-zero bounds, and reproduces the
-spacing-versus-bound sweep data through a small CLI.
+The package computes all zeros of L_n^(alpha) for degrees 1 <= n <= 2**14
+and alpha > -1 via an in-repo symmetric tridiagonal eigensolver plus Newton
+certification, checks the pairwise inverse-square identity satisfied at
+every zero, evaluates the closed-form spacing and extreme-zero bounds, and
+reproduces the spacing-versus-bound sweep data through a small CLI.
 """
 
 from .bessel import (

@@ -16,10 +16,12 @@ from laguerre_spacings import (
     LaguerreParams,
     ParameterError,
     ScaledValue,
+    laguerre,
     laguerre_polynomial,
+    zeros,
 )
 from laguerre_spacings.bounds import edge_params
-from laguerre_spacings.laguerre import _FEW_LANES, laguerre_polynomial_compensated
+from laguerre_spacings.laguerre import _FEW_LANES, _MAX_DEGREE, laguerre_polynomial_compensated
 
 
 def product_formula_at_zero(n: int, alpha: float) -> ScaledValue:
@@ -426,3 +428,216 @@ class TestOracleOnWindowGrid:
                 exact = mp.laguerre(n, alpha, x)
                 scale = max(abs(exact), abs(x * mp.laguerre(n - 1, alpha + 1, x)))
                 assert abs(mp.ldexp(m, e) - exact) <= 1e-12 * scale, x
+
+
+class TestDegreeLimit:
+    """Every degree door refuses a degree past _MAX_DEGREE with a ParameterError
+    naming it and the limit, before any work sized by the degree."""
+
+    def test_params(self):
+        assert LaguerreParams(_MAX_DEGREE, 1.0).n == _MAX_DEGREE
+        for n in (_MAX_DEGREE + 1, 2**40):
+            with pytest.raises(ParameterError, match=f"degree must be <= {_MAX_DEGREE}, got {n}$"):
+                LaguerreParams(n, 1.0)
+
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    @pytest.mark.parametrize("n", [_MAX_DEGREE + 1, 2**63, 2**70, np.uint64(2**63),
+                                   np.array([3, _MAX_DEGREE + 1]), np.array([2**63], dtype=np.uint64)])
+    def test_evaluators(self, evaluator, n):
+        # an empty x does no step, so a missing check returns instead of hanging
+        high = int(np.max(n))
+        with pytest.raises(ParameterError, match=f"degree must be <= {_MAX_DEGREE}, got {high}$"):
+            evaluator(n, 0.5, np.array([]))
+        with pytest.raises(ParameterError, match=f"degree must be <= {_MAX_DEGREE}, got {high}$"):
+            evaluator(n, 0.5, np.ones(60) if np.ndim(n) == 0 else np.ones(np.size(n)))
+
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    def test_limit_itself_evaluates(self, evaluator):
+        assert math.isfinite(evaluator(_MAX_DEGREE, 0.5, 1.0).mantissa)
+        assert evaluator(np.array([_MAX_DEGREE]), 0.5, np.array([]))[0].size == 0
+
+    def test_sweep_config_and_limit_probe(self):
+        from laguerre_spacings.bessel import limit_probe
+        from laguerre_spacings.report import SweepConfig
+
+        with pytest.raises(ParameterError, match=f"malformed n_values: degree must be <= {_MAX_DEGREE}"):
+            SweepConfig(n_values=(10, 2**40), alpha_values=(1.0,))
+        with pytest.raises(ParameterError, match=f"degree must be <= {_MAX_DEGREE}, got {2**40}"):
+            limit_probe(0.5, 1, (20, 2**40))
+
+
+def _reference_plain_lane(n, alpha, x):
+    """_plain_lane as a loop that forms every step term itself (no step table)."""
+    hi, lo = laguerre._RESCALE_HI, laguerre._RESCALE_LO
+    shift, prev, cur, k = 0, 1.0, alpha + 1.0 - x, 1.0
+    for _ in range(n - 1):
+        k1 = k + 1.0
+        prev, cur = cur, ((k + k1 + alpha - x) * cur - (k + alpha) * prev) / k1
+        k = k1
+        if not lo <= abs(cur) <= hi:
+            m = max(abs(prev), abs(cur))
+            if m > hi or 0.0 < m < lo:
+                e = math.frexp(m)[1]
+                prev, cur, shift = math.ldexp(prev, -e), math.ldexp(cur, -e), shift + e
+    return cur, shift
+
+
+def _reference_compensated_lane(n, alpha, x):
+    """_compensated_lane as a loop that forms every step term itself (no step table)."""
+    hi, lo, ldexp = laguerre._RESCALE_HI, laguerre._RESCALE_LO, math.ldexp
+    split = 134217729.0
+
+    def two_sum(a, b):
+        s = a + b
+        bb = s - a
+        return s, (a - (s - bb)) + (b - bb)
+
+    def halves(a):
+        t = split * a
+        h = t - (t - a)
+        return h, a - h
+
+    def two_prod_err(ah, al, bh, bl, p):  # the error of the product p of ah + al and bh + bl
+        return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+    nx = -x
+    s, e1 = two_sum(alpha, 1.0)
+    cur, e2 = two_sum(s, nx)
+    shift, prev, prev_c, cur_c = 0, 1.0, 0.0, e1 + e2
+    ph, pl, k = 1.0, 0.0, 1.0
+    for _ in range(n - 1):
+        k1 = k + 1.0
+        s, e0 = two_sum(k + k1, alpha)
+        a_main, e = two_sum(s, nx)
+        a_err = e0 + e
+        b_main, b_err = two_sum(k, alpha)
+        t1 = a_main * cur
+        ah, al = halves(a_main)
+        ch, cl = halves(cur)
+        t1e = two_prod_err(ah, al, ch, cl, t1) + (a_main * cur_c + a_err * cur)
+        t2 = b_main * prev
+        bh, bl = halves(b_main)
+        t2e = two_prod_err(bh, bl, ph, pl, t2) + (b_main * prev_c + b_err * prev)
+        num, num_e = two_sum(t1, -t2)
+        num_e += t1e - t2e
+        q = num / k1
+        qc = q * k1
+        qh, ql = halves(q)
+        kh, kl = halves(k1)
+        q_err = ((num - qc) - two_prod_err(qh, ql, kh, kl, qc) + num_e) / k1
+        prev, prev_c, ph, pl = cur, cur_c, ch, cl
+        cur, cur_c = two_sum(q, q_err)
+        k = k1
+        if not lo <= abs(cur) <= hi:
+            m = max(abs(prev), abs(cur))
+            if m > hi or 0.0 < m < lo:
+                e = math.frexp(m)[1]
+                prev, cur, shift = ldexp(prev, -e), ldexp(cur, -e), shift + e
+                prev_c, cur_c = ldexp(prev_c, -e), ldexp(cur_c, -e)
+                ph, pl = halves(prev)
+    return cur + cur_c, shift
+
+
+# Lanes that rescale partway through a table (n = 200, alpha = 1e4), the
+# clustered small zeros, every-step rescaling and a split that overflows.
+TABLE_LANES = ([(200, 1e4, x) for x in np.linspace(0.0, 3e4, 13).tolist()]
+               + [(200, 0.5, x) for x in np.concatenate(([0.0], zeros(LaguerreParams(200, 0.5)).zeros[:8])).tolist()]
+               + [(30, 1e100, 1e99), (5, 1e120, 3e120), (30, 1.0, 1e130), (4, 1.5e300, 1.0),
+                  (1000, -0.5, 0.001), (3, -1.0 + 2.0**-52, 0.0), (2, 0.0, 2.0), (2, -0.0, 2.0)])
+
+
+def _bits(value, shift):
+    return np.float64(value).tobytes(), shift
+
+
+class TestStepTables:
+    """The lane kernels read per-(degree, alpha) step tables from a bounded cache;
+    the bits are those of a loop that forms every term itself, whatever the cache holds."""
+
+    KERNELS = [(laguerre._plain_lane, _reference_plain_lane, laguerre._plain_steps),
+               (laguerre._compensated_lane, _reference_compensated_lane, laguerre._compensated_steps)]
+
+    @pytest.mark.parametrize("kernel,reference,table", KERNELS)
+    def test_kernels_match_the_loop(self, kernel, reference, table):
+        want = [_bits(*reference(*lane)) for lane in TABLE_LANES]
+        table.cache_clear()
+        cold = [_bits(*kernel(*lane)) for lane in TABLE_LANES]  # a table built for each key
+        warm = [_bits(*kernel(*lane)) for lane in TABLE_LANES[::-1]][::-1]
+        assert cold == want and warm == want
+
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    def test_more_keys_than_the_cache_holds(self, evaluator):
+        keys = [(n, a) for n in (1, 2, 40, 200) for a in (-0.5, 0.0, -0.0, 3.0, 1e4)]
+        assert len(keys) > 3 * laguerre._TABLES
+        points = np.array([0.0, 0.7, 3.0, 250.0, 2.5e4])
+
+        def outcome(order):
+            got = {}
+            for n, a in order:  # a float call and a short array call (the lane kernels)
+                sv = evaluator(n, a, 3.0)
+                m, e = evaluator(n, a, points)
+                got[n, a] = (sv.mantissa, sv.exponent2, m.tobytes(), e.tobytes())
+            return got
+
+        first = outcome(keys)
+        assert outcome(keys[::-1]) == first
+        laguerre._plain_steps.cache_clear()
+        laguerre._compensated_steps.cache_clear()
+        assert outcome(keys) == first
+        for n, a in keys:
+            if n:
+                reference = (_reference_compensated_lane if evaluator is laguerre_polynomial_compensated
+                             else _reference_plain_lane)
+                assert ScaledValue.from_float(*reference(n, a, 3.0)) == ScaledValue(*first[n, a][:2])
+
+    def test_cache_is_bounded(self):
+        for table in (laguerre._plain_steps, laguerre._compensated_steps):
+            for n in range(2, 3 * laguerre._TABLES + 2):
+                table(n, 0.5)
+            info = table.cache_info()
+            assert info.maxsize == laguerre._TABLES and info.currsize == laguerre._TABLES
+
+    def test_tables_are_immutable_and_sized_by_degree(self):
+        for table, width in ((laguerre._plain_steps, 3), (laguerre._compensated_steps, 9)):
+            rows = table(40, 0.5)
+            assert isinstance(rows, tuple) and len(rows) == 39
+            assert all(isinstance(row, tuple) and len(row) == width for row in rows)
+            assert table(1, 0.5) == ()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=300),
+           alpha=st.one_of(st.floats(min_value=-1.0, max_value=1e4, exclude_min=True),
+                           st.floats(min_value=1e4, max_value=1e300)),
+           x=st.one_of(st.floats(min_value=0.0, max_value=1e4), st.floats(min_value=0.0, max_value=1e300)))
+    def test_kernels_match_the_loop_anywhere(self, n, alpha, x):
+        for kernel, reference, _ in self.KERNELS:
+            assert _bits(*kernel(n, alpha, x)) == _bits(*reference(n, alpha, x))
+
+
+class TestArrayPassInputs:
+    """The array pass runs on the caller's checked arrays where they hold every lane."""
+
+    def test_inputs_are_left_unchanged(self):
+        degrees = np.repeat([200, 199], 40)
+        alphas, x = np.repeat([1e4, 1e4 + 1.0], 40), np.tile(np.linspace(0.0, 3e4, 40), 2)
+        copies = degrees.copy(), alphas.copy(), x.copy()
+        laguerre_polynomial(degrees, alphas, x)
+        for got, want in zip((degrees, alphas, x), copies):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n,alpha", [(200, 1e4), (200, 0.5), (30, 1e100)])
+    def test_strided_and_narrow_arrays_match_contiguous_ones(self, n, alpha):
+        wide = np.linspace(0.0, 3.0 * (n + alpha), 2 * _FEW_LANES + 2)
+        degrees, alphas = np.full(wide.size, n), np.full(wide.size, alpha)
+        want = laguerre_polynomial(degrees[::2].copy(), alphas[::2].copy(), wide[::2].copy())
+        for args in ((degrees[::2], alphas[::2], wide[::2]),
+                     (degrees[::2].astype(np.int32), alphas[::2], wide[::2]),
+                     (n, alpha, wide[::2]), (np.array([n]), np.array([alpha]), wide[::2])):
+            got = laguerre_polynomial(*args)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    def test_one_lane_arrays_broadcast_against_empty(self, evaluator):
+        for n, alpha in ((np.array([3]), 0.5), (3, np.array([0.5])), (np.array([3]), np.array([0.5]))):
+            mantissas, exponents = evaluator(n, alpha, np.array([]))
+            assert mantissas.shape == exponents.shape == (0,)
