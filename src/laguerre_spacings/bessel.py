@@ -22,7 +22,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .laguerre import LaguerreParams, _degree
+from .laguerre import LaguerreParams, _alpha, _degree
 from .solver import JacobiMatrix, eigen_zeros
 from .solver import zeros as solve_zeros
 
@@ -39,13 +39,11 @@ def _is_rank(value, top: int) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool) and 1 <= value <= top
 
 
-def _require_alpha(alpha: float) -> float:
-    if (isinstance(alpha, bool) or not isinstance(alpha, (int, float))
-            or not math.isfinite(alpha)):
-        raise DomainError(f"alpha must be a finite real, got {alpha!r}")
-    if not -1.0 < alpha <= 1.0:
+def _require_alpha(alpha) -> float:
+    alpha = _alpha(alpha, DomainError)
+    if alpha > 1.0:
         raise DomainError(f"alpha must lie in (-1, 1], got {alpha}")
-    return float(alpha)
+    return alpha
 
 
 def _ikebe_even_block(alpha: float) -> JacobiMatrix:
@@ -156,7 +154,7 @@ def limit_probe(alpha: float, k: int, n_grid) -> LimitProbe:
     spectrum); requires k+1 <= min(n_grid) so the spacing exists everywhere.
     """
     alpha = _require_alpha(alpha)
-    grid = tuple(_degree(n) for n in n_grid)
+    grid = tuple(_degree(n, 1) for n in n_grid)
     if not grid:
         raise ParameterError("degree grid is empty")
     if not _is_rank(k, MAX_RANK - 1):

@@ -85,8 +85,8 @@ def cmd_verify(args) -> int:
     _print_flag(params)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     bad = set(checks) - report.ASSERTED_CHECKS
-    if bad:
-        print(f"unknown checks: {sorted(bad)}", file=sys.stderr)
+    if bad or not checks:
+        print(f"unknown checks: {sorted(bad)}" if bad else "no checks given", file=sys.stderr)
         return 2
     pair = report.check_pair(params, checks)
     for check in checks:  # in the user's order, repeats included

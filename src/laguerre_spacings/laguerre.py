@@ -28,8 +28,7 @@ _RESCALE_LO = 2.0**-512
 # per-call cost dominates. Measured break-even for refine's stacked plain pass
 # (each kernel timed on the same calls, min of 15): about 50-56 lanes at n in
 # {20, 40, 100} and 56-64 at n = 1000; on the array pass a 40-lane call costs
-# 1.21-1.34 and a 48-lane one 1.04-1.16 of the lane kernels. 48 sits just
-# under it, so that the 48-lane calls the tests send to the array pass stay there.
+# 1.21-1.34 and a 48-lane one 1.04-1.16 of the lane kernels. 48 sits just under it.
 _FEW_LANES = 48
 # The largest degree any door accepts, set by the lane kernels' step tables:
 # at this degree a plain table takes 2.3 MB and a compensated one 5.5 MB (143
@@ -48,14 +47,43 @@ _BLOCK_LANES = 256
 _BLOCK = 8192
 
 
-def _degree(n) -> int:
-    """n as an int; a value that is not Integral, or a bool, or one past _MAX_DEGREE
-    raises ParameterError naming it."""
+def _degree(n, low: int) -> int:
+    """n as an int in low.._MAX_DEGREE; a value that is not Integral, or a bool, or one
+    out of that range raises ParameterError naming it."""
     if not isinstance(n, Integral) or isinstance(n, bool):
         raise ParameterError(f"degree must be an integer, got {n!r}")
+    if n < low:
+        raise ParameterError(f"degree must be >= {low}, got {int(n)}")
     if n > _MAX_DEGREE:
         raise ParameterError(f"degree must be <= {_MAX_DEGREE}, got {int(n)}")
     return int(n)
+
+
+def _alpha(a, error=ParameterError) -> float:
+    """a as a double: a non-bool real, finite and > -1; anything else raises error
+    naming it."""
+    try:
+        value = float(a) if isinstance(a, Real) and not isinstance(a, bool) else None
+    except OverflowError:
+        raise error(f"alpha is too large for a double, got {a!r}") from None
+    if value is None or not math.isfinite(value):
+        raise error(f"alpha must be a finite real, got {a if value is None else value!r}")
+    if value <= -1.0:
+        raise error(f"alpha must be > -1, got {value!r}")
+    return value
+
+
+def _check_point(x, positive: bool = False) -> float:
+    """x as a double: a non-bool real, finite and >= 0 (> 0 where positive); anything
+    else raises DomainError naming it."""
+    try:
+        value = float(x) if isinstance(x, Real) and not isinstance(x, bool) else None
+    except OverflowError:  # a real past double range
+        value = None
+    if value is None or not 0.0 <= value < math.inf or (positive and value == 0.0):
+        raise DomainError(f"evaluation point must be a finite real {'>' if positive else '>='}"
+                          f" 0, got {x if value is None else value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -66,15 +94,8 @@ class LaguerreParams:
     alpha: float
 
     def __post_init__(self):
-        if _degree(self.n) < 1:
-            raise ParameterError(f"degree must be >= 1, got {self.n}")
-        if (not isinstance(self.alpha, Real) or isinstance(self.alpha, bool)
-                or not math.isfinite(_as_double(self.alpha))):
-            raise ParameterError(f"alpha must be a finite real, got {self.alpha!r}")
-        if self.alpha <= -1.0:
-            raise ParameterError(f"alpha must be > -1, got {self.alpha}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "n", _degree(self.n, 1))
+        object.__setattr__(self, "alpha", _alpha(self.alpha))
 
     @property
     def near_degenerate_weight(self) -> bool:
@@ -130,26 +151,6 @@ def _to_double(m: float, e: int) -> float:
         return math.ldexp(m, e)
     except OverflowError:
         return math.copysign(math.inf, m)
-
-
-def _as_double(alpha: Real) -> float:
-    """A Real scalar alpha as a float, or a ParameterError where it is too large for one."""
-    try:
-        return float(alpha)
-    except OverflowError:
-        raise ParameterError(f"alpha is too large for a double, got {alpha!r}") from None
-
-
-def _check_point(x: float, positive: bool = False) -> float:
-    if not isinstance(x, Real) or not math.isfinite(x):
-        raise DomainError(f"evaluation point must be finite, got {x!r}")
-    x = float(x)
-    if positive:
-        if x <= 0.0:
-            raise DomainError(f"evaluation point must be > 0, got {x}")
-    elif x < 0.0:
-        raise DomainError(f"evaluation point must be >= 0, got {x}")
-    return x
 
 
 @lru_cache(maxsize=_TABLES)
@@ -359,76 +360,56 @@ def _lane_shape(n, alpha, x):
     return (max(sizes - {1}, default=1),) if sizes else ()
 
 
-def _lane_array(v, lanes: list, size: int, dtype):
-    """The checked lanes (one, or size of them) as a dtype array of size lanes: v
-    itself where it already is one."""
-    if isinstance(v, np.ndarray) and v.size == size and v.dtype == dtype:
-        return v
-    return np.array(lanes, dtype) if len(lanes) == size else np.full(size, lanes[0], dtype)
-
-
-def _check_degree(low, high) -> None:
-    """Refuse a lowest degree that is not an int >= 0 (an array of other dtype stands
-    as itself), then a highest one past _MAX_DEGREE."""
-    if not isinstance(low, Integral) or isinstance(low, bool) or low < 0:
-        raise ParameterError(f"degree must be an integer >= 0, got {low!r}")
-    if high > _MAX_DEGREE:
-        _degree(high)  # raises the limit's ParameterError
-
-
-def _check_alpha(alpha):
-    """alpha as a float or a real-dtype array; anything else raises ParameterError."""
-    if not isinstance(alpha, (float, bool, np.ndarray)) and isinstance(alpha, Real):
-        alpha = _as_double(alpha)  # an int past int64 or a Fraction: no object-dtype array
-    if not isinstance(alpha, float) and not (isinstance(alpha, np.ndarray)
-                                             and alpha.dtype.kind in "iuf"):
-        raise ParameterError(f"alpha must be a finite real, got {alpha!r}")
-    return alpha
+def _lanes(v, kinds: str, rule) -> list:
+    """v's lanes as Python values: the tolist() lanes of an array whose dtype kind is in
+    kinds; any other value is one lane, rule(v)."""
+    if isinstance(v, np.ndarray) and v.dtype.kind in kinds:
+        return v.reshape(-1).tolist()
+    return [rule(v)]
 
 
 def _evaluate(n, alpha, x, compensated: bool):
     """Lane arrays (mantissas, exponents) of L_n^(alpha)(x), or a ScaledValue when no
     input is an array: a float call is a one-lane call.
 
-    Every call passes one door on Python values (tolist()): the degree, alpha
-    and point checks, then the lanes. Compensated calls and plain calls of
-    fewer than _FEW_LANES lanes run the float-lane kernels; longer plain calls
-    run _recurrence on the checked input arrays, or on arrays built from the
-    checked lanes where an input does not hold every lane as a double (degree:
-    int64) array.
+    Every call passes one door on Python values: each input's lanes, read by
+    _lanes and checked by its rule (_degree, _alpha, _check_point). An array's
+    lanes take inline range tests, and the first bad lane raises its rule's
+    error. Compensated calls and plain calls of fewer than _FEW_LANES lanes run
+    the float-lane kernels; longer plain calls run _recurrence on arrays built
+    from the checked lanes.
     """
-    int_lanes = isinstance(n, np.ndarray) and n.dtype.kind in "iu"
-    degrees = n.reshape(-1).tolist() if int_lanes else [n]
-    _check_degree(*((min(degrees), max(degrees)) if degrees else (0, 0)))
-    alpha = _check_alpha(alpha)
-    alphas = alpha.reshape(-1).tolist() if isinstance(alpha, np.ndarray) else [float(alpha)]
+    degrees = _lanes(n, "iu", lambda v: _degree(v, 0))
+    if degrees and not 0 <= min(degrees) <= max(degrees) <= _MAX_DEGREE:
+        _degree(min(degrees), 0)  # the lowest lane's error, else the highest one's
+        _degree(max(degrees), 0)
+    alphas = _lanes(alpha, "iuf", _alpha)
     for a in alphas:
-        if not a > -1.0 or a == math.inf:  # the first bad lane's alpha stands for all
-            raise ParameterError(f"alpha must be > -1, got {a!r}")
-    x = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else _check_point(x)
-    points = x.reshape(-1).tolist() if isinstance(x, np.ndarray) else [x]
+        if not a > -1.0 or a == math.inf:
+            _alpha(a)
+    points = _lanes(x, "iuf", _check_point)
     shape = _lane_shape(n, alpha, x)
     size = shape[0] if shape else 1
     for v in points:
         if not v >= 0.0 or v == math.inf:
-            _check_point(v)  # the first bad lane raises its DomainError
+            _check_point(v)
+    columns = [v if len(v) == size else v * size for v in (degrees, alphas, points)]
     if not compensated and size >= _FEW_LANES:
-        value, shift = _recurrence(_lane_array(n, degrees, size, np.int64),
-                                   _lane_array(alpha, alphas, size, np.float64),
-                                   _lane_array(x, points, size, np.float64))
+        value, shift = _recurrence(*(np.array(v, dtype) for v, dtype in
+                                     zip(columns, (np.int64, np.float64, np.float64))))
         m, e = np.frexp(value)  # _normalized, lane by lane
         zero = value == 0.0
         return np.where(zero, 0.0, 2.0 * m), np.where(zero, 0, e - 1 + shift)
     kernel = _compensated_lane if compensated else _plain_lane
     mantissas, exponents = [], []
-    for d, a, v in zip(*(v if len(v) == size else v * size for v in (degrees, alphas, points))):
-        m, e = _normalized(*kernel(int(d), float(a), v)) if d else (1.0, 0)
+    for d, a, v in zip(*columns):
+        m, e = _normalized(*kernel(d, float(a), v)) if d else (1.0, 0)
         mantissas.append(m)
         exponents.append(e)
     if shape:
         return np.array(mantissas, dtype=float), np.array(exponents, dtype=np.int64)
     if not math.isfinite(mantissas[0]):
-        raise _range_error(n, alpha, points[0])
+        raise _range_error(degrees[0], alphas[0], points[0])
     return ScaledValue(mantissas[0], exponents[0])
 
 
@@ -436,13 +417,16 @@ def laguerre_polynomial(n: int, alpha: float, x):
     """Evaluate L_n^(alpha)(x) for any degree n >= 0 by the ascending recurrence.
 
     Uses (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1} with
-    power-of-two rescaling; alpha > -1 (a real that fits a double) and x >= 0
-    are required. A 1-D array x, or integer-degree and alpha arrays
-    broadcasting with x, give arrays (mantissas, exponents): lane i holds
-    L_{n[i]}^(alpha[i])(x[i]), or for a lane that left double range, a nan or
-    inf mantissa; an array of more dimensions raises ParameterError. A float
-    call (no array argument) is a one-lane call that returns its lane
-    as a ScaledValue, or raises ParameterError where the lane left double range.
+    power-of-two rescaling. The degree n is an int or an integer-dtype array
+    (lanes at most _MAX_DEGREE); alpha a non-bool real or a real-dtype array,
+    each lane a finite double > -1; x a non-bool real >= 0 or a real-dtype
+    array of such lanes. Other values raise ParameterError (n, alpha) or
+    DomainError (x). 1-D arrays that broadcast give arrays (mantissas,
+    exponents): lane i holds L_{n[i]}^(alpha[i])(x[i]), or for a lane that
+    left double range, a nan or inf mantissa; an array of more dimensions
+    raises ParameterError. A float call (no array argument) is a one-lane call
+    that returns its lane as a ScaledValue, or raises ParameterError where the
+    lane left double range.
     """
     return _evaluate(n, alpha, x, compensated=False)
 

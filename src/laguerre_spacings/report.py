@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bethe, bounds
 from .errors import ParameterError
-from .laguerre import LaguerreParams, _degree
+from .laguerre import LaguerreParams, _alpha, _degree
 from .solver import ZeroSet, zeros
 
 ASSERTED_CHECKS = frozenset({"bethe", "bounds", "krasikov"})
@@ -48,13 +48,6 @@ class SpacingTable:
     uniform_bound: float | None
 
 
-def _alpha(a) -> float:
-    """a as a float; a bool is refused, as LaguerreParams refuses it."""
-    if isinstance(a, (bool, np.bool_)):
-        raise TypeError(f"alpha must be a finite real, got {a!r}")
-    return float(a)
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid and options for one sweep run. Each value (parse_sweep_config's strings, say)
@@ -69,8 +62,9 @@ class SweepConfig:
 
     def __post_init__(self):
         for key, convert in (("n_values", lambda v: tuple(  # a config file's strings parse
-                                 _degree(int(n) if isinstance(n, str) else n) for n in v)),
-                             ("alpha_values", lambda v: tuple(_alpha(a) for a in v)),
+                                 _degree(int(n) if isinstance(n, str) else n, 1) for n in v)),
+                             ("alpha_values", lambda v: tuple(
+                                 _alpha(float(a) if isinstance(a, str) else a) for a in v)),
                              ("checks", frozenset), ("epsilon", float), ("output_dir", Path)):
             value = getattr(self, key)
             try:

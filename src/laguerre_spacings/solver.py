@@ -199,7 +199,7 @@ class ZeroSet:
 
 def _newton_correction(params: LaguerreParams, z: list, compensated: list):
     """The Newton steps L/L' at the points z before the lowest failed lane, via
-    L' = -L_{n-1}^(alpha+1), that lane (len(z) if none) and its error (or None).
+    L' = -L_{n-1}^(alpha+1), and that lane's error (None if no lane failed).
 
     z and compensated are per-lane lists (points, and the evaluator mode). One
     plain pass gives every lane's numerator and derivative; the compensated
@@ -225,12 +225,12 @@ def _newton_correction(params: LaguerreParams, z: list, compensated: list):
         steps.append(-_to_double(m / dm, e - de))  # as ScaledValue.ratio_to: +0.0 for 0 / dm
     first = len(steps)  # the lowest failed lane, as its float calls fail
     if first == size:
-        return steps, size, None
+        return steps, None
     if not math.isfinite(mant[first]):
-        return steps, first, _range_error(n, alpha, z[first])
+        return steps, _range_error(n, alpha, z[first])
     if not math.isfinite(dmant[first]):
-        return steps, first, _range_error(n - 1, alpha + 1.0, z[first])
-    return steps, first, RefinementError(f"derivative vanished at {z[first]!r} during refinement")
+        return steps, _range_error(n - 1, alpha + 1.0, z[first])
+    return steps, RefinementError(f"derivative vanished at {z[first]!r} during refinement")
 
 
 def _duplicate_guard(values: np.ndarray) -> None:
@@ -277,10 +277,10 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
     history = [{} for _ in range(n)]
     cap, stop, error, lanes = _MAX_NEWTON_ITERATIONS, 4.0 * _EPS, None, list(range(n))
     while lanes:
-        steps, first, failure = _newton_correction(params, [refined[i] for i in lanes],
-                                                   [compensated[i] for i in lanes])
+        steps, failure = _newton_correction(params, [refined[i] for i in lanes],
+                                            [compensated[i] for i in lanes])
         error, active = failure or error, []  # lanes from a failed one on cannot matter
-        for i, step in zip(lanes[:first], steps):
+        for i, step in zip(lanes, steps):
             z, it, seen = refined[i], iterations[i], history[i]
             seen[z] = step
             if it < cap:

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +96,18 @@ class TestZeros:
     def test_numpy_integer_rank(self):
         # Refused as "rank must be an integer" where a degree may be any Integral.
         assert bessel_zero(0.5, np.int64(2)) == bessel_zero(0.5, 2)
+
+    @pytest.mark.parametrize("alpha,double", [
+        (np.float32(0.5), 0.5), (np.int64(1), 1.0), (Fraction(1, 2), 0.5)])
+    def test_real_alpha_runs_as_its_double(self, alpha, double):
+        # Refused as "alpha must be a finite real" where LaguerreParams took all three.
+        assert bessel_zero(alpha, 3) == bessel_zero(double, 3)
+        table = bessel_zero_table(alpha, 5)
+        assert type(table.alpha) is float
+        assert table.zeros.tobytes() == bessel_zero_table(double, 5).zeros.tobytes()
+        probe, want = limit_probe(alpha, 1, (10, 20)), limit_probe(double, 1, (10, 20))
+        assert type(probe.alpha) is float and probe.target == want.target
+        assert probe.scaled_spacings.tobytes() == want.scaled_spacings.tobytes()
 
 
 class TestTable:

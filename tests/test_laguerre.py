@@ -210,6 +210,55 @@ class TestEvaluate:
             with pytest.raises(DomainError):
                 laguerre_polynomial_compensated(p.n, p.alpha, x)
 
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    @pytest.mark.parametrize("x", [
+        True, np.True_, "1.0", 1 + 0j, pytest.param(10**400, id="int_past_double"),
+        np.array([True, False]), np.array(["1.0", "2.0"]), np.array([1.0, 2.0], dtype=object),
+        np.array([1.0 + 0j, 2.0]), np.ones(60, dtype=complex),
+    ])
+    def test_non_real_points_rejected(self, evaluator, x):
+        # A bool, or an array of bools, strings or objects, ran as its float
+        # value, and a complex array dropped its imaginary part with a
+        # ComplexWarning; alphas of these kinds were already refused.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="evaluation point must be a finite real"):
+                evaluator(3, 0.5, x)
+
+
+class TestOneRulePerInput:
+    """Each input has one rule, so every door gives a bad value the same message."""
+
+    @pytest.mark.parametrize("alpha,message", [
+        (math.inf, "alpha must be a finite real, got inf"),
+        (math.nan, "alpha must be a finite real, got nan"),
+        (-math.inf, "alpha must be a finite real, got -inf"),
+        (-1.0, "alpha must be > -1, got -1.0"),
+    ])
+    def test_bad_alpha_reads_alike_at_every_door(self, alpha, message):
+        from laguerre_spacings.bessel import bessel_zero, bessel_zero_table, limit_probe
+        from laguerre_spacings.report import SweepConfig
+
+        doors = [
+            lambda: LaguerreParams(5, alpha),
+            lambda: LaguerreParams(5, np.float64(alpha)),
+            lambda: laguerre_polynomial(5, alpha, 1.0),
+            lambda: laguerre_polynomial_compensated(5, alpha, 1.0),
+            lambda: laguerre_polynomial(5, np.array([0.5, alpha]), np.ones(2)),
+            lambda: laguerre_polynomial(5, np.append(np.full(59, 0.5), alpha), np.ones(60)),
+            lambda: SweepConfig(n_values=(5,), alpha_values=(1.0, alpha)),
+            lambda: SweepConfig(n_values=("5",), alpha_values=("1", str(alpha))),
+            lambda: bessel_zero(alpha, 1),
+            lambda: bessel_zero_table(alpha, 3),
+            lambda: limit_probe(alpha, 1, (10,)),
+        ]
+        messages = []
+        for door in doors:
+            with pytest.raises((ParameterError, DomainError)) as info:
+                door()
+            messages.append(str(info.value).removeprefix("malformed alpha_values: "))
+        assert messages == [message] * len(doors)
+
 
 def _clustered_small_zeros():
     from laguerre_spacings import zeros
@@ -335,11 +384,10 @@ class TestArrayLanes:
         # Once its value is taken, a lane rides on to the top degree: a
         # degree-1 lane at x = 1e300 then overflows, with no warning and no
         # effect on the other lanes.
-        degrees = np.tile([0, 1, 2, 7, 200, 201], 8)
+        degrees = np.resize([0, 1, 2, 7, 200, 201], _FEW_LANES)  # the array pass, in plain mode
         alphas = np.random.default_rng(9).uniform(-0.5, 50.0, degrees.size)
         x = np.random.default_rng(10).uniform(0.0, 900.0, degrees.size)
         x[1::12] = 1e300  # every other degree-1 lane
-        assert degrees.size >= _FEW_LANES  # the array pass, in plain mode
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mantissas, exponents = evaluator(degrees, alphas, x)
@@ -615,7 +663,8 @@ class TestStepTables:
 
 
 class TestArrayPassInputs:
-    """The array pass runs on the caller's checked arrays where they hold every lane."""
+    """The array pass leaves the caller's arrays alone and gives every layout of them
+    the same bits."""
 
     def test_inputs_are_left_unchanged(self):
         degrees = np.repeat([200, 199], 40)

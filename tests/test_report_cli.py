@@ -146,6 +146,19 @@ class TestSweepConfig:
                 f"malformed alpha_values: alpha must be a finite real, got {alpha!r}")):
             SweepConfig(n_values=(10,), alpha_values=(1.0, alpha))
 
+    @pytest.mark.parametrize("values,message", [
+        ({"alpha_values": (1.0, math.inf)}, "alpha_values: alpha must be a finite real, got inf"),
+        ({"alpha_values": ("1", "nan")}, "alpha_values: alpha must be a finite real, got nan"),
+        ({"alpha_values": (1.0, -1.0)}, "alpha_values: alpha must be > -1, got -1.0"),
+        ({"alpha_values": (-2,)}, "alpha_values: alpha must be > -1, got -2.0"),
+        ({"n_values": (10, 0)}, "n_values: degree must be >= 1, got 0"),
+        ({"n_values": ("10", "-3")}, "n_values: degree must be >= 1, got -3"),
+    ])
+    def test_bad_grid_values_refused_when_built(self, values, message):
+        # Each was taken; a sweep then died partway on LaguerreParams.
+        with pytest.raises(ParameterError, match=re.escape(f"malformed {message}")):
+            SweepConfig(**{"n_values": (10,), "alpha_values": (1.0,), **values})
+
     @pytest.mark.parametrize("key,text", [
         ("n_values", "10"), ("alpha_values", "15"), ("checks", "bethe")])
     def test_string_for_a_list_is_malformed(self, key, text):
@@ -156,6 +169,16 @@ class TestSweepConfig:
 
 
 class TestRunSweep:
+    @pytest.mark.parametrize("grid", ["n_values = 10\nalpha_values = 1, inf",
+                                      "n_values = 10, 0\nalpha_values = 1"])
+    def test_bad_grid_writes_nothing(self, tmp_path, grid):
+        # The sweep wrote n10_alpha1.csv, then died with no summary.json.
+        out, config = tmp_path / "out", tmp_path / "bad.cfg"
+        config.write_text(f"{grid}\noutput_dir = {out}\n")
+        with pytest.raises(ParameterError):
+            main(["sweep", "--config", str(config)])
+        assert not out.exists()
+
     def test_files_schema_and_determinism(self, tmp_path):
         cfg = SweepConfig(
             n_values=(3, 2),
@@ -447,6 +470,13 @@ class TestCli:
 
     def test_verify_rejects_unknown_check(self, capsys):
         assert main(["verify", "--n", "5", "--alpha", "1", "--checks", "bogus"]) == 2
+
+    @pytest.mark.parametrize("checks", [",", "", " , "])
+    def test_verify_refuses_an_empty_check_list(self, checks, capsys):
+        # It ran no check, printed nothing and exited 0.
+        assert main(["verify", "--n", "5", "--alpha", "1", "--checks", checks]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "no checks given\n"
 
     def test_near_degenerate_flagged(self, capsys):
         # Checks are not run here: the identity budget is honest only for
