@@ -124,12 +124,12 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_bessel_probe(args) -> int:
-    table = bessel.bessel_zero_table(args.alpha, min(args.k + 1, bessel.MAX_RANK))
+    probe = bessel.limit_probe(args.alpha, args.k, args.ngrid)  # refuses before any output
+    table = bessel.bessel_zero_table(args.alpha, args.k + 1)  # k + 1 <= MAX_RANK, as checked
     print(f"zeros of J_{args.alpha}: " + ", ".join(f"{z:.12g}" for z in table.zeros))
     facts = bessel.gap_facts(table)
     print(f"gap band [pi, 2pi] holds: {facts.all_gaps_in_band}; "
           f"pair sums >= 1+alpha: {facts.all_sums_ok}")
-    probe = bessel.limit_probe(args.alpha, args.k, args.ngrid)
     print(f"squared-zero difference: {probe.target:.12g}; "
           f"scaled-spacing limit: {probe.asymptotic_limit:.12g}")
     print(f"{'n':>6} {'scaled spacing':>18} {'deviation':>12}")

@@ -30,13 +30,14 @@ _RESCALE_LO = 2.0**-512
 # {20, 40, 100} and 56-64 at n = 1000; on the array pass a 40-lane call costs
 # 1.21-1.34 and a 48-lane one 1.04-1.16 of the lane kernels. 48 sits just under it.
 _FEW_LANES = 48
-# The largest degree any door accepts, set by the lane kernels' step tables:
-# at this degree a plain table takes 2.3 MB and a compensated one 5.5 MB (143
-# and 337 bytes a step), so a full cache of each holds 32 MB. The interpreted
-# O(n^2) QL takes minutes here (0.5 s at n = 1000).
+# The largest degree any door accepts, set by the lane kernels' step tables: at
+# this degree a plain table takes 2.4 MB and a compensated one 3.3 MB beside it
+# (144 and 200 bytes a step), so full caches hold 23-27 MB. _compensated_lane needs
+# _MAX_DEGREE + 1 < 2**26, where every k + 1 splits exactly. The interpreted O(n^2)
+# QL takes minutes here (0.5 s at n = 1000).
 _MAX_DEGREE = 2**14
-# Tables cached per evaluator mode: a solve uses (n, alpha) and its
-# derivative's (n - 1, alpha + 1) in plain mode and (n, alpha) in compensated mode.
+# Tables cached per evaluator mode: a solve uses (n, alpha) and its derivative's
+# (n - 1, alpha + 1) in plain mode, and (n, alpha), built on its plain rows, in compensated mode.
 _TABLES = 4
 _SPLIT = 134217729.0  # 2**27 + 1, the Veltkamp splitting constant
 # _recurrence forms the coefficients of arrays of up to _BLOCK_LANES lanes in
@@ -186,36 +187,30 @@ def _plain_lane(n, alpha, x):
 
 @lru_cache(maxsize=_TABLES)
 def _compensated_steps(n: int, alpha: float) -> tuple:
-    """The lane-free terms of _compensated_lane's steps k = 1..n-1, one row (s,
-    s_err, b, b_err, b_hi, b_lo, k1, k1_hi, k1_lo) a step: s + s_err = (2k+1) +
-    alpha and b + b_err = k + alpha as two-sums, k1 = k + 1, and *_hi + *_lo
-    the Veltkamp halves of b and k1.
-
-    A tuple of tuples (337 bytes a step), built once per (n, alpha) and shared
+    """The rows (s, b, k1) of _plain_steps(n, alpha) with the terms _compensated_lane
+    adds, one row (s, s_err, b, b_err, b_hi, b_lo, k1) a step: s + s_err = (2k+1) +
+    alpha and b + b_err = k + alpha as two-sums, and b_hi + b_lo the Veltkamp halves
+    of b; k1 = k + 1 < 2**26 is its own upper half. A tuple of tuples sharing the plain
+    rows' floats (200 bytes a step beside them), built once per (n, alpha) and shared
     by every lane and Newton round; the cache keeps the last _TABLES of them.
     """
     rows = []
-    for k in map(float, range(1, n)):
-        k1 = k + 1.0
+    for k, (s, b, k1) in zip(map(float, range(1, n)), _plain_steps(n, alpha)):
         t = k + k1  # 2k+1, exact
-        s = t + alpha
         bb = s - t
-        b = k + alpha
         bc = b - k
         h = _SPLIT * b
         b_hi = h - (h - b)
-        h = _SPLIT * k1
-        k1_hi = h - (h - k1)
         rows.append((s, (t - (s - bb)) + (alpha - bb), b, (k - (b - bc)) + (alpha - bc),
-                     b_hi, b - b_hi, k1, k1_hi, k1 - k1_hi))
+                     b_hi, b - b_hi, k1))
     return tuple(rows)
 
 
 def _compensated_lane(n, alpha, x):
-    """_plain_lane to ~eps of the true value, at 9-10x its cost: each step carries
+    """_plain_lane to ~eps of the true value, at 6-8x its cost: each step carries
     first-order rounding corrections by the error-free transformations (two-sum,
-    Veltkamp-split two-product) of Ogita, Rump and Oishi. The lane-free terms,
-    about a quarter of a step's operations, are a row of _compensated_steps(n, alpha)."""
+    Veltkamp-split two-product) of Ogita, Rump and Oishi. A step's lane-free terms
+    are a row of _compensated_steps(n, alpha), where k1's halves are k1 and 0."""
     hi, lo, frexp, ldexp, split = _RESCALE_HI, _RESCALE_LO, math.frexp, math.ldexp, _SPLIT
     nx = -x
     s = alpha + 1.0
@@ -225,7 +220,7 @@ def _compensated_lane(n, alpha, x):
     bb = cur - s
     shift, prev, prev_c, cur_c = 0, 1.0, 0.0, e1 + ((s - (cur - bb)) + (nx - bb))
     ph, pl = 1.0, 0.0  # ph + pl: the Veltkamp split of prev, carried from cur's
-    for s, s_err, b_main, b_err, bh, bl, k1, kh, kl in _compensated_steps(n, alpha):
+    for s, s_err, b_main, b_err, bh, bl, k1 in _compensated_steps(n, alpha):
         a_main = s + nx
         bb = a_main - s
         a_err = s_err + ((s - (a_main - bb)) + (nx - bb))
@@ -253,7 +248,7 @@ def _compensated_lane(n, alpha, x):
         t = split * q
         qh = t - (t - q)
         ql = q - qh
-        q_err = (((num - qc) - (((qh * kh - qc) + qh * kl + ql * kh) + ql * kl)) + num_e) / k1
+        q_err = (((num - qc) - ((qh * k1 - qc) + ql * k1)) + num_e) / k1
 
         prev, prev_c, ph, pl = cur, cur_c, ch, cl
         cur = q + q_err

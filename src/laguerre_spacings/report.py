@@ -162,7 +162,12 @@ class PairChecks:
 
 
 def check_pair(params: LaguerreParams, checks, epsilon: float = 0.1) -> PairChecks:
-    """Solve one pair and run the requested checks; every verdict fails closed."""
+    """Solve one pair and run the named VALID_CHECKS; every verdict fails closed."""
+    if isinstance(checks, str):  # its letters or substrings would be taken for names
+        raise ParameterError(f"malformed checks: expected a list, got the string {checks!r}")
+    checks = frozenset(checks)
+    if not checks <= VALID_CHECKS:
+        raise ParameterError(f"unknown checks: {sorted(checks - VALID_CHECKS)}")
     zs = zeros(params)
     table = spacing_rows(zs)
     min_ratio = float(np.min(table.ratio)) if table.ratio.size else None

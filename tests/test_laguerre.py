@@ -646,11 +646,26 @@ class TestStepTables:
             assert info.maxsize == laguerre._TABLES and info.currsize == laguerre._TABLES
 
     def test_tables_are_immutable_and_sized_by_degree(self):
-        for table, width in ((laguerre._plain_steps, 3), (laguerre._compensated_steps, 9)):
+        for table, width in ((laguerre._plain_steps, 3), (laguerre._compensated_steps, 7)):
             rows = table(40, 0.5)
             assert isinstance(rows, tuple) and len(rows) == 39
             assert all(isinstance(row, tuple) and len(row) == width for row in rows)
             assert table(1, 0.5) == ()
+
+    def test_compensated_rows_extend_the_plain_rows(self):
+        # s, b and k1 are the plain table's floats, not a second copy of them.
+        laguerre._plain_steps.cache_clear()
+        laguerre._compensated_steps.cache_clear()
+        compensated = laguerre._compensated_steps(40, 0.5)
+        for (s, _, b, _, _, _, k1), row in zip(compensated, laguerre._plain_steps(40, 0.5)):
+            assert s is row[0] and b is row[1] and k1 is row[2]
+
+    def test_every_step_divisor_splits_exactly(self):
+        # _compensated_lane takes k + 1 as its own upper Veltkamp half; the
+        # reference loops split it, so the kernels match only if the split is exact.
+        k1 = np.arange(1.0, _MAX_DEGREE + 2.0)
+        h = laguerre._SPLIT * k1
+        assert np.array_equal(h - (h - k1), k1) and _MAX_DEGREE + 1 < 2**26
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(min_value=1, max_value=300),

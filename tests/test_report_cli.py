@@ -21,9 +21,11 @@ from laguerre_spacings import (
     spacing_rows,
     zeros,
 )
+from laguerre_spacings import bounds as bounds_module
 from laguerre_spacings import cli
+from laguerre_spacings import report as report_module
 from laguerre_spacings.cli import build_parser, main
-from laguerre_spacings.report import pair_filename
+from laguerre_spacings.report import check_pair, pair_filename
 
 
 class TestSpacingRows:
@@ -308,6 +310,59 @@ class TestRunSweep:
         assert [f["check"] for f in summary["failures"]] == ["bethe"]
 
 
+class TestCheckPair:
+    @pytest.mark.parametrize("checks,message", [
+        (["bogus"], "unknown checks: ['bogus']"),
+        ({"bethe", "bulk", "bound"}, "unknown checks: ['bound']"),
+        ("bethe,bounds", "malformed checks: expected a list, got the string 'bethe,bounds'"),
+        ("bethe", "malformed checks: expected a list, got the string 'bethe'"),
+    ])
+    def test_names_outside_the_valid_checks_refused(self, checks, message):
+        # ["bogus"] ran no check and passed; a string ran every check it held as a substring.
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            check_pair(LaguerreParams(10, 1.0), checks)
+
+    def test_any_collection_of_names_runs_them(self):
+        pair = check_pair(LaguerreParams(10, 1.0), (c for c in ("bethe", "bulk")))
+        assert pair.max_bethe_residual is not None and pair.bulk_fraction is not None
+        assert pair.krasikov_window is None and pair.failed == {}
+
+    @pytest.mark.parametrize("scale", [10.0, math.nan])
+    def test_bound_above_a_spacing_fails(self, monkeypatch, scale, capsys):
+        uniform_spacing_lower = bounds_module.uniform_spacing_lower
+        monkeypatch.setattr(bounds_module, "uniform_spacing_lower",
+                            lambda params: scale * uniform_spacing_lower(params))
+        pair = check_pair(LaguerreParams(10, 1.0), {"bounds"})
+        assert pair.failed == {"bounds": f"minimum spacing/bound ratio {pair.min_ratio} fell below 1"}
+        assert not pair.min_ratio >= 1.0
+        assert main(["verify", "--n", "10", "--alpha", "1", "--checks", "bounds"]) == 1
+        assert capsys.readouterr().out.endswith("(FAIL)\n")
+
+    @pytest.mark.parametrize("window", ["above the smallest zero", "below the largest zero", "nan"])
+    def test_zeros_outside_the_window_fail(self, monkeypatch, window, capsys):
+        params = LaguerreParams(10, 1.0)
+        z = zeros(params).zeros
+        fake = {"above the smallest zero": (0.5 * (z[0] + z[1]), math.inf),
+                "below the largest zero": (0.0, 0.5 * (z[-2] + z[-1])),
+                "nan": (math.nan, math.nan)}[window]
+        monkeypatch.setattr(bounds_module, "krasikov_window", lambda p: fake)
+        pair = check_pair(params, {"krasikov"})
+        assert pair.krasikov_ok is False and pair.krasikov_window == fake
+        assert pair.failed == {"krasikov": "extreme zeros escaped the sharpened window"}
+        assert main(["verify", "--n", "10", "--alpha", "1", "--checks", "krasikov"]) == 1
+        assert capsys.readouterr().out.endswith("(FAIL)\n")
+
+
+def test_write_atomic_leaves_no_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(report_module.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        report_module._write_atomic(tmp_path / "pair.csv", "i,spacing\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 PAPER_GRID_DIGESTS = (Path(__file__).resolve().parents[1]
                       / "bench" / "expected" / "paper_sweep_sha256.json")
 
@@ -508,6 +563,17 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:") and f"argument {argv[-2]}: invalid" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--k", "20", "--ngrid", "30"], "rank must be in 1..19, got 20"),
+        (["--k", "0", "--ngrid", "30"], "rank must be in 1..19, got 0"),
+        (["--k", "1", "--ngrid", "1"], "rank 1 needs degrees of at least 2"),
+    ])
+    def test_bessel_probe_refuses_before_printing(self, argv, message, capsys):
+        # Each printed the zero table (and the gap facts) before limit_probe refused it.
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            main(["bessel-probe", "--alpha", "0.5", *argv])
+        assert capsys.readouterr().out == ""
 
     def test_figure1_and_bessel_probe(self, tmp_path, capsys):
         assert main(["figure1", "--out", str(tmp_path / "fig")]) == 0

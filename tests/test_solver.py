@@ -162,6 +162,20 @@ class TestEigen:
         width = lapack[-1] - lapack[0]
         assert np.max(np.abs(mine - lapack)) <= 1e-12 * width
 
+    def test_underflowed_rotation_restarts_the_sweep(self):
+        # A subnormal matrix whose QL rotations underflow to h = 0 twice, taking
+        # the branch that restores d and restarts the sweep; the bits are pinned
+        # and agree with LAPACK to a few subnormal ulps.
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        d = np.array([2.042046476e-315, -2.748179943e-315, -6.376607053e-315, 3.0608874e-316])
+        e = np.array([5.92501956e-316, 1.62915677e-315, -1.252597715e-315])
+        got = eigen_zeros(solver.JacobiMatrix(diag=d, offdiag=e))
+        assert hashlib.sha256(got.tobytes()).hexdigest() == (
+            "3598f268a1f49eeaeab64eb9c20e8ad1dc4e737ccb15204cfd6c431394d9dca8")
+        lapack = np.sort(eigvalsh_tridiagonal(d, e))
+        assert np.max(np.abs(got - lapack)) <= 4 * np.finfo(float).smallest_subnormal
+
 
 class TestRefine:
     def test_linear_converges_from_coarse_seed(self):
@@ -298,6 +312,23 @@ class TestNewtonCorrection:
             assert steps[1] == math.copysign(math.inf, steps[4]) and math.isfinite(steps[4])
         assert rounds[0] == rounds[1]
         assert (error or "None") in rounds[0][3]
+
+    @pytest.mark.parametrize("extra", [0, _FEW_LANES])
+    def test_derivative_out_of_range_is_named_by_its_lanes(self, monkeypatch, extra):
+        # L'(7) = -L_1^(1)(7) reads as an overflowed lane: the steps stop there, and
+        # the error names the derivative's (n - 1, alpha + 1), not (n, alpha).
+        plain = solver.laguerre_polynomial
+
+        def inf_derivative_at_7(degrees, alphas, x):
+            mantissas, exponents = plain(degrees, alphas, x)
+            return np.where((degrees == 1) & (x == 7.0), math.inf, mantissas), exponents
+
+        monkeypatch.setattr(solver, "laguerre_polynomial", inf_derivative_at_7)
+        z = [0.5, 1.5, 7.0] + [3.0] * extra
+        steps, err = solver._newton_correction(LaguerreParams(2, 0.0), z, [False] * len(z))
+        assert len(steps) == 2 and all(math.isfinite(step) for step in steps)
+        assert isinstance(err, ParameterError) and str(err) == (
+            "the recurrence for L_n^(alpha)(x) left double range at (n, alpha, x) = (1, 1.0, 7.0)")
 
 
 class TestZeros:
