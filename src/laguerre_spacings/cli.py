@@ -9,6 +9,7 @@ import re
 import sys
 
 from . import bessel, bounds, report
+from .errors import ConvergenceError, DomainError, ParameterError, RefinementError
 from .laguerre import LaguerreParams
 from .solver import zeros
 
@@ -193,10 +194,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit status, and a package error propagates."""
     args = build_parser().parse_args(argv)
     # Looked up per call, so a cmd_* rebound on this module (a tracer's wrapper) is what runs.
     return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
+def console_main(argv=None) -> int:
+    """main for the console script: a refused input (ParameterError, DomainError)
+    exits 2, the status of a usage error, and a solve that failed its own checks
+    (ConvergenceError, RefinementError) exits 3, each with one stderr line naming
+    the error type and no traceback; 1 stays a failed check's status."""
+    try:
+        return main(argv)
+    except (ParameterError, DomainError, ConvergenceError, RefinementError) as exc:
+        print(f"laguerre-spacings: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, (ParameterError, DomainError)) else 3
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

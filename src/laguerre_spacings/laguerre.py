@@ -26,10 +26,11 @@ _RESCALE_HI = 2.0**512
 _RESCALE_LO = 2.0**-512
 # Plain arrays of fewer lanes run lane by lane on floats, where numpy's
 # per-call cost dominates. Measured break-even for refine's stacked plain pass
-# (each kernel timed on the same calls, min of 15): about 50-56 lanes at n in
-# {20, 40, 100} and 56-64 at n = 1000; on the array pass a 40-lane call costs
-# 1.21-1.34 and a 48-lane one 1.04-1.16 of the lane kernels. 48 sits just under it.
-_FEW_LANES = 48
+# (each kernel timed on the same calls, min of 15, three runs): about 36 lanes
+# at n = 20, 32 at n = 40 and 26-28 at n in {100, 1000}; on the array pass a
+# 32-lane call costs 1.10-1.12 of the lane kernels at n = 20, 0.98-1.03 at
+# n = 40 and 0.81-0.98 at n in {100, 1000}, and a 48-lane one 0.43-0.81.
+_FEW_LANES = 32
 # The largest degree any door accepts, set by the lane kernels' step tables: at
 # this degree a plain table takes 2.4 MB and a compensated one 3.3 MB beside it
 # (144 and 200 bytes a step), so full caches hold 23-27 MB. _compensated_lane needs
@@ -41,9 +42,9 @@ _MAX_DEGREE = 2**14
 _TABLES = 4
 _SPLIT = 134217729.0  # 2**27 + 1, the Veltkamp splitting constant
 # _recurrence forms the coefficients of arrays of up to _BLOCK_LANES lanes in
-# blocks of _BLOCK elements (64 KiB): per step, 0.75-0.85 of the cost of
-# forming them step by step at 48-128 lanes and n in {40, 100, 200, 1000}, 0.87
-# at 256 and 1.0 at 400; 1.2 at 1000-2000 lanes.
+# blocks of _BLOCK elements (64 KiB): a pass costs 0.63-0.72 of forming them
+# step by step at 32-64 lanes and n in {40, 100, 200, 1000}, 0.71-0.76 at 128,
+# 0.84-0.88 at 256 and 0.97-1.01 at 400; 1.2-1.3 at 1000 lanes and 1.4-1.6 at 2000.
 _BLOCK_LANES = 256
 _BLOCK = 8192
 
@@ -284,23 +285,82 @@ def _coefficients(alpha, x, top, a, b):
         yield from zip(2.0 * ks + 1.0 + alpha - x, ks + alpha)
 
 
+def _stride(top, alpha, x) -> int:
+    """The number K of recurrence steps between two rescale checks of _recurrence
+    over these lanes (degrees up to top): the largest K for which the bounds below
+    keep every value, product and difference of a stride normal or zero, and
+    finite, in _recurrence and in _plain_lane alike; 1 where they leave no room.
+
+    Over every lane and step k < top, with u = 2**-53: |a_k - x| <= amax and
+    b_k <= bmax; b_k >= bmin = 1 + alpha (k = 1); a nonzero |a_k - x| is at least
+    2**-52 (a_k >= 2, so it exceeds 1 for x < 1, and else both are multiples of
+    2**-52); and, while
+    2k+1+alpha < 2**53, a_k grows with k, so a_k - x is 0 at one step at most.
+    M_k = max(|L_{k-1}|, |L_k|) grows by at most 2**grow a step and decays by at
+    most 2**-decay (see _recurrence). A nonzero L_{k+1} is at least (u/2) min(|a_k -
+    x|, b_k) M_k / (k+1) (a nonzero difference of two doubles is at least u/2 of
+    the larger), or, where a_k = x, b_k/(k+1) |L_{k-1}|. Following each value back
+    to its birth at most four steps earlier, or to L_0 = 1 or L_1 >= (u/2) min(1,
+    bmin) M_1, every nonzero value, product and difference at a step is at least
+    2**-floor times that step's M. A stride starts from M in [2**-512, 2**512]
+    (a check, or M_1 = max(1, |L_1|)), so its products stay below 2**1023 while
+    512 + (K-1) grow + log2(amax + bmax) <= 1023 - slack, and above 2**-1022
+    while 512 + (K-1) decay + floor <= 1022 - slack; the 2 bits of slack cover
+    every (1 +- u) factor and the rounding of these bounds themselves.
+    """
+    alo, ahi, xlo, xhi = (float(v) for v in (alpha.min(), alpha.max(), x.min(), x.max()))
+    if top < 3 or ahi + 2.0 * top + 1.0 >= 2.0**53:
+        return 1
+    amax = max(2.0 * top + ahi - xlo, xhi - alo) + 2.0**-50 * (2.0 * top + abs(ahi)
+                                                                + abs(alo) + xhi)
+    bmin, bmax = 1.0 + alo, top + ahi
+    grow = math.log2(amax + bmax) - 1.0  # (|a_k - x| + b_k) / (k + 1), k + 1 >= 2
+    decay = max(0.0, math.log2((top + amax) / bmin))  # b_k / (k + 1 + |a_k - x|)
+    tiny = max(52.0, -math.log2(bmin))  # the least nonzero |a_k - x| or b_k
+    birth = 54.0 + tiny + math.log2(top)
+    pair = (max(0.0, 1.0 - math.log2(bmin)) + 4.0 * grow  # b_k/(k+1) >= min(1, bmin/2)
+            + max(birth, 1.0 + math.log2(max(1.0, 1.0 + ahi + xhi))))  # L_0 beside L_1
+    floor = tiny + math.log2(top) + pair
+    room_hi = 1023.0 - 2.0 - 512.0 - math.log2(amax + bmax)
+    room_lo = 1022.0 - 2.0 - 512.0 - floor
+    if room_lo < 0.0:
+        return 1
+    steps = min(room_hi / grow, room_lo / decay if decay else math.inf)
+    return max(1, min(int(top), 1 + int(steps)))
+
+
 @np.errstate(all="ignore")  # overflow is silent, as on floats
 def _recurrence(n, alpha, x):
     """_plain_lane over the lanes of equal-size degree, alpha and x arrays.
 
-    A lane does _plain_lane's operations in the same order, which keeps it
-    bit-identical to _plain_lane; regrouping a sum breaks that. A lane's
-    value is taken at its own degree; it then rides on to the top degree,
-    where it may overflow but touches no other lane. A step's products go
-    into reused buffers.
+    A lane does _plain_lane's operations in the same order, which keeps its
+    normalized value bit-identical to _plain_lane's; regrouping a sum breaks
+    that. A lane's value is taken at its own degree; it then rides on to the
+    top degree, where it may overflow but touches no other lane. A step's
+    products go into reused buffers.
 
     Rescaling: a lane rescales by the power of two taking m = max(|prev|,
-    |cur|) back near 1 whenever m leaves [2**-512, 2**512]. |prev| is a |cur|
-    that passed this test a step ago, or L_1, which cannot exceed 2**512
-    without overflowing the first step's product; so the test can fire only
-    where |cur| left the range or is nan, and the loops run it only then;
-    where it fires for |cur| > 2**512 alone, m is |cur|. So each lane's
-    rescale is its own, whichever gate runs. Over an array, the gate takes
+    |cur|) back near 1 whenever m leaves [2**-512, 2**512]. _plain_lane tests
+    every step; here the test runs once every K = _stride(...) steps, which
+    keeps every bit. With a_k = 2k+1+alpha, b_k = k+alpha and M_k = max(|L_{k-1}|,
+    |L_k|), (k+1) L_{k+1} = (a_k - x) L_k - b_k L_{k-1} gives
+      growth  M_{k+1} <= M_k max(1, (|a_k - x| + b_k) / (k+1)),
+      decay   M_{k+1} >= M_k min(1, b_k / (k+1+|a_k - x|)),
+    up to (1 +- u)**4. _stride picks K so that, between two checks, no value,
+    product or difference overflows or turns subnormal. Every operation then
+    rounds the same real number times a power of two, which a power-of-two
+    scaling commutes with; so the lane carries _plain_lane's values times
+    2**(its shift minus _plain_lane's), and its normalized (mantissa, exponent)
+    is _plain_lane's. K shrinks as the bounds widen (large alpha or x, alpha + 1
+    tiny); where they leave no room (x past about 2**70, alpha past
+    2**53), K = 1 and the test runs every step.
+
+    With K = 1, |prev| is a |cur| that passed the test a step ago, or L_1,
+    which cannot exceed 2**512 without overflowing the first step's product;
+    so the test can fire only where |cur| left the range or is nan, and it
+    gates on |cur|; where it fires for |cur| > 2**512 alone, m is |cur|. A
+    stride lets |prev| leave the range too, so for K > 1 the gate reads m.
+    Either way each lane's rescale is its own. Over an array, the gate takes
     nan-skipping reductions (fmin, fmax), so a lane that left double range
     never stops the other lanes' rescaling.
     """
@@ -308,6 +368,7 @@ def _recurrence(n, alpha, x):
     # prev holds L_0; degree-0 lanes keep out's L_0 = 1
     (prev, out, t1, t2, mag), cur = np.ones((5, x.size)), alpha + 1.0 - x
     stops, top = set(n.tolist()), n.max(initial=0)
+    stride = _stride(top, alpha, x)
     coefficients = _coefficients(alpha, x, top, t1, t2)
     for k in range(1, top + 1):
         if k in stops:  # lanes of degree k are done
@@ -321,11 +382,15 @@ def _recurrence(n, alpha, x):
         np.subtract(t1, t2, t1)
         np.divide(t1, k + 1.0, prev)
         prev, cur = cur, prev
+        if k % stride:
+            continue
         np.abs(cur, mag)
+        if stride > 1:
+            np.maximum(np.abs(prev, t2), mag, out=mag)
         if np.fmin.reduce(mag) < _RESCALE_LO:
             m = np.maximum(np.abs(prev), mag)
             e = np.where((m > _RESCALE_HI) | ((m > 0.0) & (m < _RESCALE_LO)), np.frexp(m)[1], 0)
-        elif np.fmax.reduce(mag) > _RESCALE_HI:  # then m = |cur| wherever m > 2**512
+        elif np.fmax.reduce(mag) > _RESCALE_HI:  # then m = mag wherever m > 2**512
             e = np.where(mag > _RESCALE_HI, np.frexp(mag)[1], 0)
         else:
             continue

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -114,9 +113,11 @@ def _format_float(x: float) -> str:
 
 
 def _alpha_tag(alpha: float) -> str:
+    """alpha as a file-name tag: an integer's digits, else the shortest decimal that
+    reads back as the same double, so distinct alphas never share a CSV name."""
     if float(alpha).is_integer():
         return str(int(alpha))
-    return format(alpha, "g")
+    return repr(float(alpha))
 
 
 def pair_filename(n: int, alpha: float) -> str:
@@ -124,7 +125,18 @@ def pair_filename(n: int, alpha: float) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    """Write text to a fresh temporary file beside path, then rename it onto path.
+
+    The file is created as open() creates one, with mode 0o666 less the umask;
+    tempfile.mkstemp's 0o600 would hide every output from the group and others.
+    """
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:  # another writer's name: draw again
+            continue
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -514,8 +514,10 @@ class TestDegreeLimit:
             limit_probe(0.5, 1, (20, 2**40))
 
 
-def _reference_plain_lane(n, alpha, x):
-    """_plain_lane as a loop that forms every step term itself (no step table)."""
+def _reference_plain_lane(n, alpha, x, rescaled_at=None):
+    """_plain_lane as a loop that forms every step term itself (no step table); the
+    list rescaled_at, if given, collects the steps k (computing L_{k+1}) at which it
+    rescales down from above 2**512."""
     hi, lo = laguerre._RESCALE_HI, laguerre._RESCALE_LO
     shift, prev, cur, k = 0, 1.0, alpha + 1.0 - x, 1.0
     for _ in range(n - 1):
@@ -527,6 +529,8 @@ def _reference_plain_lane(n, alpha, x):
             if m > hi or 0.0 < m < lo:
                 e = math.frexp(m)[1]
                 prev, cur, shift = math.ldexp(prev, -e), math.ldexp(cur, -e), shift + e
+                if rescaled_at is not None and m > hi:
+                    rescaled_at.append(int(k) - 1)
     return cur, shift
 
 
@@ -705,3 +709,79 @@ class TestArrayPassInputs:
         for n, alpha in ((np.array([3]), 0.5), (3, np.array([0.5])), (np.array([3]), np.array([0.5]))):
             mantissas, exponents = evaluator(n, alpha, np.array([]))
             assert mantissas.shape == exponents.shape == (0,)
+
+
+class TestStridedRescaleCheck:
+    """_recurrence tests for rescaling once every _stride(...) steps; every finite lane
+    keeps _plain_lane's normalized bits, and the same lanes leave double range."""
+
+    @staticmethod
+    def assert_lanes_match(degrees, alphas, x):
+        degrees, alphas, x = (np.asarray(v, dtype) for v, dtype in
+                              ((degrees, np.int64), (alphas, float), (x, float)))
+        value, shift = laguerre._recurrence(degrees, alphas, x)
+        m, e = np.frexp(value)
+        for i, (d, a, v) in enumerate(zip(degrees.tolist(), alphas.tolist(), x.tolist())):
+            want = laguerre._normalized(*_reference_plain_lane(d, a, v)) if d else (1.0, 0)
+            assert math.isfinite(want[0]) == math.isfinite(value[i]), (d, a, v)
+            if math.isfinite(want[0]):
+                got = (2.0 * m[i], int(e[i]) - 1 + int(shift[i])) if value[i] else (0.0, 0)
+                assert _bits(*got) == _bits(*want), (d, a, v)
+
+    def test_lanes_cross_2_512_inside_and_at_stride_boundaries(self):
+        rng = np.random.default_rng(19)
+        x = np.sort(rng.uniform(0.0, 3e4, 150))
+        degrees, alphas = np.full(x.size, 200), np.full(x.size, 1e4)
+        stride = laguerre._stride(200, alphas, x)
+        assert stride > 1
+        steps = []
+        for v in x.tolist():
+            _reference_plain_lane(200, 1e4, v, steps)
+        assert any(k % stride == 0 for k in steps) and any(k % stride for k in steps)
+        self.assert_lanes_match(degrees, alphas, x)
+
+    def test_mixed_degrees_end_inside_a_stride(self):
+        # refine's stacked pass, with degrees that end at, and between, check steps
+        rng = np.random.default_rng(20)
+        for n, alpha, top in ((1000, -0.5, 3900.0), (300, 0.5, 1200.0), (120, 1e4, 1.2e4)):
+            degrees = rng.integers(0, n + 1, 120)
+            degrees[:2] = n, n - 1
+            alphas = alpha + rng.integers(0, 2, 120)
+            x = rng.uniform(0.0, top, 120)
+            stride = laguerre._stride(n, alphas, x)
+            assert stride > 1
+            assert any(d % stride == 0 for d in degrees) and any(d % stride for d in degrees)
+            self.assert_lanes_match(degrees, alphas, x)
+
+    @pytest.mark.parametrize("n,alpha,x", [
+        (60, 1e20, np.linspace(0.0, 3e20, 40)),  # a_k - x can vanish at many steps
+        (30, 1e100, np.array([0.0, 1e50, 1e99, 1e100, 2e100] + [1.0] * 35)),
+        (200, 1e4, np.append(np.linspace(0.0, 3e4, 39), 1e300)),
+        (5, 1e150, np.linspace(0.0, 3e150, 40)),
+    ])
+    def test_stride_falls_back_to_one(self, n, alpha, x):
+        alphas = np.full(x.size, alpha)
+        assert laguerre._stride(n, alphas, x) == 1
+        self.assert_lanes_match(np.full(x.size, n), alphas, x)
+
+    def test_lane_leaving_double_range_beside_finite_lanes(self):
+        # On their own the finite lanes check every 30-odd steps; the lane at
+        # alpha = 1e200 leaves double range at step 1, inside such a stride, so
+        # the bound sets the stride to 1.
+        finite = np.linspace(1.0, 3e4, 47)
+        degrees, alphas = np.full(48, 200), np.append(np.full(47, 1e4), 1e200)
+        x = np.append(finite, 1.0)
+        assert laguerre._stride(200, alphas[:47], finite) > 1
+        assert laguerre._stride(200, alphas, x) == 1
+        self.assert_lanes_match(degrees, alphas, x)
+        assert not np.isfinite(laguerre._recurrence(degrees, alphas, x)[0][-1])
+
+    def test_seeded_lanes_anywhere(self):
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            n = int(rng.choice([3, 20, 100, 400]))
+            alpha = float(rng.choice([-1.0 + 10.0 ** rng.uniform(-15, -1), rng.uniform(-0.9, 2.0),
+                                      10.0 ** rng.uniform(0, 40)]))
+            x = 10.0 ** rng.uniform(-6, np.log10(4.0 * n + 2.0 * alpha + 10.0) + 1.0, 24)
+            degrees = rng.integers(0, n + 1, 24)
+            self.assert_lanes_match(degrees, alpha + rng.integers(0, 2, 24), x)

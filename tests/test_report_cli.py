@@ -3,7 +3,11 @@
 import hashlib
 import json
 import math
+import os
 import re
+import stat
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,8 +15,11 @@ import numpy as np
 import pytest
 
 from laguerre_spacings import (
+    ConvergenceError,
+    DomainError,
     LaguerreParams,
     ParameterError,
+    RefinementError,
     SweepConfig,
     ZeroSet,
     bulk_stats,
@@ -24,7 +31,7 @@ from laguerre_spacings import (
 from laguerre_spacings import bounds as bounds_module
 from laguerre_spacings import cli
 from laguerre_spacings import report as report_module
-from laguerre_spacings.cli import build_parser, main
+from laguerre_spacings.cli import build_parser, console_main, main
 from laguerre_spacings.report import check_pair, pair_filename
 
 
@@ -363,6 +370,21 @@ def test_write_atomic_leaves_no_temp_file_when_the_rename_fails(tmp_path, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_outputs_get_the_mode_open_gives(tmp_path, umask, mode):
+    # Every output took mkstemp's 0o600 whatever the umask.
+    config = SweepConfig(n_values=(3,), alpha_values=(1.0,), output_dir=tmp_path / "sweep")
+    old = os.umask(umask)
+    try:
+        run_sweep(config)
+        report_module.figure1(tmp_path / "figure1")
+    finally:
+        os.umask(old)
+    written = sorted((tmp_path / "sweep").iterdir()) + sorted((tmp_path / "figure1").iterdir())
+    assert len(written) == 2 + 17
+    assert {stat.S_IMODE(path.stat().st_mode) for path in written} == {mode}
+
+
 PAPER_GRID_DIGESTS = (Path(__file__).resolve().parents[1]
                       / "bench" / "expected" / "paper_sweep_sha256.json")
 
@@ -391,9 +413,21 @@ class TestFilenames:
         (10, 1e4, "n10_alpha10000.csv"),
         (2, -0.9, "n2_alpha-0.9.csv"),
         (50, -0.5, "n50_alpha-0.5.csv"),
+        (10, 0.0, "n10_alpha0.csv"),
+        (10, 1.0000001, "n10_alpha1.0000001.csv"),  # "g" gave n10_alpha1.csv
+        (10, 1e-7 - 1.0, "n10_alpha-0.9999999.csv"),
+        (10, 1.5e-300, "n10_alpha1.5e-300.csv"),
     ])
     def test_tags(self, n, alpha, name):
         assert pair_filename(n, alpha) == name
+
+    def test_a_sweep_writes_one_csv_per_grid_point(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"n_values = 3, 10\nalpha_values = 1, 1.0000001, 0.5\n"
+                          f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.startswith("wrote 6 pair CSVs")
+        assert len(list((tmp_path / "out").glob("*.csv"))) == 6
 
 
 class TestCli:
@@ -585,3 +619,33 @@ class TestCli:
                      "--ngrid", "25,50"]) == 0
         out = capsys.readouterr().out
         assert "scaled-spacing limit" in out
+
+    @pytest.mark.parametrize("argv,kind,status", [
+        (["zeros", "--n", "0", "--alpha", "1"], ParameterError, 2),
+        (["bessel-probe", "--alpha", "2", "--k", "1", "--ngrid", "25"], DomainError, 2),
+        (["verify", "--n", "50", "--alpha", "1e26"], ConvergenceError, 3),
+        (["verify", "--n", "3", "--alpha", "1e40"], RefinementError, 3),
+    ])
+    def test_console_script_names_a_package_error_in_one_line(self, argv, kind, status, capsys):
+        with pytest.raises(kind):  # main raises, so in-process callers see the error itself
+            main(argv)
+        capsys.readouterr()
+        assert console_main(argv) == status
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"laguerre-spacings: {kind.__name__}: ")
+
+    def test_console_script_keeps_the_check_and_usage_statuses(self, capsys):
+        assert console_main(["verify", "--n", "10", "--alpha", "-0.99999999"]) == 1  # bethe FAIL
+        assert console_main(["verify", "--n", "5", "--alpha", "1", "--checks", ","]) == 2
+        with pytest.raises(SystemExit) as exc:
+            console_main(["zeros", "--n", "five", "--alpha", "1"])
+        assert exc.value.code == 2
+
+    def test_module_run_exits_without_a_traceback(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "laguerre_spacings.cli", "zeros", "--n", "0",
+                               "--alpha", "1"], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "laguerre-spacings: ParameterError: degree must be >= 1, got 0\n"
