@@ -211,7 +211,11 @@ def check_pair(params: LaguerreParams, checks, epsilon: float = 0.1) -> PairChec
 
 def _write_pairs(config: SweepConfig) -> list[PairChecks]:
     """Check every grid point in (n, alpha) order and write its CSV."""
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a user's path: an existing file, say
+        raise ParameterError(f"{config.output_dir}: cannot make the output directory: "
+                             f"{exc.strerror}") from None
     results = []
     for n, alpha in sorted({(n, a) for n in config.n_values for a in config.alpha_values}):
         pair = check_pair(LaguerreParams(n=n, alpha=alpha), config.checks, config.epsilon)
@@ -305,9 +309,13 @@ def parse_sweep_config(path) -> SweepConfig:
 
     Recognized keys match SweepConfig fields: n_values, alpha_values,
     checks, epsilon, output_dir. Lines starting with '#' are comments. The
-    parser only splits the lists; SweepConfig converts every value.
+    parser only splits the lists; SweepConfig converts every value. A key given
+    twice is refused, as is a file that cannot be read.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParameterError(f"{path}: cannot read the config: {exc.strerror}") from None
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -316,7 +324,10 @@ def parse_sweep_config(path) -> SweepConfig:
         if "=" not in line:
             raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        key = key.strip()
+        if key in values:
+            raise ParameterError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = val.strip()
     unknown = set(values) - {f.name for f in fields(SweepConfig)}
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")

@@ -235,8 +235,34 @@ def _newton_correction(params: LaguerreParams, z: list, compensated: list):
 
 def _duplicate_guard(values: np.ndarray) -> None:
     for i in np.flatnonzero(np.diff(values) < _DUPLICATE_FACTOR * _EPS * np.abs(values[1:]))[:1]:
-        raise ConvergenceError(f"near-duplicate zeros {values[i]!r} and {values[i + 1]!r}; "
+        a, b = values[i:i + 2].tolist()
+        raise ConvergenceError(f"near-duplicate zeros {a!r} and {b!r}; "
                                "theory guarantees simple zeros")
+
+
+def _polish(i: int, z: float, lo: float, hi: float):
+    """Newton on zero i from the seed z within (lo, hi): yields each (point, compensated)
+    it needs a step at, is sent that step, and returns (zero, residual). A step depends
+    on the point and mode alone, so each mode's memo of evaluated points supplies the
+    repeats: a lane that closes a cycle rides it to the iteration cap without yielding."""
+    for compensated in (False, True):
+        memo = {}
+        for _ in range(_MAX_NEWTON_ITERATIONS):
+            step = memo[z] if z in memo else (yield z, compensated)
+            memo[z] = step
+            z -= step
+            if not lo < z < hi:
+                raise RefinementError(f"zero {i} drifted to {z!r}, "
+                                      "across its neighbors' midpoints")
+            if abs(step) <= 4.0 * _EPS * abs(z):
+                break
+        step = memo[z] if z in memo else (yield z, compensated)
+        residual = abs(step) / (_EPS * abs(z))
+        # Above _ESCALATE_AT recurrence noise swamped the local scale (clustered
+        # small zeros at large n): redo the polish with the sharper evaluator.
+        if residual <= _ESCALATE_AT:
+            break
+    return z, residual
 
 
 def refine(params: LaguerreParams, approx) -> ZeroSet:
@@ -244,17 +270,10 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
 
     Each seed must sit within half the local gap of its true zero. A refined
     value crossing the midpoint toward a neighbor raises RefinementError.
-    All zeros iterate together as lanes, each with its own stop test and
-    escalation, to the bits each would get alone; of several failing zeros,
-    the lowest one's error is raised. A round makes one batched evaluation of
-    its lanes, then runs each lane's control flow on Python floats.
-
-    A lane retires as soon as its future is known, which keeps its bits: a
-    step depends on the lane's mode and point alone, so a step back onto a
-    point evaluated in this mode either ends the polish there (the stop test
-    held) or closes a cycle the loop would ride to the iteration cap. The
-    point and step where the loop would take the residual are then on
-    record, and every point of the cycle has passed the checks.
+    Every zero runs the one-zero loop of _polish as a lane, to the bits it
+    would get alone; of several failing zeros, the lowest one's error is
+    raised. A round makes one batched evaluation of the points the lanes ask
+    for, then sends each lane its step.
     """
     seeds = np.asarray(approx, dtype=float)
     n = params.n
@@ -269,45 +288,21 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
     refined = seeds.tolist()
     mids = [0.5 * (a + b) for a, b in zip(refined, refined[1:])]
     lo, hi = [0.0] + mids, mids + [math.inf]
-    residuals, compensated = [0.0] * n, [False] * n
-    # Newton steps taken in the current mode, set to the cap once the stop
-    # test holds (the next evaluation measures the residual) and past it when done.
-    iterations = [0] * n
-    # Per lane, the steps taken at the points evaluated in the current mode, in order.
-    history = [{} for _ in range(n)]
-    cap, stop, error, lanes = _MAX_NEWTON_ITERATIONS, 4.0 * _EPS, None, list(range(n))
-    while lanes:
-        steps, failure = _newton_correction(params, [refined[i] for i in lanes],
-                                            [compensated[i] for i in lanes])
-        error, active = failure or error, []  # lanes from a failed one on cannot matter
-        for i, step in zip(lanes, steps):
-            z, it, seen = refined[i], iterations[i], history[i]
-            seen[z] = step
-            if it < cap:
-                z -= step
-                if not lo[i] < z < hi[i]:
-                    error = RefinementError(f"zero {i} drifted to {z!r}, "
-                                            "across its neighbors' midpoints")
-                    break
-                it = cap if abs(step) <= stop * abs(z) else it + 1
-                if z in seen:
-                    path = list(seen)
-                    back = path.index(z)
-                    z = path[back + (cap - back) % (it - back)]  # where the loop would measure
-                    step, it = seen[z], cap + 1
-            else:
-                it = cap + 1
-            refined[i] = z
-            if it > cap:
-                residuals[i] = abs(step) / (_EPS * abs(z))
-                # Recurrence noise swamped the local scale (clustered small zeros at
-                # large n); redo the polish with the sharper evaluator.
-                if not compensated[i] and not residuals[i] <= _ESCALATE_AT:
-                    compensated[i], it, history[i] = True, 0, {}
-            iterations[i] = it
-            if it <= cap:
-                active.append(i)
-        lanes = active
+    polish = [_polish(i, refined[i], lo[i], hi[i]) for i in range(n)]
+    pending, residuals, error = {i: next(p) for i, p in enumerate(polish)}, [0.0] * n, None
+    while pending:
+        asked, pending = pending, {}
+        steps, failure = _newton_correction(params, [z for z, _ in asked.values()],
+                                            [c for _, c in asked.values()])
+        error = failure or error  # lanes from a failed one on cannot matter
+        for i, step in zip(asked, steps):
+            try:
+                pending[i] = polish[i].send(step)
+            except StopIteration as done:
+                refined[i], residuals[i] = done.value
+            except RefinementError as exc:
+                error = exc
+                break
     if error is not None:
         raise error
     return ZeroSet(params=params, zeros=refined, residuals=residuals)

@@ -127,6 +127,13 @@ class TestSweepConfig:
         with pytest.raises(ParameterError):
             parse_sweep_config(bad)
 
+    def test_parse_refuses_a_repeated_key(self, tmp_path):
+        # The second value used to replace the first silently: a grid of n = 20 only.
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("n_values = 10\nalpha_values = 1\nn_values = 20\n")
+        with pytest.raises(ParameterError, match=re.escape(f"{bad}:3: duplicate key 'n_values'")):
+            parse_sweep_config(bad)
+
     @pytest.mark.parametrize("line,key", [
         ("n_values = 10, x", "n_values"),
         ("alpha_values = 1, y", "alpha_values"),
@@ -634,6 +641,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith(f"laguerre-spacings: {kind.__name__}: ")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--config", "missing.cfg"], "cannot read the config: "),
+        (["figure1", "--out", "a-file"], "cannot make the output directory: "),
+    ], ids=["sweep-missing-config", "figure1-out-is-a-file"])
+    def test_console_script_refuses_an_unusable_path(self, tmp_path, argv, message, capsys):
+        (tmp_path / "a-file").write_text("kept\n")
+        path = tmp_path / argv[-1]
+        assert console_main(argv[:-1] + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"laguerre-spacings: ParameterError: {path}: {message}")
+        assert (tmp_path / "a-file").read_text() == "kept\n"
 
     def test_console_script_keeps_the_check_and_usage_statuses(self, capsys):
         assert console_main(["verify", "--n", "10", "--alpha", "-0.99999999"]) == 1  # bethe FAIL
