@@ -32,13 +32,13 @@ _RESCALE_LO = 2.0**-512
 # n = 40 and 0.81-0.98 at n in {100, 1000}, and a 48-lane one 0.43-0.81.
 _FEW_LANES = 32
 # The largest degree any door accepts, set by the lane kernels' step tables: at
-# this degree a plain table takes 2.4 MB and a compensated one 3.3 MB beside it
-# (144 and 200 bytes a step), so full caches hold 23-27 MB. _compensated_lane needs
-# _MAX_DEGREE + 1 < 2**26, where every k + 1 splits exactly. The interpreted O(n^2)
-# QL takes minutes here (0.5 s at n = 1000).
+# this degree a table takes 2.4 MB (144 bytes a step), so a full cache holds about
+# 9.6 MB. _compensated_lane needs _MAX_DEGREE + 1 < 2**26, where every k + 1 splits
+# exactly and k and 2k + 1 follow from it exactly. The interpreted O(n^2) QL takes
+# minutes here (0.5 s at n = 1000).
 _MAX_DEGREE = 2**14
-# Tables cached per evaluator mode: a solve uses (n, alpha) and its derivative's
-# (n - 1, alpha + 1) in plain mode, and (n, alpha), built on its plain rows, in compensated mode.
+# Step tables cached: a solve uses (n, alpha) and its derivative's (n - 1, alpha + 1),
+# and its compensated lanes read the first.
 _TABLES = 4
 _SPLIT = 134217729.0  # 2**27 + 1, the Veltkamp splitting constant
 # _recurrence forms the coefficients of arrays of up to _BLOCK_LANES lanes in
@@ -157,11 +157,12 @@ def _to_double(m: float, e: int) -> float:
 
 @lru_cache(maxsize=_TABLES)
 def _plain_steps(n: int, alpha: float) -> tuple:
-    """The lane-free terms of _plain_lane's steps k = 1..n-1, one row (a, b, k1) a
+    """The lane-free terms of the lane kernels' steps k = 1..n-1, one row (a, b, k1) a
     step: a = (k + k1) + alpha, b = k + alpha and k1 = k + 1.
 
-    A tuple of tuples (143 bytes a step), built once per (n, alpha) and shared
-    by every lane and Newton round; the cache keeps the last _TABLES of them.
+    A tuple of tuples (144 bytes a step), built once per (n, alpha) and shared
+    by every lane, plain or compensated, and Newton round; the cache keeps the
+    last _TABLES of them.
     """
     return tuple((k + (k + 1.0) + alpha, k + alpha, k + 1.0) for k in map(float, range(1, n)))
 
@@ -186,32 +187,14 @@ def _plain_lane(n, alpha, x):
     return cur, shift
 
 
-@lru_cache(maxsize=_TABLES)
-def _compensated_steps(n: int, alpha: float) -> tuple:
-    """The rows (s, b, k1) of _plain_steps(n, alpha) with the terms _compensated_lane
-    adds, one row (s, s_err, b, b_err, b_hi, b_lo, k1) a step: s + s_err = (2k+1) +
-    alpha and b + b_err = k + alpha as two-sums, and b_hi + b_lo the Veltkamp halves
-    of b; k1 = k + 1 < 2**26 is its own upper half. A tuple of tuples sharing the plain
-    rows' floats (200 bytes a step beside them), built once per (n, alpha) and shared
-    by every lane and Newton round; the cache keeps the last _TABLES of them.
-    """
-    rows = []
-    for k, (s, b, k1) in zip(map(float, range(1, n)), _plain_steps(n, alpha)):
-        t = k + k1  # 2k+1, exact
-        bb = s - t
-        bc = b - k
-        h = _SPLIT * b
-        b_hi = h - (h - b)
-        rows.append((s, (t - (s - bb)) + (alpha - bb), b, (k - (b - bc)) + (alpha - bc),
-                     b_hi, b - b_hi, k1))
-    return tuple(rows)
-
-
 def _compensated_lane(n, alpha, x):
-    """_plain_lane to ~eps of the true value, at 6-8x its cost: each step carries
+    """_plain_lane to ~eps of the true value, at 9-11x its cost: each step carries
     first-order rounding corrections by the error-free transformations (two-sum,
-    Veltkamp-split two-product) of Ogita, Rump and Oishi. A step's lane-free terms
-    are a row of _compensated_steps(n, alpha), where k1's halves are k1 and 0."""
+    Veltkamp-split two-product) of Ogita, Rump and Oishi. A step reads its row
+    (s, b, k1) of _plain_steps(n, alpha) and forms the rest of its lane-free terms:
+    k = k1 - 1 and 2k+1 = k + k1, exact since k1 < 2**26; s + s_err = (2k+1) +
+    alpha and b + b_err = k + alpha as two-sums; b's Veltkamp halves bh + bl. k1
+    is its own upper half, with lower half 0."""
     hi, lo, frexp, ldexp, split = _RESCALE_HI, _RESCALE_LO, math.frexp, math.ldexp, _SPLIT
     nx = -x
     s = alpha + 1.0
@@ -221,7 +204,16 @@ def _compensated_lane(n, alpha, x):
     bb = cur - s
     shift, prev, prev_c, cur_c = 0, 1.0, 0.0, e1 + ((s - (cur - bb)) + (nx - bb))
     ph, pl = 1.0, 0.0  # ph + pl: the Veltkamp split of prev, carried from cur's
-    for s, s_err, b_main, b_err, bh, bl, k1 in _compensated_steps(n, alpha):
+    for s, b_main, k1 in _plain_steps(n, alpha):
+        k = k1 - 1.0
+        t = k + k1  # 2k+1, exact
+        bb = s - t
+        s_err = (t - (s - bb)) + (alpha - bb)
+        bb = b_main - k
+        b_err = (k - (b_main - bb)) + (alpha - bb)
+        t = split * b_main
+        bh = t - (t - b_main)
+        bl = b_main - bh
         a_main = s + nx
         bb = a_main - s
         a_err = s_err + ((s - (a_main - bb)) + (nx - bb))
@@ -495,6 +487,6 @@ def laguerre_polynomial_compensated(n: int, alpha: float, x):
     """laguerre_polynomial to ~eps of the true value even near the clustered
     small zeros, by error-free transformations; used for zero certification.
 
-    Arrays run lane by lane on floats, about 0.8-1.0 ms per lane at n = 1000.
+    Arrays run lane by lane on floats, about 1.0-1.1 ms per lane at n = 1000.
     """
     return _evaluate(n, alpha, x, compensated=True)

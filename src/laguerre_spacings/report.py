@@ -69,6 +69,8 @@ class SweepConfig:
             try:
                 if isinstance(value, str) and key in ("n_values", "alpha_values", "checks"):
                     raise TypeError(f"expected a list, got the string {value!r}")
+                if key == "output_dir" and value == "":  # Path("") is the working directory
+                    raise ValueError("expected a directory, got ''")
                 object.__setattr__(self, key, convert(value))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ParameterError(f"malformed {key}: {exc}") from None
@@ -310,12 +312,14 @@ def parse_sweep_config(path) -> SweepConfig:
     Recognized keys match SweepConfig fields: n_values, alpha_values,
     checks, epsilon, output_dir. Lines starting with '#' are comments. The
     parser only splits the lists; SweepConfig converts every value. A key given
-    twice is refused, as is a file that cannot be read.
+    twice is refused, as is a file that cannot be read as text.
     """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParameterError(f"{path}: cannot read the config: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:  # not text in the locale's encoding
+        raise ParameterError(f"{path}: cannot read the config: {exc}") from None
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

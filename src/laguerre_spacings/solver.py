@@ -277,6 +277,8 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
     """
     seeds = np.asarray(approx, dtype=float)
     n = params.n
+    if seeds.ndim != 1:
+        raise RefinementError(f"seeds must be a 1-D array, got shape {seeds.shape}")
     if seeds.size != n:
         raise RefinementError(f"expected {n} seeds, got {seeds.size}")
     if n > 1 and not np.min(np.diff(seeds)) > 0.0:

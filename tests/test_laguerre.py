@@ -603,11 +603,11 @@ def _bits(value, shift):
 
 
 class TestStepTables:
-    """The lane kernels read per-(degree, alpha) step tables from a bounded cache;
+    """Both lane kernels read one per-(degree, alpha) step table from a bounded cache;
     the bits are those of a loop that forms every term itself, whatever the cache holds."""
 
     KERNELS = [(laguerre._plain_lane, _reference_plain_lane, laguerre._plain_steps),
-               (laguerre._compensated_lane, _reference_compensated_lane, laguerre._compensated_steps)]
+               (laguerre._compensated_lane, _reference_compensated_lane, laguerre._plain_steps)]
 
     @pytest.mark.parametrize("kernel,reference,table", KERNELS)
     def test_kernels_match_the_loop(self, kernel, reference, table):
@@ -634,7 +634,6 @@ class TestStepTables:
         first = outcome(keys)
         assert outcome(keys[::-1]) == first
         laguerre._plain_steps.cache_clear()
-        laguerre._compensated_steps.cache_clear()
         assert outcome(keys) == first
         for n, a in keys:
             if n:
@@ -643,26 +642,16 @@ class TestStepTables:
                 assert ScaledValue.from_float(*reference(n, a, 3.0)) == ScaledValue(*first[n, a][:2])
 
     def test_cache_is_bounded(self):
-        for table in (laguerre._plain_steps, laguerre._compensated_steps):
-            for n in range(2, 3 * laguerre._TABLES + 2):
-                table(n, 0.5)
-            info = table.cache_info()
-            assert info.maxsize == laguerre._TABLES and info.currsize == laguerre._TABLES
+        for n in range(2, 3 * laguerre._TABLES + 2):
+            laguerre._plain_steps(n, 0.5)
+        info = laguerre._plain_steps.cache_info()
+        assert info.maxsize == laguerre._TABLES and info.currsize == laguerre._TABLES
 
     def test_tables_are_immutable_and_sized_by_degree(self):
-        for table, width in ((laguerre._plain_steps, 3), (laguerre._compensated_steps, 7)):
-            rows = table(40, 0.5)
-            assert isinstance(rows, tuple) and len(rows) == 39
-            assert all(isinstance(row, tuple) and len(row) == width for row in rows)
-            assert table(1, 0.5) == ()
-
-    def test_compensated_rows_extend_the_plain_rows(self):
-        # s, b and k1 are the plain table's floats, not a second copy of them.
-        laguerre._plain_steps.cache_clear()
-        laguerre._compensated_steps.cache_clear()
-        compensated = laguerre._compensated_steps(40, 0.5)
-        for (s, _, b, _, _, _, k1), row in zip(compensated, laguerre._plain_steps(40, 0.5)):
-            assert s is row[0] and b is row[1] and k1 is row[2]
+        rows = laguerre._plain_steps(40, 0.5)
+        assert isinstance(rows, tuple) and len(rows) == 39
+        assert all(isinstance(row, tuple) and len(row) == 3 for row in rows)
+        assert laguerre._plain_steps(1, 0.5) == ()
 
     def test_every_step_divisor_splits_exactly(self):
         # _compensated_lane takes k + 1 as its own upper Veltkamp half; the

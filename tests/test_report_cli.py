@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import locale
 import math
 import os
 import re
@@ -33,6 +34,17 @@ from laguerre_spacings import cli
 from laguerre_spacings import report as report_module
 from laguerre_spacings.cli import build_parser, console_main, main
 from laguerre_spacings.report import check_pair, pair_filename
+
+NOT_TEXT = b"n_values = 10\n\xff\xfe\x80\n"  # not UTF-8
+
+
+def _decodes(data: bytes) -> bool:
+    """True if the locale's encoding, which Path.read_text uses, decodes data."""
+    try:
+        data.decode(locale.getpreferredencoding(False))
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 class TestSpacingRows:
@@ -138,6 +150,7 @@ class TestSweepConfig:
         ("n_values = 10, x", "n_values"),
         ("alpha_values = 1, y", "alpha_values"),
         ("epsilon = abc", "epsilon"),
+        ("output_dir =", "output_dir"),  # Path("") would be the working directory
     ])
     def test_parse_names_the_malformed_key(self, tmp_path, line, key):
         values = {"n_values": "n_values = 10", "alpha_values": "alpha_values = 1"}
@@ -169,6 +182,7 @@ class TestSweepConfig:
         ({"alpha_values": (-2,)}, "alpha_values: alpha must be > -1, got -2.0"),
         ({"n_values": (10, 0)}, "n_values: degree must be >= 1, got 0"),
         ({"n_values": ("10", "-3")}, "n_values: degree must be >= 1, got -3"),
+        ({"output_dir": ""}, "output_dir: expected a directory, got ''"),
     ])
     def test_bad_grid_values_refused_when_built(self, values, message):
         # Each was taken; a sweep then died partway on LaguerreParams.
@@ -194,6 +208,17 @@ class TestRunSweep:
         with pytest.raises(ParameterError):
             main(["sweep", "--config", str(config)])
         assert not out.exists()
+
+    def test_empty_output_dir_writes_nothing(self, tmp_path, monkeypatch):
+        # It ran as ".", writing every CSV and summary.json into the working directory.
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "bad.cfg"
+        config.write_text("n_values = 10\nalpha_values = 1\noutput_dir =\n")
+        with pytest.raises(ParameterError, match="malformed output_dir"):
+            main(["sweep", "--config", str(config)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+        config.write_text("n_values = 10\nalpha_values = 1\noutput_dir = .\n")
+        assert parse_sweep_config(config).output_dir == Path(".")
 
     def test_files_schema_and_determinism(self, tmp_path):
         cfg = SweepConfig(
@@ -645,9 +670,12 @@ class TestCli:
     @pytest.mark.parametrize("argv,message", [
         (["sweep", "--config", "missing.cfg"], "cannot read the config: "),
         (["figure1", "--out", "a-file"], "cannot make the output directory: "),
-    ], ids=["sweep-missing-config", "figure1-out-is-a-file"])
+        pytest.param(["sweep", "--config", "binary.cfg"], "cannot read the config: ",
+                     marks=pytest.mark.skipif(_decodes(NOT_TEXT), reason="the locale's encoding decodes every byte")),
+    ], ids=["sweep-missing-config", "figure1-out-is-a-file", "sweep-config-not-text"])
     def test_console_script_refuses_an_unusable_path(self, tmp_path, argv, message, capsys):
         (tmp_path / "a-file").write_text("kept\n")
+        (tmp_path / "binary.cfg").write_bytes(NOT_TEXT)
         path = tmp_path / argv[-1]
         assert console_main(argv[:-1] + [str(path)]) == 2
         captured = capsys.readouterr()

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,8 +210,16 @@ class TestRefine:
             refine(LaguerreParams(2, 0.0), [3.0, 3.5])
 
     def test_wrong_count_rejected(self):
-        with pytest.raises(RefinementError):
+        with pytest.raises(RefinementError, match="expected 3 seeds, got 2"):
             refine(LaguerreParams(3, 0.0), [1.0, 2.0])
+
+    @pytest.mark.parametrize("n,seeds", [(4, [[0.3, 1.7, 4.3, 9.0]]), (4, [[0.3], [1.7], [4.3], [9.0]]),
+                                         (1, 2.9)], ids=["row", "column", "scalar"])
+    def test_seeds_must_be_one_dimensional(self, n, seeds):
+        # Each raised numpy's ValueError (a broadcast, an empty reduction, np.diff of a scalar).
+        shape = np.shape(seeds)
+        with pytest.raises(RefinementError, match=re.escape(f"seeds must be a 1-D array, got shape {shape}")):
+            refine(LaguerreParams(n, 0.0), seeds)
 
     def test_nan_seed_rejected_at_the_door(self):
         # not a DomainError from deep inside the evaluator
