@@ -31,14 +31,14 @@ _RESCALE_LO = 2.0**-512
 # 32-lane call costs 1.10-1.12 of the lane kernels at n = 20, 0.98-1.03 at
 # n = 40 and 0.81-0.98 at n in {100, 1000}, and a 48-lane one 0.43-0.81.
 _FEW_LANES = 32
-# The largest degree any door accepts, set by the lane kernels' step tables: at
-# this degree a table takes 2.4 MB (144 bytes a step), so a full cache holds about
-# 9.6 MB. _compensated_lane needs _MAX_DEGREE + 1 < 2**26, where every k + 1 splits
-# exactly and k and 2k + 1 follow from it exactly. The interpreted O(n^2) QL takes
-# minutes here (0.5 s at n = 1000).
+# The largest degree any door accepts, set by the lane kernels' step tables: a
+# solve reads one table, which at this degree takes 2.4 MB (144 bytes a step), so
+# a full cache holds about 9.6 MB. _compensated_lane needs _MAX_DEGREE + 1 < 2**26,
+# where every k + 1 splits exactly and k and 2k + 1 follow from it exactly. The
+# interpreted O(n^2) QL takes minutes here (0.5 s at n = 1000).
 _MAX_DEGREE = 2**14
-# Step tables cached: a solve uses (n, alpha) and its derivative's (n - 1, alpha + 1),
-# and its compensated lanes read the first.
+# Step tables cached: a solve's plain and compensated lanes all read the one table
+# of its (n, alpha); the cache keeps a few solves' tables.
 _TABLES = 4
 _SPLIT = 134217729.0  # 2**27 + 1, the Veltkamp splitting constant
 # _recurrence forms the coefficients of arrays of up to _BLOCK_LANES lanes in
@@ -168,7 +168,9 @@ def _plain_steps(n: int, alpha: float) -> tuple:
 
 
 def _plain_lane(n, alpha, x):
-    """L_n^(alpha)(x) = value * 2**shift as (value, shift) at a float x, degree n >= 1.
+    """(value, previous, shift) at a float x, degree n >= 1: L_n^(alpha)(x) = value *
+    2**shift and L_{n-1}^(alpha)(x) = previous * 2**shift, the two values the
+    recurrence holds when it stops (L_0 = 1 for n = 1).
 
     A step pays only for its lane: its lane-free terms are a row of
     _plain_steps(n, alpha). The noise is of order n*eps of the largest
@@ -184,7 +186,7 @@ def _plain_lane(n, alpha, x):
             if m > hi or 0.0 < m < lo:
                 e = frexp(m)[1]
                 prev, cur, shift = ldexp(prev, -e), ldexp(cur, -e), shift + e
-    return cur, shift
+    return cur, prev, shift
 
 
 def _compensated_lane(n, alpha, x):
@@ -323,11 +325,13 @@ def _stride(top, alpha, x) -> int:
 
 @np.errstate(all="ignore")  # overflow is silent, as on floats
 def _recurrence(n, alpha, x):
-    """_plain_lane over the lanes of equal-size degree, alpha and x arrays.
+    """_plain_lane over the lanes of equal-size degree, alpha and x arrays: (values,
+    shift), where the rows of values are _plain_lane's value and previous, and a
+    degree-0 lane holds L_0 = 1 beside L_{-1} = 0.
 
     A lane does _plain_lane's operations in the same order, which keeps its
-    normalized value bit-identical to _plain_lane's; regrouping a sum breaks
-    that. A lane's value is taken at its own degree; it then rides on to the
+    normalized values bit-identical to _plain_lane's; regrouping a sum breaks
+    that. A lane's values are taken at its own degree; it then rides on to the
     top degree, where it may overflow but touches no other lane. A step's
     products go into reused buffers.
 
@@ -357,15 +361,17 @@ def _recurrence(n, alpha, x):
     never stops the other lanes' rescaling.
     """
     shift, out_shift = np.zeros((2, x.size), dtype=np.int64)
-    # prev holds L_0; degree-0 lanes keep out's L_0 = 1
-    (prev, out, t1, t2, mag), cur = np.ones((5, x.size)), alpha + 1.0 - x
+    # prev holds L_0; degree-0 lanes keep out's L_0 = 1 beside L_{-1} = 0
+    (prev, t1, t2, mag), cur = np.ones((4, x.size)), alpha + 1.0 - x
+    out = np.zeros((2, x.size))
+    out[0] = 1.0
     stops, top = set(n.tolist()), n.max(initial=0)
     stride = _stride(top, alpha, x)
     coefficients = _coefficients(alpha, x, top, t1, t2)
     for k in range(1, top + 1):
         if k in stops:  # lanes of degree k are done
             done = n == k
-            out[done], out_shift[done] = cur[done], shift[done]
+            out[0, done], out[1, done], out_shift[done] = cur[done], prev[done], shift[done]
         if k == top:
             break
         a, b = next(coefficients)
@@ -420,9 +426,10 @@ def _lanes(v, kinds: str, rule) -> list:
     return [rule(v)]
 
 
-def _evaluate(n, alpha, x, compensated: bool):
+def _evaluate(n, alpha, x, compensated: bool, previous: bool = False):
     """Lane arrays (mantissas, exponents) of L_n^(alpha)(x), or a ScaledValue when no
-    input is an array: a float call is a one-lane call.
+    input is an array: a float call is a one-lane call. With previous (plain mode
+    only), a pair: that result and its like for L_{n-1}^(alpha)(x) (L_{-1} = 0).
 
     Every call passes one door on Python values: each input's lanes, read by
     _lanes and checked by its rule (_degree, _alpha, _check_point). An array's
@@ -447,25 +454,31 @@ def _evaluate(n, alpha, x, compensated: bool):
             _check_point(v)
     columns = [v if len(v) == size else v * size for v in (degrees, alphas, points)]
     if not compensated and size >= _FEW_LANES:
-        value, shift = _recurrence(*(np.array(v, dtype) for v, dtype in
-                                     zip(columns, (np.int64, np.float64, np.float64))))
-        m, e = np.frexp(value)  # _normalized, lane by lane
-        zero = value == 0.0
-        return np.where(zero, 0.0, 2.0 * m), np.where(zero, 0, e - 1 + shift)
-    kernel = _compensated_lane if compensated else _plain_lane
-    mantissas, exponents = [], []
-    for d, a, v in zip(*columns):
-        m, e = _normalized(*kernel(d, float(a), v)) if d else (1.0, 0)
-        mantissas.append(m)
-        exponents.append(e)
-    if shape:
-        return np.array(mantissas, dtype=float), np.array(exponents, dtype=np.int64)
-    if not math.isfinite(mantissas[0]):
-        raise _range_error(degrees[0], alphas[0], points[0])
-    return ScaledValue(mantissas[0], exponents[0])
+        values, shift = _recurrence(*(np.array(v, dtype) for v, dtype in
+                                      zip(columns, (np.int64, np.float64, np.float64))))
+        values = values[:2 if previous else 1]
+        m, e = np.frexp(values)  # _normalized, lane by lane
+        zero = values == 0.0
+        m, e = np.where(zero, 0.0, 2.0 * m), np.where(zero, 0, e - 1 + shift)
+        return ((m[0], e[0]), (m[1], e[1])) if previous else (m[0], e[0])
+    if compensated:
+        lanes = [_normalized(*_compensated_lane(d, float(a), v)) if d else (1.0, 0)
+                 for d, a, v in zip(*columns)]
+    else:  # rows (L_n, L_{n-1}, shift); a degree-0 lane has L_0 = 1 beside L_{-1} = 0
+        rows = [_plain_lane(d, float(a), v) if d else (1.0, 0.0, 0) for d, a, v in zip(*columns)]
+        lanes = [_normalized(value, shift) for value, _, shift in rows]
+    results = [lanes, [_normalized(prev, shift) for _, prev, shift in rows]] if previous else [lanes]
+    if not shape:
+        if not math.isfinite(lanes[0][0]):
+            raise _range_error(degrees[0], alphas[0], points[0])
+        results = [ScaledValue(*out[0]) for out in results]
+    else:
+        results = [(np.array([m for m, _ in out], dtype=float),
+                    np.array([e for _, e in out], dtype=np.int64)) for out in results]
+    return tuple(results) if previous else results[0]
 
 
-def laguerre_polynomial(n: int, alpha: float, x):
+def laguerre_polynomial(n: int, alpha: float, x, *, previous: bool = False):
     """Evaluate L_n^(alpha)(x) for any degree n >= 0 by the ascending recurrence.
 
     Uses (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1} with
@@ -479,8 +492,13 @@ def laguerre_polynomial(n: int, alpha: float, x):
     raises ParameterError. A float call (no array argument) is a one-lane call
     that returns its lane as a ScaledValue, or raises ParameterError where the
     lane left double range.
+
+    With previous=True the call returns a pair: that result, then its like for
+    L_{n-1}^(alpha)(x), which the same pass holds when it stops (L_{-1} = 0 for a
+    degree-0 lane). Each equals its own call's normalized bits; together they give
+    the derivative, x L_n' = n L_n - (n+alpha) L_{n-1} (DLMF 18.9.14).
     """
-    return _evaluate(n, alpha, x, compensated=False)
+    return _evaluate(n, alpha, x, compensated=False, previous=previous)
 
 
 def laguerre_polynomial_compensated(n: int, alpha: float, x):

@@ -198,38 +198,45 @@ class ZeroSet:
 
 
 def _newton_correction(params: LaguerreParams, z: list, compensated: list):
-    """The Newton steps L/L' at the points z before the lowest failed lane, via
-    L' = -L_{n-1}^(alpha+1), and that lane's error (None if no lane failed).
+    """The Newton steps L/L' at the points z before the lowest failed lane, and that
+    lane's error (None if no lane failed).
 
-    z and compensated are per-lane lists (points, and the evaluator mode). One
-    plain pass gives every lane's numerator and derivative; the compensated
-    lanes then sharpen the numerator only: the derivative is far from its own
-    zeros here, so its plain relative accuracy is plenty. The glue runs on
-    Python floats: most rounds have a few lanes, where numpy's dispatch would
-    cost more than the arithmetic.
+    One plain pass of len(z) lanes gives L = L_n^(alpha) and the L_{n-1} it holds,
+    and x L' = n L - (n + alpha) L_{n-1} (DLMF 18.9.14). With r = L / L_{n-1} a
+    step is x r / (n r - (n + alpha)), or x / (n - (n + alpha) / r) for |r| > 1,
+    where r may overflow. Below x = (alpha + 1) 2**-30, at least 2**16 times under
+    the smallest zero, x L' cancels, and a step is its limit at 0, L(0) / L'(0) =
+    -(alpha + 1) / n, within a relative n 2**-30. The compensated lanes (per-lane
+    flags) sharpen L only: L_{n-1} is far from its own zeros, which interlace with
+    L's. The glue runs on Python floats: most rounds have a few lanes, where
+    numpy's dispatch would cost more than the arithmetic.
     """
-    n, alpha, size = params.n, params.alpha, len(z)
-    both, both_e = laguerre_polynomial(np.array([n, n - 1]).repeat(size),
-                                       np.array([alpha, alpha + 1.0]).repeat(size), np.array(z + z))
-    both, both_e = both.tolist(), both_e.tolist()
-    mant, expo, dmant, dexpo = both[:size], both_e[:size], both[size:], both_e[size:]
+    n, alpha = params.n, params.alpha
+    (mant, expo), (pmant, pexpo) = laguerre_polynomial(n, alpha, np.array(z), previous=True)
+    mant, expo, pmant, pexpo = mant.tolist(), expo.tolist(), pmant.tolist(), pexpo.tolist()
     if any(compensated):
         sharp = [i for i, c in enumerate(compensated) if c]
         m, e = laguerre_polynomial_compensated(n, alpha, np.array([z[i] for i in sharp]))
         for i, mi, ei in zip(sharp, m.tolist(), e.tolist()):
             mant[i], expo[i] = mi, ei
-    steps = []
-    for m, e, dm, de in zip(mant, expo, dmant, dexpo):
-        if not (math.isfinite(m) and math.isfinite(dm) and dm != 0.0):
+    c, near_zero, steps = n + alpha, (alpha + 1.0) * 2.0**-30, []
+    for x, m, e, pm, pe in zip(z, mant, expo, pmant, pexpo):
+        if not math.isfinite(m):
             break
-        steps.append(-_to_double(m / dm, e - de))  # as ScaledValue.ratio_to: +0.0 for 0 / dm
+        if x <= near_zero:
+            steps.append(-(alpha + 1.0) / n)
+            continue
+        r = _to_double(m / pm, e - pe) if pm else math.inf
+        small = abs(r) <= 1.0
+        d = n * r - c if small else n - c / r
+        if d == 0.0:
+            break
+        steps.append(x * r / d if small else x / d)
     first = len(steps)  # the lowest failed lane, as its float calls fail
-    if first == size:
+    if first == len(z):
         return steps, None
     if not math.isfinite(mant[first]):
         return steps, _range_error(n, alpha, z[first])
-    if not math.isfinite(dmant[first]):
-        return steps, _range_error(n - 1, alpha + 1.0, z[first])
     return steps, RefinementError(f"derivative vanished at {z[first]!r} during refinement")
 
 

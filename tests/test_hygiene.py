@@ -1,8 +1,11 @@
 """Source hygiene: every module-level import and private name in the package is used,
-every error class in errors.py is raised somewhere, and every span the benchmark
-requires names a public function of the package."""
+every error class in errors.py is raised somewhere, every span the benchmark
+requires names a public function of the package, and a failing hypothesis test
+is reported without ending the test session."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -146,3 +149,31 @@ def test_benchmark_required_spans_name_public_functions():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert "solver.refine" in spans
     assert unknown_spans(spans, sources) == []
+
+
+FAILING_GIVEN = '''
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, max_examples=5)
+@given(st.integers())
+def test_fails(i):
+    assert i != i
+
+
+def test_runs_after():
+    pass
+'''
+
+
+def test_failing_given_test_is_reported_and_the_session_goes_on(tmp_path):
+    # Reporting a failing @given test imports libcst, whose DeprecationWarning the
+    # repository's filterwarnings = ["error"] would turn into an INTERNALERROR that
+    # ends the session.
+    (tmp_path / "test_demo.py").write_text(FAILING_GIVEN)
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+                          str(tmp_path / "test_demo.py")],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert run.returncode == 1 and "1 failed, 1 passed" in run.stdout

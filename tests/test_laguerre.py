@@ -62,7 +62,7 @@ def sv_to_mp(sv: ScaledValue):
 
 
 def derivative(n: int, alpha: float, x: float) -> float:
-    """L_n^(alpha)'(x) = -L_{n-1}^(alpha+1)(x), the shift identity refine's Newton step uses."""
+    """L_n^(alpha)'(x) = -L_{n-1}^(alpha+1)(x), the shift identity (DLMF 18.9.23)."""
     return -laguerre_polynomial(n - 1, alpha + 1.0, x).to_float()
 
 
@@ -460,6 +460,16 @@ class TestDerivative:
                    - laguerre_polynomial(n, alpha, x - h).to_float()) / (2 * h)
         assert numeric == pytest.approx(derivative(n, alpha, x), rel=1e-6)
 
+    @pytest.mark.parametrize("n,alpha,x", [(1, 0.5, 7.0), (4, 0.0, 2.5), (9, 2.5, 11.0),
+                                           (20, 10.0, 40.0), (200, 1e4, 9e3)])
+    def test_previous_value_gives_the_derivative(self, n, alpha, x):
+        # refine's form: x L_n' = n L_n - (n + alpha) L_{n-1} (DLMF 18.9.14)
+        value, previous = laguerre_polynomial(n, alpha, x, previous=True)
+        with mp.workdps(40):
+            got = (n * sv_to_mp(value) - (n + alpha) * sv_to_mp(previous)) / x
+            want = -sv_to_mp(laguerre_polynomial(n - 1, alpha + 1.0, x))
+            assert abs(got - want) <= 1e-12 * abs(want)
+
 
 class TestOracleOnWindowGrid:
     @pytest.mark.parametrize("n", [1, 5, 25, 100, 200])
@@ -515,9 +525,9 @@ class TestDegreeLimit:
 
 
 def _reference_plain_lane(n, alpha, x, rescaled_at=None):
-    """_plain_lane as a loop that forms every step term itself (no step table); the
-    list rescaled_at, if given, collects the steps k (computing L_{k+1}) at which it
-    rescales down from above 2**512."""
+    """_plain_lane as a loop that forms every step term itself (no step table), giving
+    (value, previous, shift); the list rescaled_at, if given, collects the steps k
+    (computing L_{k+1}) at which it rescales down from above 2**512."""
     hi, lo = laguerre._RESCALE_HI, laguerre._RESCALE_LO
     shift, prev, cur, k = 0, 1.0, alpha + 1.0 - x, 1.0
     for _ in range(n - 1):
@@ -531,7 +541,7 @@ def _reference_plain_lane(n, alpha, x, rescaled_at=None):
                 prev, cur, shift = math.ldexp(prev, -e), math.ldexp(cur, -e), shift + e
                 if rescaled_at is not None and m > hi:
                     rescaled_at.append(int(k) - 1)
-    return cur, shift
+    return cur, prev, shift
 
 
 def _reference_compensated_lane(n, alpha, x):
@@ -598,8 +608,9 @@ TABLE_LANES = ([(200, 1e4, x) for x in np.linspace(0.0, 3e4, 13).tolist()]
                   (1000, -0.5, 0.001), (3, -1.0 + 2.0**-52, 0.0), (2, 0.0, 2.0), (2, -0.0, 2.0)])
 
 
-def _bits(value, shift):
-    return np.float64(value).tobytes(), shift
+def _bits(*lane):
+    """A kernel's (value, shift) or (value, previous, shift) as comparable bits."""
+    return (*(np.float64(v).tobytes() for v in lane[:-1]), lane[-1])
 
 
 class TestStepTables:
@@ -639,7 +650,8 @@ class TestStepTables:
             if n:
                 reference = (_reference_compensated_lane if evaluator is laguerre_polynomial_compensated
                              else _reference_plain_lane)
-                assert ScaledValue.from_float(*reference(n, a, 3.0)) == ScaledValue(*first[n, a][:2])
+                value, *_, shift = reference(n, a, 3.0)
+                assert ScaledValue.from_float(value, shift) == ScaledValue(*first[n, a][:2])
 
     def test_cache_is_bounded(self):
         for n in range(2, 3 * laguerre._TABLES + 2):
@@ -700,22 +712,78 @@ class TestArrayPassInputs:
             assert mantissas.shape == exponents.shape == (0,)
 
 
+class TestPreviousValue:
+    """previous=True gives L_{n-1}^(alpha)(x) beside L_n^(alpha)(x) from one pass: a lane's
+    previous value has the normalized bits of its own call at degree n - 1 (L_{-1} = 0
+    for a degree-0 lane), and its value those of the default call."""
+
+    @staticmethod
+    def assert_previous_matches(degrees, alphas, x):
+        (m, e), (pm, pe) = laguerre_polynomial(degrees, alphas, x, previous=True)
+        want = laguerre_polynomial(degrees, alphas, x)
+        assert m.tobytes() == want[0].tobytes() and e.tobytes() == want[1].tobytes()
+        degrees = np.broadcast_to(degrees, x.shape)
+        lower_m, lower_e = laguerre_polynomial(np.maximum(degrees - 1, 0), alphas, x)
+        finite = np.isfinite(m) & (degrees > 0)
+        assert pm[finite].tobytes() == lower_m[finite].tobytes()
+        assert pe[finite].tobytes() == lower_e[finite].tobytes()
+        assert not pm[degrees == 0].any() and not pe[degrees == 0].any()
+        return m
+
+    @pytest.mark.parametrize("size", [_FEW_LANES - 1, _FEW_LANES + 1])  # lane kernels, _recurrence
+    def test_mixed_degrees(self, size):
+        rng = np.random.default_rng(size)
+        degrees = rng.integers(0, 60, size)
+        degrees[:4] = 0, 1, 1, 59
+        self.assert_previous_matches(degrees, rng.uniform(-0.9, 3.0, size),
+                                     rng.uniform(0.0, 200.0, size))
+
+    def test_lanes_rescale_inside_a_stride(self):
+        x = np.sort(np.random.default_rng(19).uniform(0.0, 3e4, 150))
+        stride, steps = laguerre._stride(200, np.full(x.size, 1e4), x), []
+        for v in x.tolist():
+            _reference_plain_lane(200, 1e4, v, steps)
+        assert stride > 1 and any(k % stride for k in steps)
+        for lanes in (x[:_FEW_LANES - 1], x):
+            self.assert_previous_matches(np.full(lanes.size, 200), 1e4, lanes)
+
+    def test_lane_leaving_double_range_beside_finite_lanes(self):
+        degrees, alphas = np.full(48, 200), np.append(np.full(47, 1e4), 1e200)
+        x = np.append(np.linspace(1.0, 3e4, 47), 1.0)
+        for lanes in (slice(48 - _FEW_LANES + 1, None), slice(None)):
+            m = self.assert_previous_matches(degrees[lanes], alphas[lanes], x[lanes])
+            assert not math.isfinite(m[-1]) and np.isfinite(m[:-1]).all()
+
+    @pytest.mark.parametrize("n,alpha,x", [(0, 2.0, 3.0), (1, 2.0, 3.0), (7, 0.5, 3.0),
+                                           (200, 1e4, 3e4), (1000, -0.5, 0.001)])
+    def test_float_calls(self, n, alpha, x):
+        value, previous = laguerre_polynomial(n, alpha, x, previous=True)
+        assert value == laguerre_polynomial(n, alpha, x)
+        assert previous == (laguerre_polynomial(n - 1, alpha, x) if n else ScaledValue(0.0, 0))
+
+    def test_float_call_out_of_range_raises(self):
+        with pytest.raises(ParameterError, match="left double range"):
+            laguerre_polynomial(5, 1e200, 1.0, previous=True)
+
+
 class TestStridedRescaleCheck:
     """_recurrence tests for rescaling once every _stride(...) steps; every finite lane
-    keeps _plain_lane's normalized bits, and the same lanes leave double range."""
+    keeps _plain_lane's normalized bits, of its value and of the previous value, and
+    the same lanes leave double range."""
 
     @staticmethod
     def assert_lanes_match(degrees, alphas, x):
         degrees, alphas, x = (np.asarray(v, dtype) for v, dtype in
                               ((degrees, np.int64), (alphas, float), (x, float)))
-        value, shift = laguerre._recurrence(degrees, alphas, x)
-        m, e = np.frexp(value)
+        (value, previous), shift = laguerre._recurrence(degrees, alphas, x)
         for i, (d, a, v) in enumerate(zip(degrees.tolist(), alphas.tolist(), x.tolist())):
-            want = laguerre._normalized(*_reference_plain_lane(d, a, v)) if d else (1.0, 0)
-            assert math.isfinite(want[0]) == math.isfinite(value[i]), (d, a, v)
-            if math.isfinite(want[0]):
-                got = (2.0 * m[i], int(e[i]) - 1 + int(shift[i])) if value[i] else (0.0, 0)
-                assert _bits(*got) == _bits(*want), (d, a, v)
+            want_value, want_previous, want_shift = (_reference_plain_lane(d, a, v) if d
+                                                     else (1.0, 0.0, 0))
+            assert math.isfinite(want_value) == math.isfinite(value[i]), (d, a, v)
+            if math.isfinite(want_value):
+                for got, want in ((value[i], want_value), (previous[i], want_previous)):
+                    assert (laguerre._normalized(float(got), int(shift[i]))
+                            == laguerre._normalized(want, want_shift)), (d, a, v)
 
     def test_lanes_cross_2_512_inside_and_at_stride_boundaries(self):
         rng = np.random.default_rng(19)
@@ -763,7 +831,7 @@ class TestStridedRescaleCheck:
         assert laguerre._stride(200, alphas[:47], finite) > 1
         assert laguerre._stride(200, alphas, x) == 1
         self.assert_lanes_match(degrees, alphas, x)
-        assert not np.isfinite(laguerre._recurrence(degrees, alphas, x)[0][-1])
+        assert not np.isfinite(laguerre._recurrence(degrees, alphas, x)[0][0, -1])
 
     def test_seeded_lanes_anywhere(self):
         rng = np.random.default_rng(21)

@@ -38,6 +38,22 @@ EPS = float(np.finfo(float).eps)
 
 
 def reference_step(params: LaguerreParams, z: float, compensated: bool) -> float:
+    """refine's step L/L' on float calls, with x L' = n L - (n + alpha) L_{n-1}."""
+    n, alpha = params.n, params.alpha
+    evaluate = laguerre_polynomial_compensated if compensated else laguerre_polynomial
+    value = evaluate(n, alpha, z)
+    if z <= (alpha + 1.0) * 2.0**-30:  # the limit at 0, L(0) / L'(0)
+        return -(alpha + 1.0) / n
+    previous = laguerre_polynomial(n - 1, alpha, z)
+    r = math.inf if previous.is_zero() else value.ratio_to(previous)
+    d = n * r - (n + alpha) if abs(r) <= 1.0 else n - (n + alpha) / r
+    if d == 0.0:
+        raise RefinementError(f"derivative vanished at {z!r} during refinement")
+    return z * r / d if abs(r) <= 1.0 else z / d
+
+
+def shifted_step(params: LaguerreParams, z: float, compensated: bool) -> float:
+    """The step L/L' with L' = -L_{n-1}^(alpha+1), an evaluation of its own."""
     evaluate = laguerre_polynomial_compensated if compensated else laguerre_polynomial
     value = evaluate(params.n, params.alpha, z)
     dneg = laguerre_polynomial(params.n - 1, params.alpha + 1.0, z)
@@ -46,7 +62,7 @@ def reference_step(params: LaguerreParams, z: float, compensated: bool) -> float
     return -value.ratio_to(dneg)
 
 
-def reference_refine(params: LaguerreParams, approx) -> ZeroSet:
+def reference_refine(params: LaguerreParams, approx, step=reference_step) -> ZeroSet:
     """Newton one zero at a time on float calls, with refine's stop test
     (4 eps), cap (20), escalation (residual > 16) and checks."""
     seeds = np.asarray(approx, dtype=float)
@@ -66,14 +82,14 @@ def reference_refine(params: LaguerreParams, approx) -> ZeroSet:
     for i, z in enumerate(seeds.tolist()):
         for compensated in (False, True):
             for _ in range(20):
-                step = reference_step(params, z, compensated)
-                z -= step
+                dz = step(params, z, compensated)
+                z -= dz
                 if not lo[i] < z < hi[i]:
                     raise RefinementError(
                         f"zero {i} drifted to {z!r}, across its neighbors' midpoints")
-                if abs(step) <= 4.0 * EPS * abs(z):
+                if abs(dz) <= 4.0 * EPS * abs(z):
                     break
-            residual = abs(reference_step(params, z, compensated)) / (EPS * abs(z))
+            residual = abs(step(params, z, compensated)) / (EPS * abs(z))
             if residual <= 16.0:
                 break
         refined.append(z)
@@ -188,6 +204,13 @@ class TestRefine:
         assert zs.zeros[0] == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-14)
         assert zs.zeros[1] == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-14)
 
+    @pytest.mark.parametrize("low", [0.0, 1e-300, 1e-20])
+    def test_quadratic_from_a_seed_at_the_origin(self, low):
+        # Both sides of x L' = 2 L - 2 L_1 round to the same value here; the step
+        # takes its limit at 0, -(alpha + 1) / n.
+        zs = refine(LaguerreParams(2, 0.0), [low, 3.4])
+        assert zs.zeros[0] == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-14)
+
     def test_large_alpha_residuals_certified(self):
         params = LaguerreParams(20, 1e4)
         zs = refine(params, eigen_zeros(build_jacobi(params)))
@@ -266,6 +289,14 @@ class TestRefineAgainstReference:
         params, seeds = LaguerreParams(n, alpha), ql_seeds(n, alpha)
         assert outcome(refine, params, seeds) == outcome(reference_refine, params, seeds)
 
+    @pytest.mark.parametrize("n,alpha", SWEEP + [(1000, 1.0)])
+    def test_zeros_match_the_shifted_derivative(self, n, alpha):
+        # L' from L_{n-1}^(alpha) moves residual bits only: every zero keeps the bits
+        # of the step that evaluates L' = -L_{n-1}^(alpha+1) on its own.
+        params, seeds = LaguerreParams(n, alpha), ql_seeds(n, alpha)
+        got = refine(params, seeds).zeros
+        assert got.tobytes() == reference_refine(params, seeds, shifted_step).zeros.tobytes()
+
     @pytest.mark.parametrize("n", [20, 40])
     def test_cycling_lanes(self, n):
         # Small alphas at these sizes leave lanes cycling among a few floats.
@@ -310,7 +341,7 @@ class TestRefineAgainstReference:
         calls = []
         plain = solver.laguerre_polynomial
         monkeypatch.setattr(solver, "laguerre_polynomial",
-                            lambda *args: calls.append(1) or plain(*args))
+                            lambda *args, **kwargs: calls.append(1) or plain(*args, **kwargs))
         refine(LaguerreParams(n, alpha), ql_seeds(n, alpha))
         assert len(calls) == rounds
 
@@ -321,18 +352,20 @@ class TestNewtonCorrection:
 
     @pytest.mark.parametrize("n,alpha,bad,error", [
         (2, 0.0, None, None),
-        (2, 0.0, 2.0, "derivative vanished at 2.0 during refinement"),  # L_1^(1)(2) = 0
+        (2, 0.0, 2.0, "derivative vanished at 2.0 during refinement"),  # L_2'(2) = 0
         (3, 1e150, 1e155, "left double range at (n, alpha, x) = (3, 1e+150, 1e+155)"),
     ])
     def test_few_and_many_lane_rounds_agree(self, monkeypatch, n, alpha, bad, error):
         plain = solver.laguerre_polynomial
 
-        def huge_at_7(degrees, alphas, x):  # L(7) 2**1100 times larger: the step overflows
-            mantissas, exponents = plain(degrees, alphas, x)
-            return mantissas, np.where((degrees == n) & (x == 7.0), exponents + 1100, exponents)
+        # points on alpha's scale, above the ones that take the step's limit at 0
+        ordinary = [(1.0 + alpha) * v for v in (0.5, 7.0, 1.5, 0.25, 7.0 + 1e-9)]
+
+        def huge_at_7(degree, a, x, previous):  # L(ordinary[1]) 2**1100 times larger: r overflows
+            (mantissas, exponents), lower = plain(degree, a, x, previous=previous)
+            return (mantissas, np.where(x == ordinary[1], exponents + 1100, exponents)), lower
 
         monkeypatch.setattr(solver, "laguerre_polynomial", huge_at_7)
-        ordinary = [0.5, 7.0, 1.5, 0.25, 7.0 + 1e-9]
         few = ordinary + ([bad] if bad else []) + ordinary + ([bad] if bad else [])
         rounds = []
         for z in (few, few + ordinary * _FEW_LANES):
@@ -342,35 +375,32 @@ class TestNewtonCorrection:
             rounds.append((np.array(steps[:len(few)]).tobytes(), first if bad else first - len(z),
                            type(err), str(err)))
             assert first == (len(ordinary) if bad else len(z))
-            assert steps[1] == math.copysign(math.inf, steps[4]) and math.isfinite(steps[4])
+            assert steps[1] == ordinary[1] / n and math.isfinite(steps[4])  # the limit x / n
         assert rounds[0] == rounds[1]
         assert (error or "None") in rounds[0][3]
 
     @pytest.mark.parametrize("extra", [0, _FEW_LANES])
-    def test_derivative_out_of_range_is_named_by_its_lanes(self, monkeypatch, extra):
-        # L'(7) = -L_1^(1)(7) reads as an overflowed lane: the steps stop there, and
-        # the error names the derivative's (n - 1, alpha + 1), not (n, alpha).
-        plain = solver.laguerre_polynomial
-
-        def inf_derivative_at_7(degrees, alphas, x):
-            mantissas, exponents = plain(degrees, alphas, x)
-            return np.where((degrees == 1) & (x == 7.0), math.inf, mantissas), exponents
-
-        monkeypatch.setattr(solver, "laguerre_polynomial", inf_derivative_at_7)
-        z = [0.5, 1.5, 7.0] + [3.0] * extra
-        steps, err = solver._newton_correction(LaguerreParams(2, 0.0), z, [False] * len(z))
-        assert len(steps) == 2 and all(math.isfinite(step) for step in steps)
-        assert isinstance(err, ParameterError) and str(err) == (
-            "the recurrence for L_n^(alpha)(x) left double range at (n, alpha, x) = (1, 1.0, 7.0)")
+    def test_vanishing_previous_value_takes_the_limit_step(self, extra):
+        # L_1^(0)(1) = 0 exactly, so r = L_2 / L_1 is infinite at 1: the step is x / n
+        # = 0.5, which is L_2(1) / L_2'(1) for L_2^(0)(x) = (x^2 - 4x + 2) / 2.
+        z = [0.5, 1.0, 7.0] + [3.0] * extra
+        steps, err = solver._newton_correction(LaguerreParams(2, 0.0), z,
+                                               [i % 2 == 1 for i in range(len(z))])
+        assert err is None and len(steps) == len(z) and steps[1] == 0.5
+        assert steps[::2][:2] == pytest.approx([0.125 / -1.5, 11.5 / 5.0], rel=1e-15)
 
 
 class TestZeros:
     def test_n1000_bits_pinned(self):
-        # Recorded with the one-zero-at-a-time Newton loop. This case has
-        # compensated zeros and zeros that run into the 20-iteration cap.
+        # This case has compensated zeros and zeros that run into the 20-iteration cap.
+        # The zeros were recorded with the one-zero-at-a-time Newton loop, whose L' was
+        # -L_{n-1}^(alpha+1); the residuals with L' from L_{n-1}^(alpha), whose step
+        # rounds differently.
         zs = zeros(LaguerreParams(1000, -0.5))
-        digest = hashlib.sha256(zs.zeros.tobytes() + zs.residuals.tobytes()).hexdigest()
-        assert digest == "3f025d7e3745814a4e6d15f3017b81054923f593a7710f6848a605cffde9bab5"
+        assert hashlib.sha256(zs.zeros.tobytes()).hexdigest() == (
+            "a36315c7f01b1f2a5fd24ca6aeffa307cabcf8e3e0d787e32a97e4cb8d4d6775")
+        assert hashlib.sha256(zs.residuals.tobytes()).hexdigest() == (
+            "530af8e18b9f07b12ece59d917d8b1913addb8107349330d64bdec20723c7599")
 
     def test_single_zero_closed_form(self):
         zs = zeros(LaguerreParams(1, -0.5))
