@@ -38,7 +38,6 @@ from .errors import (
 )
 from .laguerre import (
     LaguerreParams,
-    ScaledValue,
     laguerre_polynomial,
 )
 from .report import (

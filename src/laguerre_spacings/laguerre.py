@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import filterfalse
 from numbers import Integral, Real
 
 import numpy as np
@@ -25,11 +26,12 @@ from .errors import DomainError, ParameterError
 _RESCALE_HI = 2.0**512
 _RESCALE_LO = 2.0**-512
 # Plain arrays of fewer lanes run lane by lane on floats, where numpy's
-# per-call cost dominates. Measured break-even for refine's stacked plain pass
-# (each kernel timed on the same calls, min of 15, three runs): about 36 lanes
-# at n = 20, 32 at n = 40 and 26-28 at n in {100, 1000}; on the array pass a
-# 32-lane call costs 1.10-1.12 of the lane kernels at n = 20, 0.98-1.03 at
-# n = 40 and 0.81-0.98 at n in {100, 1000}, and a 48-lane one 0.43-0.81.
+# per-call cost dominates. Measured break-even on plain calls of mixed (n, alpha)
+# and (n - 1, alpha + 1) lanes (each kernel timed on the same calls, min of 15,
+# three runs): about 36 lanes at n = 20, 32 at n = 40 and 26-28 at n in {100,
+# 1000}; on the array pass a 32-lane call costs 1.10-1.12 of the lane kernels at
+# n = 20, 0.98-1.03 at n = 40 and 0.81-0.98 at n in {100, 1000}, and a 48-lane
+# one 0.43-0.81.
 _FEW_LANES = 32
 # The largest degree any door accepts, set by the lane kernels' step tables: a
 # solve reads one table, which at this degree takes 2.4 MB (144 bytes a step), so
@@ -103,37 +105,6 @@ class LaguerreParams:
     def near_degenerate_weight(self) -> bool:
         """True when alpha hugs -1 (alpha+1 < 1e-6); reports flag these runs."""
         return self.alpha + 1.0 < 1e-6
-
-
-@dataclass(frozen=True)
-class ScaledValue:
-    """A real carried as mantissa * 2**exponent2 with |mantissa| in [1, 2) or 0."""
-
-    mantissa: float
-    exponent2: int
-
-    def __post_init__(self):
-        m = self.mantissa
-        if m != 0.0 and not (1.0 <= abs(m) < 2.0):
-            raise ParameterError(f"mantissa {m!r} not normalized to [1,2)")
-
-    @classmethod
-    def from_float(cls, value: float, shift: int = 0) -> "ScaledValue":
-        return cls(*_normalized(value, shift))
-
-    def to_float(self) -> float:
-        """Collapse to a double; returns +-inf / 0.0 outside double range."""
-        return _to_double(self.mantissa, self.exponent2)
-
-    def is_zero(self) -> bool:
-        """True for the value 0 (mantissa 0.0)."""
-        return self.mantissa == 0.0
-
-    def ratio_to(self, other: "ScaledValue") -> float:
-        """self / other as a double; other must be nonzero."""
-        if other.mantissa == 0.0:
-            raise ZeroDivisionError("ratio_to a zero ScaledValue")
-        return _to_double(self.mantissa / other.mantissa, self.exponent2 - other.exponent2)
 
 
 def _normalized(value: float, shift: int = 0) -> tuple:
@@ -404,54 +375,40 @@ def _range_error(n, alpha, x) -> ParameterError:
                           f"(n, alpha, x) = ({n}, {alpha!r}, {x!r})")
 
 
-def _lane_shape(n, alpha, x):
-    """The broadcast shape of the checked inputs, () or (size,); ParameterError for
-    an array of more dimensions or arrays that do not broadcast."""
-    shapes = [v.shape for v in (n, alpha, x) if isinstance(v, np.ndarray)]
-    if any(len(shape) > 1 for shape in shapes):
-        raise ParameterError(f"lane arrays must be 1-D, got shapes "
-                             f"{np.shape(n)}, {np.shape(alpha)} and {np.shape(x)}")
-    sizes = {shape[0] for shape in shapes if shape}
-    if len(sizes - {1}) > 1:
-        raise ParameterError(f"lane arrays do not broadcast, got shapes "
-                             f"{np.shape(n)}, {np.shape(alpha)} and {np.shape(x)}")
-    return (max(sizes - {1}, default=1),) if sizes else ()
-
-
-def _lanes(v, kinds: str, rule) -> list:
-    """v's lanes as Python values: the tolist() lanes of an array whose dtype kind is in
-    kinds; any other value is one lane, rule(v)."""
-    if isinstance(v, np.ndarray) and v.dtype.kind in kinds:
-        return v.reshape(-1).tolist()
-    return [rule(v)]
+def _lanes(v, kinds: str, rule, ok) -> tuple:
+    """(lanes, size): v's lanes as Python values and its lane count. An array whose
+    dtype kind is in kinds gives its tolist() lanes, and its length as size where it is
+    1-D (None where 0-D, -1 past one dimension); the first lane failing ok raises
+    rule(lane)'s error. Any other value is one lane, rule(v), of size None."""
+    if not (isinstance(v, np.ndarray) and v.dtype.kind in kinds):
+        return [rule(v)], None
+    lanes = v.reshape(-1).tolist()
+    for lane in filterfalse(ok, lanes):
+        rule(lane)
+    return lanes, (len(v) if v.ndim == 1 else None if v.ndim == 0 else -1)
 
 
 def _evaluate(n, alpha, x, compensated: bool, previous: bool = False):
-    """Lane arrays (mantissas, exponents) of L_n^(alpha)(x), or a ScaledValue when no
-    input is an array: a float call is a one-lane call. With previous (plain mode
-    only), a pair: that result and its like for L_{n-1}^(alpha)(x) (L_{-1} = 0).
+    """Lane arrays (mantissas, exponents) of L_n^(alpha)(x), or, when no input is an
+    array, the one lane's pair (mantissa, exponent) as a float and an int: a float call
+    is a one-lane call. With previous (plain mode only), a pair: that result and its
+    like for L_{n-1}^(alpha)(x) (L_{-1} = 0).
 
-    Every call passes one door on Python values: each input's lanes, read by
-    _lanes and checked by its rule (_degree, _alpha, _check_point). An array's
-    lanes take inline range tests, and the first bad lane raises its rule's
-    error. Compensated calls and plain calls of fewer than _FEW_LANES lanes run
-    the float-lane kernels; longer plain calls run _recurrence on arrays built
-    from the checked lanes.
+    Every call passes one door on Python values: _lanes reads n, alpha and x, in that
+    order, each lane checked by its input's rule (_degree, _alpha, _check_point), so
+    the first bad lane raises its rule's error; then their sizes must broadcast.
+    Compensated calls and plain calls of fewer than _FEW_LANES lanes run the
+    float-lane kernels; longer plain calls run _recurrence on arrays built from the
+    checked lanes.
     """
-    degrees = _lanes(n, "iu", lambda v: _degree(v, 0))
-    if degrees and not 0 <= min(degrees) <= max(degrees) <= _MAX_DEGREE:
-        _degree(min(degrees), 0)  # the lowest lane's error, else the highest one's
-        _degree(max(degrees), 0)
-    alphas = _lanes(alpha, "iuf", _alpha)
-    for a in alphas:
-        if not a > -1.0 or a == math.inf:
-            _alpha(a)
-    points = _lanes(x, "iuf", _check_point)
-    shape = _lane_shape(n, alpha, x)
-    size = shape[0] if shape else 1
-    for v in points:
-        if not v >= 0.0 or v == math.inf:
-            _check_point(v)
+    degrees, n_size = _lanes(n, "iu", lambda v: _degree(v, 0), lambda d: 0 <= d <= _MAX_DEGREE)
+    alphas, alpha_size = _lanes(alpha, "iuf", _alpha, lambda a: -1.0 < a < math.inf)
+    points, x_size = _lanes(x, "iuf", _check_point, lambda v: 0.0 <= v < math.inf)
+    sizes = {size for size in (n_size, alpha_size, x_size) if size is not None}
+    if -1 in sizes or len(sizes - {1}) > 1:
+        raise ParameterError(f"lane arrays {'must be 1-D' if -1 in sizes else 'do not broadcast'},"
+                             f" got shapes {np.shape(n)}, {np.shape(alpha)} and {np.shape(x)}")
+    size = max(sizes - {1}, default=1)
     columns = [v if len(v) == size else v * size for v in (degrees, alphas, points)]
     if not compensated and size >= _FEW_LANES:
         values, shift = _recurrence(*(np.array(v, dtype) for v, dtype in
@@ -468,10 +425,10 @@ def _evaluate(n, alpha, x, compensated: bool, previous: bool = False):
         rows = [_plain_lane(d, float(a), v) if d else (1.0, 0.0, 0) for d, a, v in zip(*columns)]
         lanes = [_normalized(value, shift) for value, _, shift in rows]
     results = [lanes, [_normalized(prev, shift) for _, prev, shift in rows]] if previous else [lanes]
-    if not shape:
+    if not sizes:  # a float call: its one lane's pairs
         if not math.isfinite(lanes[0][0]):
             raise _range_error(degrees[0], alphas[0], points[0])
-        results = [ScaledValue(*out[0]) for out in results]
+        results = [out[0] for out in results]
     else:
         results = [(np.array([m for m, _ in out], dtype=float),
                     np.array([e for _, e in out], dtype=np.int64)) for out in results]
@@ -485,13 +442,15 @@ def laguerre_polynomial(n: int, alpha: float, x, *, previous: bool = False):
     power-of-two rescaling. The degree n is an int or an integer-dtype array
     (lanes at most _MAX_DEGREE); alpha a non-bool real or a real-dtype array,
     each lane a finite double > -1; x a non-bool real >= 0 or a real-dtype
-    array of such lanes. Other values raise ParameterError (n, alpha) or
-    DomainError (x). 1-D arrays that broadcast give arrays (mantissas,
-    exponents): lane i holds L_{n[i]}^(alpha[i])(x[i]), or for a lane that
-    left double range, a nan or inf mantissa; an array of more dimensions
-    raises ParameterError. A float call (no array argument) is a one-lane call
-    that returns its lane as a ScaledValue, or raises ParameterError where the
-    lane left double range.
+    array of such lanes. The inputs are checked in the order n, alpha, x, each
+    array at its first bad lane, which raises ParameterError (n, alpha) or
+    DomainError (x); then an array of more than one dimension, or arrays that do
+    not broadcast, raise ParameterError. 1-D arrays give arrays (mantissas,
+    exponents): lane i holds L_{n[i]}^(alpha[i])(x[i]) = mantissas[i] *
+    2**exponents[i], |mantissa| in [1, 2) or 0, or for a lane that left double
+    range, a nan or inf mantissa. A float call (no array argument) is a one-lane
+    call that returns its lane's pair (mantissa, exponent) as a float and an int,
+    or raises ParameterError where the lane left double range.
 
     With previous=True the call returns a pair: that result, then its like for
     L_{n-1}^(alpha)(x), which the same pass holds when it stops (L_{-1} = 0 for a

@@ -292,6 +292,8 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
         raise RefinementError("seeds are not strictly increasing")
     for bad in seeds[~np.isfinite(seeds)][:1].tolist():  # n = 1, or an infinite end
         raise RefinementError(f"seeds must be finite, got {bad!r}")
+    if seeds[0] < 0.0:  # the lowest seed; every zero of L_n^(alpha) is positive
+        raise RefinementError(f"seeds must be >= 0, got {float(seeds[0])!r}")
     _duplicate_guard(seeds)
 
     refined = seeds.tolist()

@@ -30,7 +30,7 @@ def _lanes(size, n, alpha, top):
 
 
 def _stacked(size, n, alpha, top):
-    """refine's stacked pass: (n, alpha) beside (n - 1, alpha + 1), shuffled."""
+    """Per-lane degree and alpha: (n, alpha) lanes beside (n - 1, alpha + 1) lanes, shuffled."""
     points = np.linspace(0.0, top, size)
     order = np.random.default_rng(size).permutation(2 * size)
     return (np.repeat([n, n - 1], size)[order], np.repeat([alpha, alpha + 1.0], size)[order],
@@ -71,8 +71,8 @@ def _evaluator_bits(mode, group):
     evaluator, parts = EVALUATORS[mode], []
     if group == "float":
         for n, alpha, x in FLOAT_CALLS:
-            sv = evaluator(n, alpha, x)
-            parts.append(np.float64(sv.mantissa).tobytes() + np.int64(sv.exponent2).tobytes())
+            m, e = evaluator(n, alpha, x)
+            parts.append(np.float64(m).tobytes() + np.int64(e).tobytes())
     else:
         for n, alpha, x in ARRAY_CALLS[group]:
             mantissas, exponents = evaluator(n, alpha, x)

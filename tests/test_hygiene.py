@@ -25,7 +25,7 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [alias.asname or alias.name for alias in node.names]
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    # a quoted annotation such as -> "ScaledValue" reads its name too
+    # a quoted annotation such as -> "ZeroSet" reads its name too
     read |= {node.value for node in ast.walk(tree)
              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     return [name for name in bound if name not in read]

@@ -15,17 +15,23 @@ from laguerre_spacings import (
     DomainError,
     LaguerreParams,
     ParameterError,
-    ScaledValue,
     laguerre,
     laguerre_polynomial,
     zeros,
 )
 from laguerre_spacings.bounds import edge_params
-from laguerre_spacings.laguerre import _FEW_LANES, _MAX_DEGREE, laguerre_polynomial_compensated
+from laguerre_spacings.laguerre import (
+    _FEW_LANES,
+    _MAX_DEGREE,
+    _normalized,
+    _to_double,
+    laguerre_polynomial_compensated,
+)
 
 
-def product_formula_at_zero(n: int, alpha: float) -> ScaledValue:
-    """Independent oracle for L_n^(alpha)(0) = prod_{k=1..n} (alpha+k)/k."""
+def product_formula_at_zero(n: int, alpha: float) -> tuple:
+    """Independent oracle for L_n^(alpha)(0) = prod_{k=1..n} (alpha+k)/k, as a pair
+    (mantissa, exponent)."""
     acc = 1.0
     shift = 0
     for k in range(1, n + 1):
@@ -34,7 +40,7 @@ def product_formula_at_zero(n: int, alpha: float) -> ScaledValue:
             m, e = math.frexp(acc)
             acc = m
             shift += e
-    return ScaledValue.from_float(acc, shift)
+    return _normalized(acc, shift)
 
 
 def mp_laguerre(n: int, alpha: float, x: float):
@@ -57,45 +63,49 @@ def mp_laguerre(n: int, alpha: float, x: float):
         return +(mp.mpf(total.numerator) / total.denominator)
 
 
-def sv_to_mp(sv: ScaledValue):
-    return mp.mpf(sv.mantissa) * mp.mpf(2) ** sv.exponent2
+def pair_to_mp(pair):
+    m, e = pair
+    return mp.mpf(m) * mp.mpf(2) ** e
 
 
 def derivative(n: int, alpha: float, x: float) -> float:
     """L_n^(alpha)'(x) = -L_{n-1}^(alpha+1)(x), the shift identity (DLMF 18.9.23)."""
-    return -laguerre_polynomial(n - 1, alpha + 1.0, x).to_float()
+    return -_to_double(*laguerre_polynomial(n - 1, alpha + 1.0, x))
 
 
-class TestScaledValue:
+class TestScaledPairs:
+    """_normalized and _to_double, between a double and the pair (mantissa, exponent)
+    that every evaluator lane returns."""
+
     def test_roundtrip(self):
-        for v in (1.0, -1.0, 0.0, 3.5, -1e300, 2.2e-308, math.pi):
-            assert ScaledValue.from_float(v).to_float() == v
+        for v in (1.0, -1.0, 0.0, 3.5, -1e300, 2.2e-308, 5e-324, math.pi):
+            assert _to_double(*_normalized(v)) == v
 
-    def test_normalization_rejected(self):
-        with pytest.raises(ParameterError):
-            ScaledValue(2.5, 0)
-        with pytest.raises(ParameterError):
-            ScaledValue(0.5, 0)
+    def test_zero(self):
+        assert _normalized(0.0) == _normalized(-0.0, 900) == (0.0, 0)
+        assert _to_double(0.0, 0) == 0.0 and _to_double(0.0, 5000) == 0.0
+        assert _to_double(0.0, -5000) == 0.0
+
+    def test_shifted_value(self):
+        assert _normalized(3.0, 900) == (1.5, 901)
+        assert _normalized(-0.75, -900) == (-1.5, -901)
+        assert _to_double(*_normalized(3.0, -20)) == 3.0 * 2.0**-20
 
     def test_out_of_double_range(self):
-        huge = ScaledValue(1.5, 4000)
-        assert huge.to_float() == math.inf
-        assert ScaledValue(-1.5, 4000).to_float() == -math.inf
-
-    def test_ratio_spans_scales(self):
-        a = ScaledValue(1.5, 900)
-        b = ScaledValue(1.5, 880)
-        assert a.ratio_to(b) == 2.0**20
+        assert _to_double(1.5, 4000) == math.inf
+        assert _to_double(-1.5, 4000) == -math.inf
+        assert _to_double(1.5, -4000) == 0.0
 
     @given(st.floats(allow_nan=False, allow_infinity=False,
                      min_value=-1e200, max_value=1e200))
-    def test_from_float_normalizes(self, v):
-        sv = ScaledValue.from_float(v)
+    def test_normalizes(self, v):
+        m, e = _normalized(v)
+        assert type(m) is float and type(e) is int
         if v == 0.0:
-            assert sv.mantissa == 0.0 and sv.exponent2 == 0
+            assert (m, e) == (0.0, 0)
         else:
-            assert 1.0 <= abs(sv.mantissa) < 2.0
-            assert sv.to_float() == v
+            assert 1.0 <= abs(m) < 2.0
+            assert _to_double(m, e) == v
 
 
 class TestParams:
@@ -117,28 +127,27 @@ class TestParams:
 
 class TestEvaluate:
     def test_degree_zero_is_one(self):
-        assert laguerre_polynomial(0, 3.7, 5.0).to_float() == 1.0
+        assert laguerre_polynomial(0, 3.7, 5.0) == (1.0, 0)
 
     def test_degree_one_root(self):
-        assert laguerre_polynomial(1, 2.0, 3.0).to_float() == 0.0
+        assert laguerre_polynomial(1, 2.0, 3.0) == (0.0, 0)
 
     def test_degree_two_hand_expansion(self):
         # L_2^(0)(x) = x^2/2 - 2x + 1, so L_2^(0)(2) = -1
-        assert laguerre_polynomial(2, 0.0, 2.0).to_float() == pytest.approx(-1.0, rel=1e-15)
+        assert _to_double(*laguerre_polynomial(2, 0.0, 2.0)) == pytest.approx(-1.0, rel=1e-15)
 
     @pytest.mark.parametrize("n,alpha", [(5, 0.0), (50, 1.0), (100, 1e4),
                                          (200, 1e4), (200, -0.9)])
     def test_value_at_zero_matches_product_formula(self, n, alpha):
-        mine = laguerre_polynomial(n, alpha, 0.0)
-        oracle = product_formula_at_zero(n, alpha)
-        ratio = mine.ratio_to(oracle)
+        (m, e), (om, oe) = laguerre_polynomial(n, alpha, 0.0), product_formula_at_zero(n, alpha)
+        ratio = _to_double(m / om, e - oe)
         assert ratio == pytest.approx(1.0, rel=1e-12)
 
     @pytest.mark.parametrize("n,alpha,x", [(7, 0.5, 3.0), (30, 2.0, 55.0),
                                            (100, 1e4, 9000.0), (150, 100.0, 300.0)])
     def test_against_extended_precision(self, n, alpha, x):
         exact = mp_laguerre(n, alpha, x)
-        mine = sv_to_mp(laguerre_polynomial(n, alpha, x))
+        mine = pair_to_mp(laguerre_polynomial(n, alpha, x))
         assert abs(mine - exact) <= 1e-10 * abs(exact)
 
     @settings(max_examples=40, deadline=None)
@@ -151,8 +160,8 @@ class TestEvaluate:
     def test_recurrence_tracks_oracle_within_envelope(self, n, alpha, x):
         # |L_n^(a)(x)| <= L_n^(a)(0) e^(x/2) for a >= 0 bounds the noise scale.
         exact = mp_laguerre(n, alpha, x)
-        mine = sv_to_mp(laguerre_polynomial(n, alpha, x))
-        envelope = product_formula_at_zero(n, alpha).to_float() * math.exp(x / 2.0)
+        mine = pair_to_mp(laguerre_polynomial(n, alpha, x))
+        envelope = _to_double(*product_formula_at_zero(n, alpha)) * math.exp(x / 2.0)
         assert abs(mine - exact) <= 1e-12 * envelope
 
     def test_compensated_is_sharper_at_clustered_zeros(self):
@@ -162,8 +171,8 @@ class TestEvaluate:
 
         z0 = float(zeros(LaguerreParams(200, 0.5)).zeros[0])
         exact = mp_laguerre(200, 0.5, z0)
-        plain = sv_to_mp(laguerre_polynomial(200, 0.5, z0))
-        comp = sv_to_mp(laguerre_polynomial_compensated(200, 0.5, z0))
+        plain = pair_to_mp(laguerre_polynomial(200, 0.5, z0))
+        comp = pair_to_mp(laguerre_polynomial_compensated(200, 0.5, z0))
         assert abs(comp - exact) < 1e-3 * abs(plain - exact)
         assert abs(comp - exact) <= 1e-12 * abs(exact)
 
@@ -282,8 +291,8 @@ class TestArrayLanes:
         points = make_points()
         mantissas, exponents = evaluator(n, alpha, points)
         pointwise = [evaluator(n, alpha, float(x)) for x in points]
-        assert mantissas.tobytes() == np.array([sv.mantissa for sv in pointwise]).tobytes()
-        assert exponents.tolist() == [sv.exponent2 for sv in pointwise]
+        assert mantissas.tobytes() == np.array([m for m, _ in pointwise]).tobytes()
+        assert exponents.tolist() == [e for _, e in pointwise]
 
     # Either side of the plain mode's switch from the float-lane kernels to _recurrence.
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
@@ -303,8 +312,8 @@ class TestArrayLanes:
                 assert (mantissas[-1:].tobytes(), exponents[-1]) == (lost[0].tobytes(), lost[1][0])
                 lanes, mantissas, exponents = lanes[:-1], mantissas[:-1], exponents[:-1]
             pointwise = [evaluator(*lane) for lane in lanes]
-            assert mantissas.tobytes() == np.array([sv.mantissa for sv in pointwise]).tobytes()
-            assert exponents.tolist() == [sv.exponent2 for sv in pointwise]
+            assert mantissas.tobytes() == np.array([m for m, _ in pointwise]).tobytes()
+            assert exponents.tolist() == [e for _, e in pointwise]
 
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     @pytest.mark.parametrize("key,value,kind", [
@@ -333,21 +342,21 @@ class TestArrayLanes:
 
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     @pytest.mark.parametrize("n,alpha,points", [
-        (1, 2.0, np.linspace(0.5, 6.0, 12)),  # the derivative lanes have degree 0
+        (1, 2.0, np.linspace(0.5, 6.0, 12)),  # the (n - 1, alpha + 1) lanes have degree 0
         (2, 0.0, np.linspace(0.1, 5.0, 12)),
         (30, 0.5, np.array([0.0, 0.3, 9.0, 40.0, 90.0])),  # 10 lanes: run on floats
         (200, 1e4, np.linspace(1.0, 3e4, 24)),  # lanes rescale at different steps
     ])
     def test_mixed_degree_and_alpha_lanes(self, evaluator, n, alpha, points):
-        # refine's stacked pass: (n, alpha) numerators beside (n - 1, alpha + 1) derivatives
+        # per-lane degree and alpha: (n, alpha) lanes beside (n - 1, alpha + 1) lanes, shuffled
         order = np.random.default_rng(3).permutation(2 * points.size)
         degrees = np.repeat([n, n - 1], points.size)[order]
         alphas = np.repeat([alpha, alpha + 1.0], points.size)[order]
         x = np.concatenate((points, points))[order]
         mantissas, exponents = evaluator(degrees, alphas, x)
         pointwise = [evaluator(d, a, v) for d, a, v in zip(degrees.tolist(), alphas.tolist(), x.tolist())]
-        assert mantissas.tobytes() == np.array([sv.mantissa for sv in pointwise]).tobytes()
-        assert exponents.tolist() == [sv.exponent2 for sv in pointwise]
+        assert mantissas.tobytes() == np.array([m for m, _ in pointwise]).tobytes()
+        assert exponents.tolist() == [e for _, e in pointwise]
 
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     @pytest.mark.parametrize("n,alpha,match", [
@@ -365,6 +374,20 @@ class TestArrayLanes:
         with pytest.raises(ParameterError, match=match):
             evaluator(n, alpha, np.array([1.0, 2.0]))
 
+    # The door reads n, alpha and x in that order, each array up to its first bad
+    # lane, and only then compares their shapes.
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    def test_first_bad_degree_lane_raises(self, evaluator):
+        with pytest.raises(ParameterError, match=f"degree must be <= {_MAX_DEGREE}, got {_MAX_DEGREE + 1}$"):
+            evaluator(np.array([3, _MAX_DEGREE + 1, -1]), 0.5, np.ones(3))
+
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    def test_bad_point_lane_raises_before_the_shape_check(self, evaluator):
+        x = np.ones((2, 3))
+        x[1, 1] = math.nan
+        with pytest.raises(DomainError, match="evaluation point must be a finite real >= 0, got nan$"):
+            evaluator(3, 0.5, x)
+
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     def test_lane_out_of_range_leaves_others_alone(self, evaluator):
         # The last lane leaves double range; the others must still rescale as
@@ -373,8 +396,8 @@ class TestArrayLanes:
         alphas = np.array([1e4] * 20 + [1e200])
         mantissas, exponents = evaluator(degrees, alphas, x)
         pointwise = [evaluator(200, 1e4, v) for v in x[:20].tolist()]
-        assert mantissas[:20].tobytes() == np.array([sv.mantissa for sv in pointwise]).tobytes()
-        assert exponents[:20].tolist() == [sv.exponent2 for sv in pointwise]
+        assert mantissas[:20].tobytes() == np.array([m for m, _ in pointwise]).tobytes()
+        assert exponents[:20].tolist() == [e for _, e in pointwise]
         assert not np.isfinite(mantissas[20])
         with pytest.raises(ParameterError, match="left double range"):
             evaluator(200, 1e200, 1.0)
@@ -392,8 +415,8 @@ class TestArrayLanes:
             warnings.simplefilter("error")
             mantissas, exponents = evaluator(degrees, alphas, x)
         pointwise = [evaluator(*lane) for lane in zip(degrees.tolist(), alphas.tolist(), x.tolist())]
-        assert mantissas.tobytes() == np.array([sv.mantissa for sv in pointwise]).tobytes()
-        assert exponents.tolist() == [sv.exponent2 for sv in pointwise]
+        assert mantissas.tobytes() == np.array([m for m, _ in pointwise]).tobytes()
+        assert exponents.tolist() == [e for _, e in pointwise]
 
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     def test_all_degree_zero_lanes(self, evaluator):
@@ -429,8 +452,8 @@ class TestArrayLanes:
         alphas, x = np.full(64, 0.3, dtype=dtype), np.linspace(0.0, 80.0, 64)
         mantissas, exponents = evaluator(60, alphas, x)
         pointwise = [evaluator(60, a, v) for a, v in zip(alphas.tolist(), x.tolist())]
-        assert mantissas.tobytes() == np.array([sv.mantissa for sv in pointwise]).tobytes()
-        assert exponents.tolist() == [sv.exponent2 for sv in pointwise]
+        assert mantissas.tobytes() == np.array([m for m, _ in pointwise]).tobytes()
+        assert exponents.tolist() == [e for _, e in pointwise]
 
     def test_lanes_span_many_scales(self):
         _, exponents = laguerre_polynomial(200, 1e4, np.linspace(0.0, 3e4, 64))
@@ -456,8 +479,8 @@ class TestDerivative:
     @pytest.mark.parametrize("n,alpha,x", [(4, 0.0, 2.5), (9, 2.5, 11.0), (20, 10.0, 40.0)])
     def test_matches_central_differences(self, n, alpha, x):
         h = x * 1e-7
-        numeric = (laguerre_polynomial(n, alpha, x + h).to_float()
-                   - laguerre_polynomial(n, alpha, x - h).to_float()) / (2 * h)
+        numeric = (_to_double(*laguerre_polynomial(n, alpha, x + h))
+                   - _to_double(*laguerre_polynomial(n, alpha, x - h))) / (2 * h)
         assert numeric == pytest.approx(derivative(n, alpha, x), rel=1e-6)
 
     @pytest.mark.parametrize("n,alpha,x", [(1, 0.5, 7.0), (4, 0.0, 2.5), (9, 2.5, 11.0),
@@ -466,8 +489,8 @@ class TestDerivative:
         # refine's form: x L_n' = n L_n - (n + alpha) L_{n-1} (DLMF 18.9.14)
         value, previous = laguerre_polynomial(n, alpha, x, previous=True)
         with mp.workdps(40):
-            got = (n * sv_to_mp(value) - (n + alpha) * sv_to_mp(previous)) / x
-            want = -sv_to_mp(laguerre_polynomial(n - 1, alpha + 1.0, x))
+            got = (n * pair_to_mp(value) - (n + alpha) * pair_to_mp(previous)) / x
+            want = -pair_to_mp(laguerre_polynomial(n - 1, alpha + 1.0, x))
             assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -511,7 +534,7 @@ class TestDegreeLimit:
 
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     def test_limit_itself_evaluates(self, evaluator):
-        assert math.isfinite(evaluator(_MAX_DEGREE, 0.5, 1.0).mantissa)
+        assert math.isfinite(evaluator(_MAX_DEGREE, 0.5, 1.0)[0])
         assert evaluator(np.array([_MAX_DEGREE]), 0.5, np.array([]))[0].size == 0
 
     def test_sweep_config_and_limit_probe(self):
@@ -637,9 +660,8 @@ class TestStepTables:
         def outcome(order):
             got = {}
             for n, a in order:  # a float call and a short array call (the lane kernels)
-                sv = evaluator(n, a, 3.0)
                 m, e = evaluator(n, a, points)
-                got[n, a] = (sv.mantissa, sv.exponent2, m.tobytes(), e.tobytes())
+                got[n, a] = (*evaluator(n, a, 3.0), m.tobytes(), e.tobytes())
             return got
 
         first = outcome(keys)
@@ -651,7 +673,7 @@ class TestStepTables:
                 reference = (_reference_compensated_lane if evaluator is laguerre_polynomial_compensated
                              else _reference_plain_lane)
                 value, *_, shift = reference(n, a, 3.0)
-                assert ScaledValue.from_float(value, shift) == ScaledValue(*first[n, a][:2])
+                assert _normalized(value, shift) == first[n, a][:2]
 
     def test_cache_is_bounded(self):
         for n in range(2, 3 * laguerre._TABLES + 2):
@@ -759,7 +781,9 @@ class TestPreviousValue:
     def test_float_calls(self, n, alpha, x):
         value, previous = laguerre_polynomial(n, alpha, x, previous=True)
         assert value == laguerre_polynomial(n, alpha, x)
-        assert previous == (laguerre_polynomial(n - 1, alpha, x) if n else ScaledValue(0.0, 0))
+        assert previous == (laguerre_polynomial(n - 1, alpha, x) if n else (0.0, 0))
+        for m, e in (value, previous):
+            assert type(m) is float and type(e) is int
 
     def test_float_call_out_of_range_raises(self):
         with pytest.raises(ParameterError, match="left double range"):
@@ -798,7 +822,7 @@ class TestStridedRescaleCheck:
         self.assert_lanes_match(degrees, alphas, x)
 
     def test_mixed_degrees_end_inside_a_stride(self):
-        # refine's stacked pass, with degrees that end at, and between, check steps
+        # mixed degrees and alphas, with degrees that end at, and between, check steps
         rng = np.random.default_rng(20)
         for n, alpha, top in ((1000, -0.5, 3900.0), (300, 0.5, 1200.0), (120, 1e4, 1.2e4)):
             degrees = rng.integers(0, n + 1, 120)

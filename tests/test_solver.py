@@ -24,7 +24,7 @@ from laguerre_spacings import (
     zeros,
 )
 from laguerre_spacings.bounds import edge_params, krasikov_window
-from laguerre_spacings.laguerre import _FEW_LANES, laguerre_polynomial_compensated
+from laguerre_spacings.laguerre import _FEW_LANES, _to_double, laguerre_polynomial_compensated
 
 # Roots of x^3 - 9x^2 + 18x - 6 frozen from a 200-step bisection oracle
 # (the monic form of the degree-3, alpha=0 case).
@@ -41,11 +41,11 @@ def reference_step(params: LaguerreParams, z: float, compensated: bool) -> float
     """refine's step L/L' on float calls, with x L' = n L - (n + alpha) L_{n-1}."""
     n, alpha = params.n, params.alpha
     evaluate = laguerre_polynomial_compensated if compensated else laguerre_polynomial
-    value = evaluate(n, alpha, z)
+    m, e = evaluate(n, alpha, z)
     if z <= (alpha + 1.0) * 2.0**-30:  # the limit at 0, L(0) / L'(0)
         return -(alpha + 1.0) / n
-    previous = laguerre_polynomial(n - 1, alpha, z)
-    r = math.inf if previous.is_zero() else value.ratio_to(previous)
+    pm, pe = laguerre_polynomial(n - 1, alpha, z)
+    r = _to_double(m / pm, e - pe) if pm else math.inf
     d = n * r - (n + alpha) if abs(r) <= 1.0 else n - (n + alpha) / r
     if d == 0.0:
         raise RefinementError(f"derivative vanished at {z!r} during refinement")
@@ -55,11 +55,11 @@ def reference_step(params: LaguerreParams, z: float, compensated: bool) -> float
 def shifted_step(params: LaguerreParams, z: float, compensated: bool) -> float:
     """The step L/L' with L' = -L_{n-1}^(alpha+1), an evaluation of its own."""
     evaluate = laguerre_polynomial_compensated if compensated else laguerre_polynomial
-    value = evaluate(params.n, params.alpha, z)
-    dneg = laguerre_polynomial(params.n - 1, params.alpha + 1.0, z)
-    if dneg.is_zero():
+    m, e = evaluate(params.n, params.alpha, z)
+    dm, de = laguerre_polynomial(params.n - 1, params.alpha + 1.0, z)
+    if not dm:
         raise RefinementError(f"derivative vanished at {z!r} during refinement")
-    return -value.ratio_to(dneg)
+    return -_to_double(m / dm, e - de)
 
 
 def reference_refine(params: LaguerreParams, approx, step=reference_step) -> ZeroSet:
@@ -277,6 +277,12 @@ class TestRefine:
     def test_non_finite_seed_rejected_at_the_door(self, n, seeds):
         # no gap test catches these; they must not reach the evaluator either
         with pytest.raises(RefinementError, match="seeds must be finite"):
+            refine(LaguerreParams(n, 0.0), seeds)
+
+    @pytest.mark.parametrize("n,seeds", [(1, [-2.5]), (2, [-1.0, 3.0]), (3, [-1e-300, 2.3, 6.3])])
+    def test_negative_seed_rejected_at_the_door(self, n, seeds):
+        # not a DomainError from inside the evaluator; seed 0 stays allowed
+        with pytest.raises(RefinementError, match=re.escape(f"seeds must be >= 0, got {seeds[0]!r}")):
             refine(LaguerreParams(n, 0.0), seeds)
 
 
