@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import filterfalse
 from numbers import Integral, Real
 
 import numpy as np
@@ -49,6 +48,8 @@ _SPLIT = 134217729.0  # 2**27 + 1, the Veltkamp splitting constant
 # 0.84-0.88 at 256 and 0.97-1.01 at 400; 1.2-1.3 at 1000 lanes and 1.4-1.6 at 2000.
 _BLOCK_LANES = 256
 _BLOCK = 8192
+# The lane bounds alpha > -1 and x < inf as closed ones, for _lanes's comparisons.
+_ALPHA_LOW, _FLOAT_MAX = math.nextafter(-1.0, 0.0), float(np.finfo(float).max)
 
 
 def _degree(n, low: int) -> int:
@@ -375,16 +376,17 @@ def _range_error(n, alpha, x) -> ParameterError:
                           f"(n, alpha, x) = ({n}, {alpha!r}, {x!r})")
 
 
-def _lanes(v, kinds: str, rule, ok) -> tuple:
+def _lanes(v, kinds: str, rule, low, high) -> tuple:
     """(lanes, size): v's lanes as Python values and its lane count. An array whose
     dtype kind is in kinds gives its tolist() lanes, and its length as size where it is
-    1-D (None where 0-D, -1 past one dimension); the first lane failing ok raises
-    rule(lane)'s error. Any other value is one lane, rule(v), of size None."""
+    1-D (None where 0-D, -1 past one dimension); the first lane outside [low, high], or
+    nan, raises rule(lane)'s error. Any other value is one lane, rule(v), of size None."""
     if not (isinstance(v, np.ndarray) and v.dtype.kind in kinds):
         return [rule(v)], None
     lanes = v.reshape(-1).tolist()
-    for lane in filterfalse(ok, lanes):
-        rule(lane)
+    for lane in lanes:
+        if not low <= lane <= high:
+            rule(lane)
     return lanes, (len(v) if v.ndim == 1 else None if v.ndim == 0 else -1)
 
 
@@ -401,9 +403,9 @@ def _evaluate(n, alpha, x, compensated: bool, previous: bool = False):
     float-lane kernels; longer plain calls run _recurrence on arrays built from the
     checked lanes.
     """
-    degrees, n_size = _lanes(n, "iu", lambda v: _degree(v, 0), lambda d: 0 <= d <= _MAX_DEGREE)
-    alphas, alpha_size = _lanes(alpha, "iuf", _alpha, lambda a: -1.0 < a < math.inf)
-    points, x_size = _lanes(x, "iuf", _check_point, lambda v: 0.0 <= v < math.inf)
+    degrees, n_size = _lanes(n, "iu", lambda v: _degree(v, 0), 0, _MAX_DEGREE)
+    alphas, alpha_size = _lanes(alpha, "iuf", _alpha, _ALPHA_LOW, _FLOAT_MAX)
+    points, x_size = _lanes(x, "iuf", _check_point, 0.0, _FLOAT_MAX)
     sizes = {size for size in (n_size, alpha_size, x_size) if size is not None}
     if -1 in sizes or len(sizes - {1}) > 1:
         raise ParameterError(f"lane arrays {'must be 1-D' if -1 in sizes else 'do not broadcast'},"

@@ -18,6 +18,7 @@ from .laguerre import (
 )
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 _MAX_QL_SWEEPS = 50
 _MAX_NEWTON_ITERATIONS = 20
 _RESIDUAL_CAP = 64.0  # ulp-equivalents: |L(z)| / (eps * |z * L'(z)|)
@@ -54,16 +55,17 @@ def build_jacobi(params: LaguerreParams) -> JacobiMatrix:
     return JacobiMatrix(diag=diag, offdiag=offdiag)
 
 
-def eigen_zeros(jacobi: JacobiMatrix) -> np.ndarray:
-    """All eigenvalues of a symmetric tridiagonal matrix, sorted ascending.
+def _deflations(jacobi: JacobiMatrix):
+    """The eigenvalues of a symmetric tridiagonal matrix, yielded as positions 0, 1, ...
+    deflate. No sweep writes below its own l, so each d[l] yielded is final.
 
-    Implicit-shift QL iteration with Wilkinson shift, eigenvalues only
-    (no eigenvectors). Raises ConvergenceError if any eigenvalue needs
-    more than 50 sweeps, which indicates a numerics bug rather than a
-    user error. The sweeps run on Python lists, whose element access is
-    several times cheaper than numpy scalar indexing. Each sweep's rotations
-    also run the split test on the entries they leave behind, in place of
-    the scan that would follow; same tests, same order, same bits.
+    Implicit-shift QL iteration with Wilkinson shift, eigenvalues only. Raises
+    ConvergenceError when a position needs more than 50 sweeps, a numerics bug rather
+    than a user error. The sweeps run on Python lists, whose element access is several
+    times cheaper than numpy scalar indexing. Each sweep's rotations also run the split
+    test on the entries they leave behind, in place of the scan that would follow; same
+    tests, same order, same bits. A rotation that underflows (h = 0) raises
+    ZeroDivisionError at f / h, which restores d and restarts the sweep.
     """
     n = jacobi.dimension
     d = jacobi.diag.astype(float).tolist()
@@ -101,35 +103,36 @@ def eigen_zeros(jacobi: JacobiMatrix) -> np.ndarray:
             g = d[m] - d[l] + e[l] / (g + copysign(r, g))
             s = c = 1.0
             p = 0.0
-            dn = d[m]  # d[i + 1], carried down the sweep: the rotation at i reads it first
-            # The scan's test at j = i + 1, on e[j], d[j] and d[j + 1] as
-            # this sweep leaves them; the lowest hit in (l, m], else m.
+            dn = d[m]  # d[j], carried down the sweep: the rotation at i = j - 1 reads it first
+            # The scan's test at j, on e[j], d[j] and d[j + 1] as this sweep
+            # leaves them; the lowest hit in (l, m], else m.
             low, d_up = m, abs(d[m + 1]) if m + 1 < n else 0.0  # |d[j + 1]|
-            for i in range(m - 1, l - 1, -1):
-                ei = e[i]
-                f = s * ei
-                b = c * ei
-                h = hypot(f, g)
-                e[i + 1] = h
-                if h == 0.0:
-                    # Recover from an underflowed rotation and restart the sweep.
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    split = None
-                    break
-                s = f / h
-                c = g / h
-                g = dn - p
-                dn = d[i]
-                r = (dn - g) * s + 2.0 * c * b
-                p = s * r
-                dj = g + p
-                g = c * r - b
-                d[i + 1] = dj
-                dj = abs(dj)
-                if h <= eps * (dj + d_up):
-                    low = i + 1
-                d_up = dj
+            try:
+                for i in range(m - 1, l - 1, -1):
+                    j = i + 1
+                    ei = e[i]
+                    f = s * ei
+                    b = c * ei
+                    h = hypot(f, g)
+                    e[j] = h
+                    s = f / h
+                    c = g / h
+                    g = dn - p
+                    dn = d[i]
+                    r = (dn - g) * s + 2.0 * c * b
+                    p = s * r
+                    dj = g + p
+                    g = c * r - b
+                    d[j] = dj
+                    if dj < 0.0:  # |dj|: for -0.0 and nan it compares as abs(dj) does
+                        dj = -dj
+                    if h <= eps * (dj + d_up):
+                        low = j
+                    d_up = dj
+            except ZeroDivisionError:  # h == 0: an underflowed rotation
+                d[j] -= p
+                e[m] = 0.0
+                split = None
             else:
                 d[l] -= p
                 e[l] = g
@@ -138,7 +141,28 @@ def eigen_zeros(jacobi: JacobiMatrix) -> np.ndarray:
                     split = None  # a nan: the scan would not stop at m
                 else:
                     split, above = (l if abs(g) <= eps * (abs(d[l]) + d_up) else low), low
-    return np.sort(np.array(d))
+        yield d[l]
+
+
+def eigen_zeros(jacobi: JacobiMatrix) -> np.ndarray:
+    """All eigenvalues, sorted ascending: the sort of the final values _deflations
+    yields (its QL restarts a sweep on a ZeroDivisionError)."""
+    return np.sort(np.fromiter(_deflations(jacobi), float, jacobi.dimension))
+
+
+def _count_below(jacobi: JacobiMatrix, t: float) -> int:
+    """How many eigenvalues lie below t: a Sturm count (Barth, Martin and Wilkinson,
+    Numer. Math. 9, 1967) of the negative pivots of LDL^T = T - tI, where a pivot within
+    pivmin of 0 becomes -pivmin, as in LAPACK's xLAEBZ; a nan t counts none."""
+    e2 = (jacobi.offdiag * jacobi.offdiag).tolist()
+    pivmin = _TINY * max(1.0, max(e2, default=0.0))
+    count, q = 0, 1.0
+    for a, b2 in zip(jacobi.diag.tolist(), [0.0] + e2):
+        q = a - b2 / q - t
+        if -pivmin < q < pivmin:
+            q = -pivmin
+        count += q < 0.0
+    return count
 
 
 @dataclass(frozen=True)

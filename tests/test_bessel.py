@@ -17,10 +17,13 @@ from laguerre_spacings import (
     DomainError,
     LaguerreParams,
     ParameterError,
+    bessel,
     bessel_zero,
     bessel_zero_table,
+    eigen_zeros,
     gap_facts,
     limit_probe,
+    solver,
     uniform_spacing_lower,
     zeros,
 )
@@ -108,6 +111,43 @@ class TestZeros:
         probe, want = limit_probe(alpha, 1, (10, 20)), limit_probe(double, 1, (10, 20))
         assert type(probe.alpha) is float and probe.target == want.target
         assert probe.scaled_spacings.tobytes() == want.scaled_spacings.tobytes()
+
+
+ALPHAS = [float(a) for a in np.random.default_rng(24).uniform(-1.0, 1.0, 40)] + [
+    -1.0 + 1e-15, 0.0, 1.0]
+
+
+class TestTopDeflations:
+    # _zeros stops the QL after the MAX_RANK values it keeps; its bits must be
+    # those of the full eigen_zeros, certificate or fallback.
+    @staticmethod
+    def full_ql(alpha):
+        return 1.0 / np.sqrt(eigen_zeros(bessel._ikebe_even_block(alpha))[:-21:-1])
+
+    @staticmethod
+    def count_yields(monkeypatch):
+        yielded = []
+
+        def deflations(block):
+            for value in solver._deflations(block):
+                yielded.append(value)
+                yield value
+
+        monkeypatch.setattr(bessel, "_deflations", deflations)
+        return yielded
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_certified_top_is_the_full_ql(self, monkeypatch, alpha):
+        yielded = self.count_yields(monkeypatch)
+        assert bessel._zeros.__wrapped__(alpha).tobytes() == self.full_ql(alpha).tobytes()
+        assert len(yielded) == 20
+
+    @pytest.mark.parametrize("alpha", ALPHAS[::8] + ALPHAS[-3:])
+    def test_fallback_is_the_full_ql(self, monkeypatch, alpha):
+        yielded = self.count_yields(monkeypatch)
+        monkeypatch.setattr(bessel, "_count_below", lambda block, t: -1)
+        assert bessel._zeros.__wrapped__(alpha).tobytes() == self.full_ql(alpha).tobytes()
+        assert len(yielded) == 50
 
 
 class TestTable:

@@ -13,6 +13,7 @@ import pytest
 from laguerre_spacings import JacobiMatrix, LaguerreParams, build_jacobi, eigen_zeros
 from laguerre_spacings.bessel import _ikebe_even_block
 from laguerre_spacings.laguerre import laguerre_polynomial, laguerre_polynomial_compensated
+from laguerre_spacings.solver import _deflations
 
 PAPER_GRID = [(n, a) for n in (10, 20, 50, 100) for a in (1.0, 100.0, 1e3, 1e4)]
 
@@ -115,3 +116,12 @@ EIGEN_DIGESTS = {
 def test_eigen_zeros_bits_pinned(group):
     bits = b"".join(eigen_zeros(m).tobytes() for m in EIGEN_MATRICES[group]())
     assert hashlib.sha256(bits).hexdigest() == EIGEN_DIGESTS[group]
+
+
+@pytest.mark.parametrize("group", sorted(EIGEN_MATRICES))
+def test_deflations_sort_to_eigen_zeros(group):
+    # One value per row, each final when yielded: their sort is eigen_zeros's bits.
+    for m in EIGEN_MATRICES[group]():
+        values = list(_deflations(m))
+        assert len(values) == m.dimension
+        assert np.sort(values).tobytes() == eigen_zeros(m).tobytes()

@@ -1,6 +1,7 @@
 """Evaluation-layer tests: recurrence values, derivatives, the mpmath oracle on window grids."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 from functools import partial
@@ -373,6 +374,31 @@ class TestArrayLanes:
             evaluator(n, alpha, np.linspace(0.0, 5.0, 20))
         with pytest.raises(ParameterError, match=match):
             evaluator(n, alpha, np.array([1.0, 2.0]))
+
+    # The door tests lanes against closed bounds: alpha from the least double above
+    # -1, alpha and x up to the largest finite double. A nan lane fails every
+    # comparison; a -1 lane fails in an integer array as in a float one.
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    @pytest.mark.parametrize("key,lanes,kind,text", [
+        ("alpha", np.array([0.5, -1.0]), ParameterError, "alpha must be > -1, got -1.0"),
+        ("alpha", np.array([0, -1]), ParameterError, "alpha must be > -1, got -1.0"),
+        ("alpha", np.array([0.5, math.nan]), ParameterError, "alpha must be a finite real, got nan"),
+        ("x", np.array([1.0, math.nan]), DomainError,
+         "evaluation point must be a finite real >= 0, got nan"),
+        ("x", np.array([1, -1]), DomainError, "evaluation point must be a finite real >= 0, got -1.0"),
+    ])
+    def test_nan_and_minus_one_lanes_pinned(self, evaluator, key, lanes, kind, text):
+        call = {"n": 5, "alpha": np.array([0.5, 0.5]), "x": np.array([1.0, math.nan])}
+        call[key] = lanes  # a bad alpha lane raises before the nan x lane
+        with pytest.raises(kind, match=f"^{re.escape(text)}$"):
+            evaluator(**call)
+
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    def test_lane_bounds_are_closed_at_the_doubles(self, evaluator):
+        alpha, top = math.nextafter(-1.0, 0.0), np.finfo(float).max
+        m, e = evaluator(np.array([3, 0]), np.array([alpha, top]), np.array([0.0, top]))
+        assert (m[0], e[0]) == evaluator(3, alpha, 0.0)
+        assert (m[1], e[1]) == (1.0, 0)
 
     # The door reads n, alpha and x in that order, each array up to its first bad
     # lane, and only then compares their shapes.

@@ -194,6 +194,36 @@ class TestEigen:
         assert np.max(np.abs(got - lapack)) <= 4 * np.finfo(float).smallest_subnormal
 
 
+class TestCountBelow:
+    @staticmethod
+    def dense_eigenvalues(m):
+        return np.linalg.eigvalsh(np.diag(m.diag) + np.diag(m.offdiag, 1) + np.diag(m.offdiag, -1))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_counts(self, seed):
+        # Thresholds between neighbouring eigenvalues and a hair off each one,
+        # far enough from it that rounding cannot move the count.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        m = solver.JacobiMatrix(diag=rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3),
+                                offdiag=rng.normal(size=n - 1))
+        ev = self.dense_eigenvalues(m)
+        scale = np.max(np.abs(ev))
+        between = (ev[1:] + ev[:-1]) / 2.0
+        near = np.concatenate((ev - 1e-9 * scale, ev + 1e-9 * scale))
+        ends = [ev[0] - 1.0 - scale, ev[-1] + 1.0 + scale]
+        for t in np.concatenate((between, near, ends)).tolist():
+            assert solver._count_below(m, t) == np.sum(ev < t), t
+
+    def test_zero_pivots_and_a_nan_threshold(self):
+        # T - tI has zero pivots at t = 0 (a zero diagonal); a nan t counts none.
+        m = solver.JacobiMatrix(diag=np.zeros(6), offdiag=np.ones(5))
+        ev = self.dense_eigenvalues(m)
+        for t in (0.0, -1e-300, 1e-300, 1.0, -1.0):
+            assert solver._count_below(m, t) == np.sum(ev < t), t
+        assert solver._count_below(m, math.nan) == 0
+
+
 class TestRefine:
     def test_linear_converges_from_coarse_seed(self):
         zs = refine(LaguerreParams(1, 2.0), [2.9])
