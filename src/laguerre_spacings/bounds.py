@@ -124,7 +124,7 @@ def bound_set(params: LaguerreParams, C="auto") -> BoundSet:
     elif C is not None:
         C = float(C)
         if not math.isfinite(C) or C <= 0.0:
-            raise ParameterError(f"C must be positive, got {C}")
+            raise ParameterError(f"C must be a finite positive number, got {C}")
         if params.alpha < params.n / C:
             C = None
     if params.n < 2 or C == math.inf:

@@ -25,12 +25,13 @@ from .errors import DomainError, ParameterError
 _RESCALE_HI = 2.0**512
 _RESCALE_LO = 2.0**-512
 # Plain arrays of fewer lanes run lane by lane on floats, where numpy's
-# per-call cost dominates. Measured break-even on plain calls of mixed (n, alpha)
-# and (n - 1, alpha + 1) lanes (each kernel timed on the same calls, min of 15,
-# three runs): about 36 lanes at n = 20, 32 at n = 40 and 26-28 at n in {100,
-# 1000}; on the array pass a 32-lane call costs 1.10-1.12 of the lane kernels at
-# n = 20, 0.98-1.03 at n = 40 and 0.81-0.98 at n in {100, 1000}, and a 48-lane
-# one 0.43-0.81.
+# per-call cost dominates; solver.refine batches its Newton rounds only while
+# this many lanes are pending, and steps the rest one by one on the lane kernel.
+# Measured break-even on plain calls (each kernel timed on the same calls, min
+# of 15, three runs): about 36 lanes at n = 20, 32 at n = 40 and 26-28 at n in
+# {100, 1000}; on the array pass a 32-lane call costs 1.10-1.12 of the lane
+# kernels at n = 20, 0.98-1.03 at n = 40 and 0.81-0.98 at n in {100, 1000},
+# and a 48-lane one 0.43-0.81.
 _FEW_LANES = 32
 # The largest degree any door accepts, set by the lane kernels' step tables: a
 # solve reads one table, which at this degree takes 2.4 MB (144 bytes a step), so
@@ -466,6 +467,7 @@ def laguerre_polynomial_compensated(n: int, alpha: float, x):
     """laguerre_polynomial to ~eps of the true value even near the clustered
     small zeros, by error-free transformations; used for zero certification.
 
-    Arrays run lane by lane on floats, about 1.0-1.1 ms per lane at n = 1000.
+    Arrays run lane by lane on floats, about 0.94-1.04 ms per lane at n = 1000
+    (10-11x a plain lane; 64 lanes, min and median of 9, a 2-core x86_64 host).
     """
     return _evaluate(n, alpha, x, compensated=True)

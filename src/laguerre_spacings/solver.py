@@ -8,9 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .errors import ConvergenceError, RefinementError
+from .errors import ConvergenceError, ParameterError, RefinementError
 from .laguerre import (
+    _FEW_LANES,
     LaguerreParams,
+    _normalized,
+    _plain_lane,
     _range_error,
     _to_double,
     laguerre_polynomial,
@@ -221,19 +224,35 @@ class ZeroSet:
         return float(self.zeros[self.n - k])
 
 
-def _newton_correction(params: LaguerreParams, z: list, compensated: list):
-    """The Newton steps L/L' at the points z before the lowest failed lane, and that
-    lane's error (None if no lane failed).
+def _step(n: int, alpha: float, x: float, m: float, e: int, pm: float, pe: int) -> float:
+    """The Newton step L/L' at x from L_n^(alpha)(x) = m 2**e and L_{n-1}(x) = pm 2**pe;
+    raises the error of a lane that left double range or whose L' vanished.
 
-    One plain pass of len(z) lanes gives L = L_n^(alpha) and the L_{n-1} it holds,
-    and x L' = n L - (n + alpha) L_{n-1} (DLMF 18.9.14). With r = L / L_{n-1} a
-    step is x r / (n r - (n + alpha)), or x / (n - (n + alpha) / r) for |r| > 1,
-    where r may overflow. Below x = (alpha + 1) 2**-30, at least 2**16 times under
-    the smallest zero, x L' cancels, and a step is its limit at 0, L(0) / L'(0) =
-    -(alpha + 1) / n, within a relative n 2**-30. The compensated lanes (per-lane
-    flags) sharpen L only: L_{n-1} is far from its own zeros, which interlace with
-    L's. The glue runs on Python floats: most rounds have a few lanes, where
-    numpy's dispatch would cost more than the arithmetic.
+    x L' = n L - (n + alpha) L_{n-1} (DLMF 18.9.14). With r = L / L_{n-1} a step is
+    x r / (n r - (n + alpha)), or x / (n - (n + alpha) / r) for |r| > 1, where r may
+    overflow. Below x = (alpha + 1) 2**-30, at least 2**16 times under the smallest
+    zero, x L' cancels, and a step is its limit at 0, L(0) / L'(0) = -(alpha + 1) / n,
+    within a relative n 2**-30.
+    """
+    if not math.isfinite(m):
+        raise _range_error(n, alpha, x)
+    if x <= (alpha + 1.0) * 2.0**-30:
+        return -(alpha + 1.0) / n
+    r = _to_double(m / pm, e - pe) if pm else math.inf
+    small = abs(r) <= 1.0
+    d = n * r - (n + alpha) if small else n - (n + alpha) / r
+    if d == 0.0:
+        raise RefinementError(f"derivative vanished at {x!r} during refinement")
+    return x * r / d if small else x / d
+
+
+def _newton_correction(params: LaguerreParams, z: list, compensated: list):
+    """The Newton steps L/L' (see _step) at the points z before the lowest failed
+    lane, and that lane's error (None if no lane failed).
+
+    One plain pass of len(z) lanes gives L = L_n^(alpha) and the L_{n-1} it holds.
+    The compensated lanes (per-lane flags) sharpen L only: L_{n-1} is far from its
+    own zeros, which interlace with L's.
     """
     n, alpha = params.n, params.alpha
     (mant, expo), (pmant, pexpo) = laguerre_polynomial(n, alpha, np.array(z), previous=True)
@@ -243,25 +262,21 @@ def _newton_correction(params: LaguerreParams, z: list, compensated: list):
         m, e = laguerre_polynomial_compensated(n, alpha, np.array([z[i] for i in sharp]))
         for i, mi, ei in zip(sharp, m.tolist(), e.tolist()):
             mant[i], expo[i] = mi, ei
-    c, near_zero, steps = n + alpha, (alpha + 1.0) * 2.0**-30, []
-    for x, m, e, pm, pe in zip(z, mant, expo, pmant, pexpo):
-        if not math.isfinite(m):
-            break
-        if x <= near_zero:
-            steps.append(-(alpha + 1.0) / n)
-            continue
-        r = _to_double(m / pm, e - pe) if pm else math.inf
-        small = abs(r) <= 1.0
-        d = n * r - c if small else n - c / r
-        if d == 0.0:
-            break
-        steps.append(x * r / d if small else x / d)
-    first = len(steps)  # the lowest failed lane, as its float calls fail
-    if first == len(z):
-        return steps, None
-    if not math.isfinite(mant[first]):
-        return steps, _range_error(n, alpha, z[first])
-    return steps, RefinementError(f"derivative vanished at {z[first]!r} during refinement")
+    steps = []
+    try:
+        for lane in zip(z, mant, expo, pmant, pexpo):
+            steps.append(_step(n, alpha, *lane))
+    except (ParameterError, RefinementError) as exc:  # the lowest failed lane
+        return steps, exc
+    return steps, None
+
+
+def _lone_step(n: int, alpha: float, x: float, compensated: bool) -> float:
+    """_newton_correction's step at one point, on the lane kernel with no door: refine
+    asks it only at finite points in (0, inf), which need no checks."""
+    value, prev, shift = _plain_lane(n, alpha, x)
+    m, e = laguerre_polynomial_compensated(n, alpha, x) if compensated else _normalized(value, shift)
+    return _step(n, alpha, x, m, e, *_normalized(prev, shift))
 
 
 def _duplicate_guard(values: np.ndarray) -> None:
@@ -303,8 +318,11 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
     value crossing the midpoint toward a neighbor raises RefinementError.
     Every zero runs the one-zero loop of _polish as a lane, to the bits it
     would get alone; of several failing zeros, the lowest one's error is
-    raised. A round makes one batched evaluation of the points the lanes ask
-    for, then sends each lane its step.
+    raised. While at least _FEW_LANES lanes are pending, a round makes one
+    batched evaluation of the points they ask for. Then each remaining lane
+    finishes alone, lowest first, until one fails, on _lone_step, which skips
+    the evaluator's checks: the seeds are finite and >= 0, and the drift test
+    keeps every later point in (lo, hi), inside (0, inf).
     """
     seeds = np.asarray(approx, dtype=float)
     n = params.n
@@ -325,7 +343,7 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
     lo, hi = [0.0] + mids, mids + [math.inf]
     polish = [_polish(i, refined[i], lo[i], hi[i]) for i in range(n)]
     pending, residuals, error = {i: next(p) for i, p in enumerate(polish)}, [0.0] * n, None
-    while pending:
+    while pending and len(pending) >= _FEW_LANES:
         asked, pending = pending, {}
         steps, failure = _newton_correction(params, [z for z, _ in asked.values()],
                                             [c for _, c in asked.values()])
@@ -338,6 +356,15 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
             except RefinementError as exc:
                 error = exc
                 break
+    for i, (z, compensated) in pending.items():  # the stragglers, each alone, in index order
+        try:
+            while True:
+                z, compensated = polish[i].send(_lone_step(n, params.alpha, z, compensated))
+        except StopIteration as done:
+            refined[i], residuals[i] = done.value
+        except (ParameterError, RefinementError) as exc:
+            error = exc
+            break
     if error is not None:
         raise error
     return ZeroSet(params=params, zeros=refined, residuals=residuals)

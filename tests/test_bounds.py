@@ -292,3 +292,11 @@ class TestBoundSet:
     def test_invalid_constant_raises(self):
         with pytest.raises(ParameterError):
             bound_set(LaguerreParams(10, 100.0), C=0.0)
+
+    @pytest.mark.parametrize("C,shown", [(math.inf, "inf"), (math.nan, "nan"), (0.0, "0.0"),
+                                         (-1.0, "-1.0"), (0, "0.0"), (-1, "-1.0")])
+    def test_invalid_constant_text(self, C, shown):
+        # inf is positive, so the text names finiteness too
+        with pytest.raises(ParameterError) as exc:
+            bound_set(LaguerreParams(10, 100.0), C=C)
+        assert str(exc.value) == f"C must be a finite positive number, got {shown}"

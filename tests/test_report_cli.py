@@ -683,6 +683,14 @@ class TestCli:
         assert captured.err.startswith(f"laguerre-spacings: ParameterError: {path}: {message}")
         assert (tmp_path / "a-file").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("value,shown", [("inf", "inf"), ("nan", "nan"), ("0", "0.0"),
+                                             ("-1", "-1.0")])
+    def test_bounds_refuses_a_constant_that_is_not_finite_and_positive(self, value, shown, capsys):
+        assert console_main(["bounds", "--n", "10", "--alpha", "100", f"--C={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"laguerre-spacings: ParameterError: C must be a finite positive number, got {shown}\n")
+
     def test_console_script_keeps_the_check_and_usage_statuses(self, capsys):
         assert console_main(["verify", "--n", "10", "--alpha", "-0.99999999"]) == 1  # bethe FAIL
         assert console_main(["verify", "--n", "5", "--alpha", "1", "--checks", ","]) == 2

@@ -1,8 +1,10 @@
 """Zero-solver tests: Jacobi matrix, QL eigenvalues, Newton certification."""
 
+import bisect
 import hashlib
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from laguerre_spacings import (
     ZeroSet,
     build_jacobi,
     eigen_zeros,
+    laguerre,
     laguerre_polynomial,
     refine,
     solver,
@@ -115,6 +118,58 @@ def perturbed_seeds(n: int, alpha: float, seed: int, reach: float) -> np.ndarray
     ev = ql_seeds(n, alpha)
     shift = np.random.default_rng(seed).uniform(-reach, reach, n - 1) * np.diff(ev)
     return np.sort(np.concatenate((ev[:1], ev[1:] + shift)))
+
+
+def lane_evaluations(monkeypatch):
+    """The points of the lanes the evaluator's kernels run, as lists (plain, compensated).
+    A plain lane is a _plain_lane call or an element of a _recurrence array. Each point
+    refine asks a step at runs one plain lane, and a compensated step also runs one
+    compensated lane."""
+    plain, sharp = [], []
+    kernels = laguerre._plain_lane, laguerre._recurrence, laguerre._compensated_lane
+
+    def plain_lane(n, alpha, x):
+        plain.append(x)
+        return kernels[0](n, alpha, x)
+
+    def recurrence(n, alpha, x):
+        plain.extend(x.tolist())
+        return kernels[1](n, alpha, x)
+
+    def compensated_lane(n, alpha, x):
+        sharp.append(x)
+        return kernels[2](n, alpha, x)
+
+    monkeypatch.setattr(laguerre, "_recurrence", recurrence)
+    monkeypatch.setattr(laguerre, "_compensated_lane", compensated_lane)
+    for module in (laguerre, solver):  # refine's lone steps call solver's own name
+        monkeypatch.setattr(module, "_plain_lane", plain_lane, raising=False)
+    return plain, sharp
+
+
+def per_lane(points, seeds) -> list:
+    """How many of the points each zero's lane holds: lane i keeps to (mids[i - 1], mids[i])."""
+    seeds = np.asarray(seeds, dtype=float).tolist()
+    mids = [0.5 * (a + b) for a, b in zip(seeds, seeds[1:])]
+    counts = [0] * len(seeds)
+    for x in points:
+        counts[bisect.bisect(mids, x)] += 1
+    return counts
+
+
+BAD_SEEDS = [
+    (2, 0.0, [3.0, 3.5]),  # drift
+    (2, 0.0, [0.6, 2.0]),  # L' vanishes at 2
+    (2, 0.0, [1.0, 1.0 + 1e-15]),  # near-duplicate
+    (5, 0.0, [1.0, 2.0, 2.0 + 1e-14, 3.0, 3.0 + 1e-14]),
+    (3, 0.0, [2.0, 1.0, 3.0]),  # disorder
+    (3, 1e155, [1.0, 2.0, 3.0]),  # the recurrence overflows in every lane
+    (3, 1e150, [1.0, 1e155, 2e155]),  # ... in some lanes only
+] + [(n, a, perturbed_seeds(n, a, s, reach)) for n, a in [(10, 1.0), (30, 0.2), (100, 1e3)]
+     for s in range(3) for reach in (0.2, 0.9)]
+# Degrees up to 120 with alpha = -1 + 10**u, u uniform on [-3, 7).
+SEEDED = [(int(n), -1.0 + 10.0**u) for n, u in zip(
+    np.random.default_rng(26).integers(1, 121, 60), np.random.default_rng(27).uniform(-3.0, 7.0, 60))]
 
 
 def cubic(x: float) -> float:
@@ -286,21 +341,20 @@ class TestRefine:
         (2, 0.0, [3.0, 3.5], None),  # zero 0 drifts across the midpoint
     ])
     def test_each_point_is_evaluated_once_per_mode(self, monkeypatch, n, alpha, seeds, counts):
-        # The round pins count evaluator calls; this records every (point, compensated)
-        # refine asks a step for. Lanes keep to disjoint intervals, so any repeat is
-        # one lane evaluating a point twice in one mode.
-        asked = []
-        newton = solver._newton_correction
-        monkeypatch.setattr(solver, "_newton_correction",
-                            lambda params, z, modes: asked.extend(zip(z, modes))
-                            or newton(params, z, modes))
+        # The plain and compensated lanes a solve runs. A compensated step runs a plain
+        # lane too, so the plain-mode points are the plain lanes less the compensated
+        # ones. Lanes keep to disjoint intervals, so any repeat is one lane evaluating a
+        # point twice in one mode.
+        seeds = ql_seeds(n, alpha) if seeds is None else seeds
+        plain, sharp = lane_evaluations(monkeypatch)
         if counts is None:
             with pytest.raises(RefinementError, match="zero 0 drifted"):
                 refine(LaguerreParams(n, alpha), seeds)
         else:
-            refine(LaguerreParams(n, alpha), ql_seeds(n, alpha))
-            assert (len(asked), sum(mode for _, mode in asked)) == counts
-        assert len(asked) == len(set(asked)) > 0
+            refine(LaguerreParams(n, alpha), seeds)
+            assert (len(plain), len(sharp)) == counts
+        assert max((Counter(plain) - Counter(sharp)).values()) == 1
+        assert len(sharp) == len(set(sharp)) and not Counter(sharp) - Counter(plain)
 
     @pytest.mark.parametrize("n,seeds", [(1, [math.nan]), (3, [0.4, 2.3, math.inf]),
                                          (3, [-math.inf, 2.3, 6.3])])
@@ -340,16 +394,7 @@ class TestRefineAgainstReference:
             params, seeds = LaguerreParams(n, alpha), ql_seeds(n, alpha)
             assert outcome(refine, params, seeds) == outcome(reference_refine, params, seeds)
 
-    @pytest.mark.parametrize("n,alpha,seeds", [
-        (2, 0.0, [3.0, 3.5]),  # drift
-        (2, 0.0, [0.6, 2.0]),  # L' vanishes at 2
-        (2, 0.0, [1.0, 1.0 + 1e-15]),  # near-duplicate
-        (5, 0.0, [1.0, 2.0, 2.0 + 1e-14, 3.0, 3.0 + 1e-14]),
-        (3, 0.0, [2.0, 1.0, 3.0]),  # disorder
-        (3, 1e155, [1.0, 2.0, 3.0]),  # the recurrence overflows in every lane
-        (3, 1e150, [1.0, 1e155, 2e155]),  # ... in some lanes only
-    ] + [(n, a, perturbed_seeds(n, a, s, reach)) for n, a in [(10, 1.0), (30, 0.2), (100, 1e3)]
-         for s in range(3) for reach in (0.2, 0.9)])
+    @pytest.mark.parametrize("n,alpha,seeds", BAD_SEEDS)
     def test_bad_and_perturbed_seeds(self, n, alpha, seeds):
         params = LaguerreParams(n, alpha)
         expected = outcome(reference_refine, params, seeds)
@@ -358,28 +403,25 @@ class TestRefineAgainstReference:
     def test_cycling_lanes_retire_early(self, monkeypatch):
         # At n = 20, alpha = 1 the one-zero loop rides a cycle to the cap;
         # refine stops each lane once its path is known.
-        rounds = []
-        newton = solver._newton_correction
-        monkeypatch.setattr(solver, "_newton_correction",
-                            lambda *args: rounds.append(1) or newton(*args))
-        refine(LaguerreParams(20, 1.0), ql_seeds(20, 1.0))
-        assert len(rounds) <= 6
+        seeds = ql_seeds(20, 1.0)
+        plain, _ = lane_evaluations(monkeypatch)
+        refine(LaguerreParams(20, 1.0), seeds)
+        assert max(per_lane(plain, seeds)) <= 6
 
-    @pytest.mark.parametrize("n,alpha,rounds", [
-        (40, 0.3, 23), (100, 1.0, 23), (1000, 1e4, 3),
-        (20, -0.7, 20), (40, -0.7, 23), (20, 0.15, 17), (40, 0.15, 14), (20, 0.95, 7),
-        (40, 0.95, 16),
+    @pytest.mark.parametrize("n,alpha,rounds,lanes", [
+        (40, 0.3, 23, (109, 4)), (100, 1.0, 23, (285, 6)), (1000, 1e4, 3, (1904, 0)),
+        (20, -0.7, 20, (59, 2)), (40, -0.7, 23, (112, 2)), (20, 0.15, 17, (54, 0)),
+        (40, 0.15, 14, (95, 2)), (20, 0.95, 7, (44, 0)), (40, 0.95, 16, (101, 2)),
     ])
-    def test_plain_rounds_pinned(self, monkeypatch, n, alpha, rounds):
-        # One plain evaluator call per round, recorded with the earlier
-        # array-masked loop; the bit pins cannot see a rewrite that takes
-        # more rounds to reach the same bits.
-        calls = []
-        plain = solver.laguerre_polynomial
-        monkeypatch.setattr(solver, "laguerre_polynomial",
-                            lambda *args, **kwargs: calls.append(1) or plain(*args, **kwargs))
-        refine(LaguerreParams(n, alpha), ql_seeds(n, alpha))
-        assert len(calls) == rounds
+    def test_plain_rounds_pinned(self, monkeypatch, n, alpha, rounds, lanes):
+        # The longest lane's plain evaluations, which are the rounds a loop batching
+        # every lane takes (recorded with the earlier array-masked loop), and the
+        # solve's plain and compensated lanes; the bit pins cannot see a rewrite that
+        # takes more evaluations to reach the same bits.
+        seeds = ql_seeds(n, alpha)
+        plain, sharp = lane_evaluations(monkeypatch)
+        refine(LaguerreParams(n, alpha), seeds)
+        assert (max(per_lane(plain, seeds)), len(plain), len(sharp)) == (rounds, *lanes)
 
 
 class TestNewtonCorrection:
@@ -424,6 +466,52 @@ class TestNewtonCorrection:
                                                [i % 2 == 1 for i in range(len(z))])
         assert err is None and len(steps) == len(z) and steps[1] == 0.5
         assert steps[::2][:2] == pytest.approx([0.125 / -1.5, 11.5 / 5.0], rel=1e-15)
+
+
+class TestTwoPhases:
+    """refine batches its rounds while at least _FEW_LANES lanes are pending, then
+    steps each remaining lane alone on _lone_step: against rounds that batch every
+    lane (_FEW_LANES = 0), every bit and every error agree."""
+
+    @pytest.mark.parametrize("n,alpha,seeds", [(n, a, None) for n, a in SWEEP + SEEDED]
+                             + [(1000, -0.5, None), (1000, 1e4, None)] + BAD_SEEDS)
+    def test_batching_every_round_agrees(self, monkeypatch, n, alpha, seeds):
+        params = LaguerreParams(n, alpha)
+        seeds = ql_seeds(n, alpha) if seeds is None else seeds
+        alone = outcome(refine, params, seeds)
+        monkeypatch.setattr(solver, "_FEW_LANES", 0)
+        assert outcome(refine, params, seeds) == alone
+
+    @pytest.mark.parametrize("compensated", [False, True])
+    @pytest.mark.parametrize("n,alpha,x,expected", [
+        (2, 0.0, 0.5, 0.125 / -1.5),  # L_2^(0)(x) = (x^2 - 4x + 2) / 2
+        (2, 0.0, 2.0, "derivative vanished at 2.0 during refinement"),  # L_2'(2) = 0
+        (3, 1e150, 1e155, "left double range at (n, alpha, x) = (3, 1e+150, 1e+155)"),
+        (2, 0.0, 7.0, 3.5),  # r overflows (see the doctored kernel): the step is x / n
+        (2, 0.0, 1.0, 0.5),  # L_1^(0)(1) = 0: r is infinite, and the step is x / n
+        (2, 0.0, 1e-20, -0.5),  # below (alpha + 1) 2**-30: the limit at 0, -(alpha + 1) / n
+        (2, 0.0, 0.0, -0.5),
+    ])
+    def test_lone_step_matches_a_one_lane_round(self, monkeypatch, n, alpha, x, expected,
+                                                compensated):
+        kernel = laguerre._plain_lane
+
+        def tiny_at_7(degree, a, point):  # L_1(7) = -6 becomes -6 2**-1060: r = L_2 / L_1 overflows
+            value, prev, shift = kernel(degree, a, point)
+            return value, math.ldexp(prev, -1060) if point == 7.0 else prev, shift
+
+        for module in (laguerre, solver):
+            monkeypatch.setattr(module, "_plain_lane", tiny_at_7)
+        try:
+            lone = [solver._lone_step(n, alpha, x, compensated)], None
+        except (ParameterError, RefinementError) as exc:
+            lone = [], exc
+        steps, err = solver._newton_correction(LaguerreParams(n, alpha), [x], [compensated])
+        assert (lone[0], type(lone[1]), str(lone[1])) == (steps, type(err), str(err))
+        if isinstance(expected, str):
+            assert expected in str(err)
+        else:
+            assert steps == [pytest.approx(expected, rel=1e-15)]
 
 
 class TestZeros:
