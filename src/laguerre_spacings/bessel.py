@@ -88,8 +88,8 @@ class BesselZeroTable:
         z = np.asarray(self.zeros, dtype=float)
         z.setflags(write=False)
         object.__setattr__(self, "zeros", z)
-        if z.size > 1 and np.min(np.diff(z)) <= 0.0:
-            raise ParameterError("zeros are not strictly increasing")
+        if not (np.all(np.isfinite(z)) and (z.size < 2 or np.min(np.diff(z)) > 0.0)):
+            raise ParameterError(f"zeros must be finite and strictly increasing, got {z.tolist()}")
 
 
 def bessel_zero_table(alpha: float, count: int) -> BesselZeroTable:

@@ -47,6 +47,19 @@ class SpacingTable:
     uniform_bound: float | None
 
 
+def _check_names(checks) -> frozenset:
+    """checks, a collection of VALID_CHECKS names, as a frozenset, else ParameterError."""
+    try:
+        if isinstance(checks, str):  # its letters or substrings would be taken for names
+            raise TypeError(f"expected a list, got the string {checks!r}")
+        names = frozenset(checks)
+    except TypeError as exc:  # not a collection, or an unhashable name
+        raise ParameterError(f"malformed checks: {exc}") from None
+    if not names <= VALID_CHECKS:  # sorted by repr: names of any type compare
+        raise ParameterError(f"unknown checks: {sorted(names - VALID_CHECKS, key=repr)}")
+    return names
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid and options for one sweep run. Each value (parse_sweep_config's strings, say)
@@ -64,10 +77,10 @@ class SweepConfig:
                                  _degree(int(n) if isinstance(n, str) else n, 1) for n in v)),
                              ("alpha_values", lambda v: tuple(
                                  _alpha(float(a) if isinstance(a, str) else a) for a in v)),
-                             ("checks", frozenset), ("epsilon", float), ("output_dir", Path)):
+                             ("epsilon", float), ("output_dir", Path)):
             value = getattr(self, key)
             try:
-                if isinstance(value, str) and key in ("n_values", "alpha_values", "checks"):
+                if isinstance(value, str) and key in ("n_values", "alpha_values"):
                     raise TypeError(f"expected a list, got the string {value!r}")
                 if key == "output_dir" and value == "":  # Path("") is the working directory
                     raise ValueError("expected a directory, got ''")
@@ -76,9 +89,7 @@ class SweepConfig:
                 raise ParameterError(f"malformed {key}: {exc}") from None
         if not self.n_values or not self.alpha_values:
             raise ParameterError("n_values and alpha_values must be non-empty")
-        bad = self.checks - VALID_CHECKS
-        if bad:
-            raise ParameterError(f"unknown checks: {sorted(bad)}")
+        object.__setattr__(self, "checks", _check_names(self.checks))
         if not 0.0 < self.epsilon < 0.5:
             raise ParameterError(f"epsilon must lie in (0, 1/2), got {self.epsilon}")
 
@@ -177,11 +188,7 @@ class PairChecks:
 
 def check_pair(params: LaguerreParams, checks, epsilon: float = 0.1) -> PairChecks:
     """Solve one pair and run the named VALID_CHECKS; every verdict fails closed."""
-    if isinstance(checks, str):  # its letters or substrings would be taken for names
-        raise ParameterError(f"malformed checks: expected a list, got the string {checks!r}")
-    checks = frozenset(checks)
-    if not checks <= VALID_CHECKS:
-        raise ParameterError(f"unknown checks: {sorted(checks - VALID_CHECKS)}")
+    checks = _check_names(checks)
     zs = zeros(params)
     table = spacing_rows(zs)
     min_ratio = float(np.min(table.ratio)) if table.ratio.size else None

@@ -224,9 +224,11 @@ class ZeroSet:
         return float(self.zeros[self.n - k])
 
 
-def _step(n: int, alpha: float, x: float, m: float, e: int, pm: float, pe: int) -> float:
-    """The Newton step L/L' at x from L_n^(alpha)(x) = m 2**e and L_{n-1}(x) = pm 2**pe;
-    raises the error of a lane that left double range or whose L' vanished.
+def _step(n: int, alpha: float, x: float, compensated: bool, m: float, e: int, pm: float,
+          pe: int) -> float:
+    """The Newton step L/L' at x from L_n^(alpha)(x) = m 2**e and L_{n-1}(x) = pm 2**pe, or
+    from the compensated L where compensated (L only: L_{n-1} is far from its own zeros,
+    which interlace with L's); raises if the lane left double range or L' vanished.
 
     x L' = n L - (n + alpha) L_{n-1} (DLMF 18.9.14). With r = L / L_{n-1} a step is
     x r / (n r - (n + alpha)), or x / (n - (n + alpha) / r) for |r| > 1, where r may
@@ -234,6 +236,8 @@ def _step(n: int, alpha: float, x: float, m: float, e: int, pm: float, pe: int) 
     zero, x L' cancels, and a step is its limit at 0, L(0) / L'(0) = -(alpha + 1) / n,
     within a relative n 2**-30.
     """
+    if compensated:
+        m, e = laguerre_polynomial_compensated(n, alpha, x)
     if not math.isfinite(m):
         raise _range_error(n, alpha, x)
     if x <= (alpha + 1.0) * 2.0**-30:
@@ -244,46 +248,6 @@ def _step(n: int, alpha: float, x: float, m: float, e: int, pm: float, pe: int) 
     if d == 0.0:
         raise RefinementError(f"derivative vanished at {x!r} during refinement")
     return x * r / d if small else x / d
-
-
-def _newton_correction(params: LaguerreParams, z: list, compensated: list):
-    """The Newton steps L/L' (see _step) at the points z before the lowest failed
-    lane, and that lane's error (None if no lane failed).
-
-    One plain pass of len(z) lanes gives L = L_n^(alpha) and the L_{n-1} it holds.
-    The compensated lanes (per-lane flags) sharpen L only: L_{n-1} is far from its
-    own zeros, which interlace with L's.
-    """
-    n, alpha = params.n, params.alpha
-    (mant, expo), (pmant, pexpo) = laguerre_polynomial(n, alpha, np.array(z), previous=True)
-    mant, expo, pmant, pexpo = mant.tolist(), expo.tolist(), pmant.tolist(), pexpo.tolist()
-    if any(compensated):
-        sharp = [i for i, c in enumerate(compensated) if c]
-        m, e = laguerre_polynomial_compensated(n, alpha, np.array([z[i] for i in sharp]))
-        for i, mi, ei in zip(sharp, m.tolist(), e.tolist()):
-            mant[i], expo[i] = mi, ei
-    steps = []
-    try:
-        for lane in zip(z, mant, expo, pmant, pexpo):
-            steps.append(_step(n, alpha, *lane))
-    except (ParameterError, RefinementError) as exc:  # the lowest failed lane
-        return steps, exc
-    return steps, None
-
-
-def _lone_step(n: int, alpha: float, x: float, compensated: bool) -> float:
-    """_newton_correction's step at one point, on the lane kernel with no door: refine
-    asks it only at finite points in (0, inf), which need no checks."""
-    value, prev, shift = _plain_lane(n, alpha, x)
-    m, e = laguerre_polynomial_compensated(n, alpha, x) if compensated else _normalized(value, shift)
-    return _step(n, alpha, x, m, e, *_normalized(prev, shift))
-
-
-def _duplicate_guard(values: np.ndarray) -> None:
-    for i in np.flatnonzero(np.diff(values) < _DUPLICATE_FACTOR * _EPS * np.abs(values[1:]))[:1]:
-        a, b = values[i:i + 2].tolist()
-        raise ConvergenceError(f"near-duplicate zeros {a!r} and {b!r}; "
-                               "theory guarantees simple zeros")
 
 
 def _polish(i: int, z: float, lo: float, hi: float):
@@ -316,16 +280,19 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
 
     Each seed must sit within half the local gap of its true zero. A refined
     value crossing the midpoint toward a neighbor raises RefinementError.
-    Every zero runs the one-zero loop of _polish as a lane, to the bits it
-    would get alone; of several failing zeros, the lowest one's error is
-    raised. While at least _FEW_LANES lanes are pending, a round makes one
-    batched evaluation of the points they ask for. Then each remaining lane
-    finishes alone, lowest first, until one fails, on _lone_step, which skips
-    the evaluator's checks: the seeds are finite and >= 0, and the drift test
-    keeps every later point in (lo, hi), inside (0, inf).
+    Every zero runs the one-zero loop of _polish as a lane on _step, to the
+    bits it would get alone; of several failing zeros, the lowest one's error
+    is raised. While at least _FEW_LANES lanes are pending, a round takes L and
+    L_{n-1} at every point they ask for from one plain pass. Then the remaining
+    lanes, all below any that failed, finish alone in index order on the lane
+    kernel, which skips the evaluator's checks: the seeds are finite and >= 0,
+    and the drift test keeps every later point in (lo, hi), inside (0, inf).
     """
-    seeds = np.asarray(approx, dtype=float)
-    n = params.n
+    try:
+        seeds = np.asarray(approx, dtype=float)
+    except (TypeError, ValueError) as exc:  # a seed that is no real number
+        raise RefinementError(f"seeds must be real numbers: {exc}") from None
+    n, alpha = params.n, params.alpha
     if seeds.ndim != 1:
         raise RefinementError(f"seeds must be a 1-D array, got shape {seeds.shape}")
     if seeds.size != n:
@@ -336,7 +303,10 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
         raise RefinementError(f"seeds must be finite, got {bad!r}")
     if seeds[0] < 0.0:  # the lowest seed; every zero of L_n^(alpha) is positive
         raise RefinementError(f"seeds must be >= 0, got {float(seeds[0])!r}")
-    _duplicate_guard(seeds)
+    for i in np.flatnonzero(np.diff(seeds) < _DUPLICATE_FACTOR * _EPS * np.abs(seeds[1:]))[:1]:
+        a, b = seeds[i:i + 2].tolist()
+        raise ConvergenceError(f"near-duplicate zeros {a!r} and {b!r}; "
+                               "theory guarantees simple zeros")
 
     refined = seeds.tolist()
     mids = [0.5 * (a + b) for a, b in zip(refined, refined[1:])]
@@ -345,26 +315,25 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
     pending, residuals, error = {i: next(p) for i, p in enumerate(polish)}, [0.0] * n, None
     while pending and len(pending) >= _FEW_LANES:
         asked, pending = pending, {}
-        steps, failure = _newton_correction(params, [z for z, _ in asked.values()],
-                                            [c for _, c in asked.values()])
-        error = failure or error  # lanes from a failed one on cannot matter
-        for i, step in zip(asked, steps):
+        points = np.array([z for z, _ in asked.values()])
+        (m, e), (pm, pe) = laguerre_polynomial(n, alpha, points, previous=True)
+        rows = zip(m.tolist(), e.tolist(), pm.tolist(), pe.tolist())
+        for (i, (z, compensated)), lane in zip(asked.items(), rows):
             try:
-                pending[i] = polish[i].send(step)
+                pending[i] = polish[i].send(_step(n, alpha, z, compensated, *lane))
             except StopIteration as done:
                 refined[i], residuals[i] = done.value
-            except RefinementError as exc:
+            except (ParameterError, RefinementError) as exc:  # lanes above it cannot matter
                 error = exc
                 break
     for i, (z, compensated) in pending.items():  # the stragglers, each alone, in index order
         try:
             while True:
-                z, compensated = polish[i].send(_lone_step(n, params.alpha, z, compensated))
+                value, prev, shift = _plain_lane(n, alpha, z)
+                lane = *_normalized(value, shift), *_normalized(prev, shift)
+                z, compensated = polish[i].send(_step(n, alpha, z, compensated, *lane))
         except StopIteration as done:
             refined[i], residuals[i] = done.value
-        except (ParameterError, RefinementError) as exc:
-            error = exc
-            break
     if error is not None:
         raise error
     return ZeroSet(params=params, zeros=refined, residuals=residuals)

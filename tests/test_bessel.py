@@ -156,6 +156,13 @@ class TestTable:
         assert table.zeros.size == 12
         assert np.all(np.diff(table.zeros) > 0)
 
+    @pytest.mark.parametrize("z", [[1.0, math.nan, 3.0], [1.0, 2.0, math.inf], [math.nan],
+                                   [-math.inf, 1.0], [2.0, 1.0], [1.0, 1.0]])
+    def test_refuses_zeros_not_finite_and_increasing(self, z):
+        # np.min(np.diff(z)) <= 0.0 let a nan gap and an infinite end through
+        with pytest.raises(ParameterError, match="zeros must be finite and strictly increasing"):
+            bessel.BesselZeroTable(alpha=0.5, zeros=z)
+
     def test_count_cap(self):
         with pytest.raises(DomainError):
             bessel_zero_table(0.0, 21)

@@ -361,6 +361,20 @@ class TestCheckPair:
         with pytest.raises(ParameterError, match=re.escape(message)):
             check_pair(LaguerreParams(10, 1.0), checks)
 
+    @pytest.mark.parametrize("build", [
+        lambda checks: check_pair(LaguerreParams(10, 1.0), checks),
+        lambda checks: SweepConfig(n_values=(10,), alpha_values=(1.0,), checks=checks),
+    ], ids=["check_pair", "SweepConfig"])
+    @pytest.mark.parametrize("checks,message", [
+        ([["bethe"]], "malformed checks: unhashable type: 'list'"),  # was an untyped TypeError
+        (["x", 1], "unknown checks: ['x', 1]"),  # was TypeError from sorted()
+        ({"bethe", 1}, "unknown checks: [1]"),
+        (5, "malformed checks: 'int' object is not iterable"),
+    ])
+    def test_one_rule_refuses_names_of_any_type(self, build, checks, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            build(checks)
+
     def test_any_collection_of_names_runs_them(self):
         pair = check_pair(LaguerreParams(10, 1.0), (c for c in ("bethe", "bulk")))
         assert pair.max_bethe_residual is not None and pair.bulk_fraction is not None

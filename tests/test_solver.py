@@ -329,6 +329,16 @@ class TestRefine:
         with pytest.raises(RefinementError, match=re.escape(f"seeds must be a 1-D array, got shape {shape}")):
             refine(LaguerreParams(n, 0.0), seeds)
 
+    @pytest.mark.parametrize("seeds,error", [
+        (["a"] * 10, "could not convert string to float: 'a'"),
+        ([1.0] * 9 + [object()], "float() argument must be a string or a real number"),
+        ([1.0] * 9 + [1j], "float() argument must be a string or a real number"),
+    ])
+    def test_seeds_that_are_no_numbers_rejected_at_the_door(self, seeds, error):
+        # numpy's ValueError or TypeError escaped from the conversion
+        with pytest.raises(RefinementError, match=re.escape(f"seeds must be real numbers: {error}")):
+            refine(LaguerreParams(10, 1.0), seeds)
+
     def test_nan_seed_rejected_at_the_door(self):
         # not a DomainError from deep inside the evaluator
         with pytest.raises(RefinementError, match="seeds are not strictly increasing"):
@@ -424,53 +434,71 @@ class TestRefineAgainstReference:
         assert (max(per_lane(plain, seeds)), len(plain), len(sharp)) == (rounds, *lanes)
 
 
-class TestNewtonCorrection:
-    """A round of fewer than _FEW_LANES lanes, whose evaluations run the float-lane
-    kernels, and a longer one, whose plain pass runs _recurrence, agree."""
+def step_rows(n: int, alpha: float, points: list) -> tuple:
+    """Each point's (m, e, pm, pe), the L and L_{n-1} that _step reads, two ways: from
+    the lane kernel's row, as refine's stragglers take it, and from one plain array pass
+    of at least _FEW_LANES lanes (the points repeated), as its batched rounds take it."""
+    kernel = []
+    for x in points:
+        value, prev, shift = solver._plain_lane(n, alpha, x)
+        kernel.append((*laguerre._normalized(value, shift), *laguerre._normalized(prev, shift)))
+    lanes = np.resize(np.array(points, dtype=float), max(len(points), _FEW_LANES))
+    (m, e), (pm, pe) = laguerre_polynomial(n, alpha, lanes, previous=True)
+    return kernel, list(zip(m.tolist(), e.tolist(), pm.tolist(), pe.tolist()))[:len(points)]
+
+
+def step_outcomes(n: int, alpha: float, points: list, compensated: list, doctor) -> list:
+    """_step's outcome at each point, from each of step_rows's two sources, with
+    doctor(x, row) applied to each row: the step, or the error's type and text."""
+    outcomes = []
+    for rows in step_rows(n, alpha, points):
+        outcomes.append([])
+        for x, sharp, row in zip(points, compensated, rows):
+            try:
+                outcomes[-1].append(solver._step(n, alpha, x, sharp, *doctor(x, row)))
+            except (ParameterError, RefinementError) as exc:
+                outcomes[-1].append((type(exc).__name__, str(exc)))
+    kernel, array = ([o.hex() if isinstance(o, float) else o for o in out] for out in outcomes)
+    assert kernel == array  # the same step bits, or the same error
+    return outcomes[0]
+
+
+class TestStep:
+    """_step from a lane kernel's row and from a _FEW_LANES-lane array pass agree."""
 
     @pytest.mark.parametrize("n,alpha,bad,error", [
         (2, 0.0, None, None),
         (2, 0.0, 2.0, "derivative vanished at 2.0 during refinement"),  # L_2'(2) = 0
         (3, 1e150, 1e155, "left double range at (n, alpha, x) = (3, 1e+150, 1e+155)"),
     ])
-    def test_few_and_many_lane_rounds_agree(self, monkeypatch, n, alpha, bad, error):
-        plain = solver.laguerre_polynomial
-
+    def test_kernel_rows_and_array_pass_agree(self, n, alpha, bad, error):
         # points on alpha's scale, above the ones that take the step's limit at 0
         ordinary = [(1.0 + alpha) * v for v in (0.5, 7.0, 1.5, 0.25, 7.0 + 1e-9)]
 
-        def huge_at_7(degree, a, x, previous):  # L(ordinary[1]) 2**1100 times larger: r overflows
-            (mantissas, exponents), lower = plain(degree, a, x, previous=previous)
-            return (mantissas, np.where(x == ordinary[1], exponents + 1100, exponents)), lower
+        def huge_at_7(x, row):  # L(ordinary[1]) 2**1100 times larger: r overflows
+            m, e, pm, pe = row
+            return m, e + 1100 if x == ordinary[1] else e, pm, pe
 
-        monkeypatch.setattr(solver, "laguerre_polynomial", huge_at_7)
-        few = ordinary + ([bad] if bad else []) + ordinary + ([bad] if bad else [])
-        rounds = []
-        for z in (few, few + ordinary * _FEW_LANES):
-            steps, err = solver._newton_correction(
-                LaguerreParams(n, alpha), z, [i % 3 == 2 for i in range(len(z))])
-            first = len(steps)
-            rounds.append((np.array(steps[:len(few)]).tobytes(), first if bad else first - len(z),
-                           type(err), str(err)))
-            assert first == (len(ordinary) if bad else len(z))
-            assert steps[1] == ordinary[1] / n and math.isfinite(steps[4])  # the limit x / n
-        assert rounds[0] == rounds[1]
-        assert (error or "None") in rounds[0][3]
+        z = ordinary + ([bad] if bad else []) + ordinary + ([bad] if bad else [])
+        steps = step_outcomes(n, alpha, z, [i % 3 == 2 for i in range(len(z))], huge_at_7)
+        failed = [step for x, step in zip(z, steps) if x == bad]
+        assert len(failed) == (2 if bad else 0) and all(error in text for _, text in failed)
+        assert all(isinstance(step, float) for x, step in zip(z, steps) if x != bad)
+        assert steps[1] == ordinary[1] / n and math.isfinite(steps[4])  # the limit x / n
 
     @pytest.mark.parametrize("extra", [0, _FEW_LANES])
     def test_vanishing_previous_value_takes_the_limit_step(self, extra):
         # L_1^(0)(1) = 0 exactly, so r = L_2 / L_1 is infinite at 1: the step is x / n
         # = 0.5, which is L_2(1) / L_2'(1) for L_2^(0)(x) = (x^2 - 4x + 2) / 2.
         z = [0.5, 1.0, 7.0] + [3.0] * extra
-        steps, err = solver._newton_correction(LaguerreParams(2, 0.0), z,
-                                               [i % 2 == 1 for i in range(len(z))])
-        assert err is None and len(steps) == len(z) and steps[1] == 0.5
+        steps = step_outcomes(2, 0.0, z, [i % 2 == 1 for i in range(len(z))], lambda x, row: row)
+        assert all(isinstance(step, float) for step in steps) and steps[1] == 0.5
         assert steps[::2][:2] == pytest.approx([0.125 / -1.5, 11.5 / 5.0], rel=1e-15)
 
 
 class TestTwoPhases:
     """refine batches its rounds while at least _FEW_LANES lanes are pending, then
-    steps each remaining lane alone on _lone_step: against rounds that batch every
+    steps each remaining lane alone on the lane kernel: against rounds that batch every
     lane (_FEW_LANES = 0), every bit and every error agree."""
 
     @pytest.mark.parametrize("n,alpha,seeds", [(n, a, None) for n, a in SWEEP + SEEDED]
@@ -487,31 +515,21 @@ class TestTwoPhases:
         (2, 0.0, 0.5, 0.125 / -1.5),  # L_2^(0)(x) = (x^2 - 4x + 2) / 2
         (2, 0.0, 2.0, "derivative vanished at 2.0 during refinement"),  # L_2'(2) = 0
         (3, 1e150, 1e155, "left double range at (n, alpha, x) = (3, 1e+150, 1e+155)"),
-        (2, 0.0, 7.0, 3.5),  # r overflows (see the doctored kernel): the step is x / n
+        (2, 0.0, 7.0, 3.5),  # r overflows (see the doctored row): the step is x / n
         (2, 0.0, 1.0, 0.5),  # L_1^(0)(1) = 0: r is infinite, and the step is x / n
         (2, 0.0, 1e-20, -0.5),  # below (alpha + 1) 2**-30: the limit at 0, -(alpha + 1) / n
         (2, 0.0, 0.0, -0.5),
     ])
-    def test_lone_step_matches_a_one_lane_round(self, monkeypatch, n, alpha, x, expected,
-                                                compensated):
-        kernel = laguerre._plain_lane
+    def test_lone_and_batched_steps_agree(self, n, alpha, x, expected, compensated):
+        def tiny_at_7(point, row):  # L_1(7) = -6 becomes -6 2**-1060: r = L_2 / L_1 overflows
+            m, e, pm, pe = row
+            return m, e, pm, pe - 1060 if point == 7.0 else pe
 
-        def tiny_at_7(degree, a, point):  # L_1(7) = -6 becomes -6 2**-1060: r = L_2 / L_1 overflows
-            value, prev, shift = kernel(degree, a, point)
-            return value, math.ldexp(prev, -1060) if point == 7.0 else prev, shift
-
-        for module in (laguerre, solver):
-            monkeypatch.setattr(module, "_plain_lane", tiny_at_7)
-        try:
-            lone = [solver._lone_step(n, alpha, x, compensated)], None
-        except (ParameterError, RefinementError) as exc:
-            lone = [], exc
-        steps, err = solver._newton_correction(LaguerreParams(n, alpha), [x], [compensated])
-        assert (lone[0], type(lone[1]), str(lone[1])) == (steps, type(err), str(err))
+        [step] = step_outcomes(n, alpha, [x], [compensated], tiny_at_7)
         if isinstance(expected, str):
-            assert expected in str(err)
+            assert expected in step[1]
         else:
-            assert steps == [pytest.approx(expected, rel=1e-15)]
+            assert step == pytest.approx(expected, rel=1e-15)
 
 
 class TestZeros:
