@@ -175,10 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", default="bethe,bounds,krasikov",
                    help="comma-separated subset of bethe,bounds,krasikov")
 
-    p = sub.add_parser("sweep", help="run a grid described by a config file")
+    p = sub.add_parser("sweep", help="run a grid described by a config file, one process "
+                                     "per usable core (same bytes on any count)")
     p.add_argument("--config", required=True, help="flat key/value config file")
 
-    p = sub.add_parser("figure1", help="emit the default 4x4 grid CSVs + plot script")
+    p = sub.add_parser("figure1", help="emit the default 4x4 grid CSVs + plot script, one "
+                                       "process per usable core (same bytes on any count)")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("bessel-probe",

@@ -1,11 +1,13 @@
 """The one check engine: spacing tables, verification checks, CSV and JSON.
 
 check_pair solves one (n, alpha) and runs the requested checks; the verify
-command prints its verdicts, and sweep and figure1 run it over a grid. A
-pair's spacings are one SpacingTable of arrays, not an object per gap. Output
-is deterministic: rows are written with 17-significant-digit decimal floats
-(round-trip safe), files are written atomically, and the summary is
-assembled in lexicographic (n, alpha) order regardless of config order.
+command prints its verdicts, and sweep and figure1 run it over a grid, solving
+the grid's pairs one process per core this process may use. A pair's spacings
+are one SpacingTable of arrays, not an object per gap. Output is deterministic,
+and its bytes do not depend on the core count: rows are written with
+17-significant-digit decimal floats (round-trip safe), files are written
+atomically, and the CSVs and the summary are written in lexicographic
+(n, alpha) order regardless of config order.
 """
 
 from __future__ import annotations
@@ -218,16 +220,106 @@ def check_pair(params: LaguerreParams, checks, epsilon: float = 0.1) -> PairChec
     return PairChecks(params, table, min_ratio, residual, window, krasikov_ok, bulk, failed)
 
 
+def _deal(grid: list, workers: int) -> list[list]:
+    """grid in workers shares, longest processing time first, costing a pair n**2 (the
+    QL's rotations and refine's passes both grow so): each pair, largest n first, joins
+    the least loaded share. Share 0 gets the first, largest pair; each keeps grid order."""
+    shares, loads = [[] for _ in range(workers)], [0] * workers
+    for pair in sorted(grid, key=lambda p: p[0], reverse=True):  # stable: ties keep grid order
+        k = loads.index(min(loads))
+        shares[k].append(pair)
+        loads[k] += pair[0] ** 2
+    return [sorted(share) for share in shares]
+
+
+def _solve(share: list, config: SweepConfig) -> dict:
+    """{(n, alpha): PairChecks} for share's pairs in order, up to the first that raises;
+    the grid walk of _write_pairs solves that one again in-process, where it raises."""
+    done = {}
+    for n, alpha in share:
+        try:
+            done[n, alpha] = check_pair(LaguerreParams(n=n, alpha=alpha), config.checks,
+                                        config.epsilon)
+        except Exception:  # any error: raised again, with its traceback, by the grid walk
+            break
+    return done
+
+
+def _solve_shares(grid: list, config: SweepConfig) -> dict:
+    """{(n, alpha): PairChecks} solved one process per core this process may use, at
+    most one a pair; {} where that is one, or where forking is absent or unsafe: a
+    child forked beside a second thread could find a lock that thread held, for ever.
+
+    This process solves share 0 of _deal while a child forked per other share solves
+    its own and pickles its _solve result into a pipe. Each pipe is read to EOF and
+    each child reaped, on every path; only a child that exited 0 is trusted. A pair
+    missing from the result (its share's error, a dead child, a failed fork) is the
+    caller's to solve.
+    """
+    import pickle  # both loaded with numpy already; local, so no other command pays
+    import threading
+
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return {}
+    workers = min(len(os.sched_getaffinity(0)), len(grid))
+    if workers == 1:
+        return {}
+    shares = _deal(grid, workers)
+    children, payloads, statuses = [], [], []  # children: (pid, read end of its pipe)
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: the caller solves the shares left
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:  # the child: it never returns into the caller's stack
+                status = 1
+                try:
+                    with os.fdopen(write, "wb") as pipe:
+                        pickle.dump(_solve(share, config), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, read))
+        done = _solve(shares[0], config)
+        for pid, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())
+    finally:  # a child still writing gets EPIPE once its read end is closed
+        for pid, read in children:
+            os.close(read)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for payload, status in zip(payloads, statuses):
+        if status == 0:  # exited 0, so its payload is whole
+            done.update(pickle.loads(payload))
+    return done
+
+
 def _write_pairs(config: SweepConfig) -> list[PairChecks]:
-    """Check every grid point in (n, alpha) order and write its CSV."""
+    """Check every grid point and write its CSV, in (n, alpha) order.
+
+    The pairs are solved one process per usable core (_solve_shares); the bytes do not
+    depend on the core count. The walk in grid order writes each CSV and solves here
+    any pair the workers lack, so the first failing pair raises its own error, with
+    the CSVs of the pairs before it written, as with one process.
+    """
     try:
         config.output_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a user's path: an existing file, say
         raise ParameterError(f"{config.output_dir}: cannot make the output directory: "
                              f"{exc.strerror}") from None
+    grid = sorted({(n, a) for n in config.n_values for a in config.alpha_values})
+    done = _solve_shares(grid, config)
     results = []
-    for n, alpha in sorted({(n, a) for n in config.n_values for a in config.alpha_values}):
-        pair = check_pair(LaguerreParams(n=n, alpha=alpha), config.checks, config.epsilon)
+    for n, alpha in grid:
+        pair = done.get((n, alpha))
+        if pair is None:
+            pair = check_pair(LaguerreParams(n=n, alpha=alpha), config.checks, config.epsilon)
         _write_atomic(config.output_dir / pair_filename(n, alpha), _pair_csv_text(pair.table))
         results.append(pair)
     return results
@@ -237,7 +329,8 @@ def run_sweep(config: SweepConfig) -> dict:
     """Run every grid point, write one CSV per pair plus summary.json.
 
     Returns the summary dict; callers decide the exit status from its
-    "failures" list. Identical configs produce byte-identical outputs.
+    "failures" list. The pairs are solved one process per usable core, and
+    identical configs produce byte-identical outputs whatever that count.
     """
     summary = {"pairs": [], "failures": []}
     for pair in _write_pairs(config):
@@ -296,8 +389,9 @@ print("wrote", here / "figure1.png")
 def figure1(output_dir) -> list[Path]:
     """Emit the default 4x4 grid CSVs plus a standalone plot script.
 
-    The script consumes the CSVs with matplotlib; the package itself never
-    imports a rendering dependency.
+    The pairs are solved one process per usable core, with the same bytes
+    whatever that count. The script consumes the CSVs with matplotlib; the
+    package itself never imports a rendering dependency.
     """
     config = SweepConfig(DEFAULT_N_VALUES, DEFAULT_ALPHA_VALUES, checks=frozenset(),
                          output_dir=output_dir)

@@ -289,7 +289,10 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
     and the drift test keeps every later point in (lo, hi), inside (0, inf).
     """
     try:
-        seeds = np.asarray(approx, dtype=float)
+        seeds = np.asarray(approx)
+        if seeds.dtype.kind not in "iufO":  # bools, complexes, strings: float() would take them
+            raise TypeError(f"got an array of {seeds.dtype}")
+        seeds = np.asarray(seeds, dtype=float)  # an object array converts by float()
     except (TypeError, ValueError) as exc:  # a seed that is no real number
         raise RefinementError(f"seeds must be real numbers: {exc}") from None
     n, alpha = params.n, params.alpha

@@ -9,6 +9,7 @@ import re
 import stat
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -451,6 +452,95 @@ def test_paper_grid_outputs_match_recorded_digests(tmp_path):
         got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted((tmp_path / sub).iterdir())}
         assert got == expected[sub], sub
+
+
+def _paper_grid_run(tmp_path) -> dict:
+    """sweep and figure1 on the paper grid: {sub: {file name: sha256}}."""
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("n_values = 10,20,50,100\nalpha_values = 1,100,1000,10000\n"
+                   f"checks = bethe,bounds,krasikov,bulk\noutput_dir = {tmp_path / 'sweep'}\n")
+    main(["sweep", "--config", str(cfg)])
+    main(["figure1", "--out", str(tmp_path / "figure1")])
+    return {sub: {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                  for path in sorted((tmp_path / sub).iterdir())}
+            for sub in ("sweep", "figure1")}
+
+
+class TestCoreCount:
+    """sweep and figure1 solve their pairs one process per usable core, and write the
+    same bytes, raise the same error and leave no child behind whatever that count."""
+
+    @pytest.fixture(params=[1, 4], ids=["one_core", "four_cores"])
+    def cores(self, request, monkeypatch):
+        """The core count report sees; after the test, no child of this process is left."""
+        monkeypatch.setattr(report_module.os, "sched_getaffinity",  # absent on some platforms
+                            lambda pid: set(range(request.param)), raising=False)
+        yield request.param
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_bytes_and_summary_do_not_depend_on_the_core_count(self, tmp_path, cores,
+                                                               monkeypatch, capsys):
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(report_module.os, "fork", counted_fork)
+        got = _paper_grid_run(tmp_path)
+        assert got == json.loads(PAPER_GRID_DIGESTS.read_text())  # summary.json among them
+        assert capsys.readouterr().out.startswith("wrote 16 pair CSVs and summary.json")
+        assert len(forks) == 2 * (cores - 1)  # one child per core past the first, per command
+
+    def test_a_failing_pair_raises_its_own_error_after_the_csvs_before_it(
+            self, tmp_path, cores, monkeypatch):
+        # (20, 100) fails in the second share and (100, 1) in the first, the caller's:
+        # the earlier pair in grid order raises, with the 5 CSVs before it written.
+        real_check_pair = report_module.check_pair
+
+        def doctored(params, checks, epsilon=0.1):
+            if (params.n, params.alpha) in ((20, 100.0), (100, 1.0)):
+                raise RefinementError(f"doctored failure at n={params.n} alpha={params.alpha}")
+            return real_check_pair(params, checks, epsilon)
+
+        monkeypatch.setattr(report_module, "check_pair", doctored)
+        config = SweepConfig(report_module.DEFAULT_N_VALUES, report_module.DEFAULT_ALPHA_VALUES,
+                             output_dir=tmp_path / "sweep")
+        with pytest.raises(RefinementError, match=r"^doctored failure at n=20 alpha=100.0$"):
+            run_sweep(config)
+        assert sorted(p.name for p in (tmp_path / "sweep").iterdir()) == sorted(
+            [pair_filename(10, a) for a in report_module.DEFAULT_ALPHA_VALUES]
+            + [pair_filename(20, 1.0)])
+
+    def test_a_child_that_dies_leaves_the_bytes_unchanged(self, tmp_path, cores, monkeypatch,
+                                                          capsys):
+        parent, real_check_pair = os.getpid(), report_module.check_pair
+
+        def dies_in_a_child(params, checks, epsilon=0.1):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real_check_pair(params, checks, epsilon)
+
+        monkeypatch.setattr(report_module, "check_pair", dies_in_a_child)
+        assert _paper_grid_run(tmp_path) == json.loads(PAPER_GRID_DIGESTS.read_text())
+
+    def test_no_fork_beside_a_second_thread(self, tmp_path, cores, monkeypatch):
+        def refuse():
+            raise AssertionError("forked beside a second thread")
+
+        monkeypatch.setattr(report_module.os, "fork", refuse)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            report_module.figure1(tmp_path / "figure1")
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(list((tmp_path / "figure1").glob("*.csv"))) == 16
 
 
 class TestFilenames:

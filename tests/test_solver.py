@@ -330,14 +330,20 @@ class TestRefine:
             refine(LaguerreParams(n, 0.0), seeds)
 
     @pytest.mark.parametrize("seeds,error", [
-        (["a"] * 10, "could not convert string to float: 'a'"),
+        (["a"] * 10, "got an array of <U1"),
         ([1.0] * 9 + [object()], "float() argument must be a string or a real number"),
-        ([1.0] * 9 + [1j], "float() argument must be a string or a real number"),
+        ([1.0] * 9 + [1j], "got an array of complex128"),
+        (zeros(LaguerreParams(3, 1.0)).zeros + 5j, "got an array of complex128"),
+        (["0.9", "3.3", "7.8"], "got an array of <U3"),
+        (np.array([False, True, True]), "got an array of bool"),
     ])
     def test_seeds_that_are_no_numbers_rejected_at_the_door(self, seeds, error):
-        # numpy's ValueError or TypeError escaped from the conversion
+        # numpy's ValueError or TypeError escaped from the conversion. Of the last three,
+        # the complex seeds lost their imaginary parts with only a ComplexWarning and
+        # were certified, the strings passed as numbers, and the bools were refused only
+        # as "seeds are not strictly increasing".
         with pytest.raises(RefinementError, match=re.escape(f"seeds must be real numbers: {error}")):
-            refine(LaguerreParams(10, 1.0), seeds)
+            refine(LaguerreParams(len(seeds), 1.0), seeds)
 
     def test_nan_seed_rejected_at_the_door(self):
         # not a DomainError from deep inside the evaluator
