@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 from .errors import ParameterError
 from .laguerre import LaguerreParams, _check_point
@@ -122,6 +123,8 @@ def bound_set(params: LaguerreParams, C="auto") -> BoundSet:
             raise ParameterError(f"C must be a positive number or 'auto', got {C!r}")
         C = params.n / params.alpha if params.alpha > 0.0 else None  # none admissible if alpha <= 0
     elif C is not None:
+        if not isinstance(C, Real) or isinstance(C, bool):
+            raise ParameterError(f"C must be a positive number or 'auto', got {C!r}")
         C = float(C)
         if not math.isfinite(C) or C <= 0.0:
             raise ParameterError(f"C must be a finite positive number, got {C}")

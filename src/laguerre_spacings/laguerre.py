@@ -27,11 +27,11 @@ _RESCALE_LO = 2.0**-512
 # Plain arrays of fewer lanes run lane by lane on floats, where numpy's
 # per-call cost dominates; solver.refine batches its Newton rounds only while
 # this many lanes are pending, and steps the rest one by one on the lane kernel.
-# Measured break-even on plain calls (each kernel timed on the same calls, min
-# of 15, three runs): about 36 lanes at n = 20, 32 at n = 40 and 26-28 at n in
-# {100, 1000}; on the array pass a 32-lane call costs 1.10-1.12 of the lane
-# kernels at n = 20, 0.98-1.03 at n = 40 and 0.81-0.98 at n in {100, 1000},
-# and a 48-lane one 0.43-0.81.
+# Measured break-even on plain calls with previous (each kernel timed on the same
+# calls, min of 15, three runs): about 24-28 lanes at n in {20, 40} and 28-32 at n
+# in {100, 1000}; on the array pass a 32-lane call costs 0.72-0.81 of the lane
+# kernels at n = 20, 0.80-0.97 at n = 40 and 0.83-1.23 at n in {100, 1000}, and a
+# 48-lane one 0.38-1.04.
 _FEW_LANES = 32
 # The largest degree any door accepts, set by the lane kernels' step tables: a
 # solve reads one table, which at this degree takes 2.4 MB (144 bytes a step), so
@@ -43,14 +43,8 @@ _MAX_DEGREE = 2**14
 # of its (n, alpha); the cache keeps a few solves' tables.
 _TABLES = 4
 _SPLIT = 134217729.0  # 2**27 + 1, the Veltkamp splitting constant
-# _recurrence forms the coefficients of arrays of up to _BLOCK_LANES lanes in
-# blocks of _BLOCK elements (64 KiB): a pass costs 0.63-0.72 of forming them
-# step by step at 32-64 lanes and n in {40, 100, 200, 1000}, 0.71-0.76 at 128,
-# 0.84-0.88 at 256 and 0.97-1.01 at 400; 1.2-1.3 at 1000 lanes and 1.4-1.6 at 2000.
-_BLOCK_LANES = 256
-_BLOCK = 8192
-# The lane bounds alpha > -1 and x < inf as closed ones, for _lanes's comparisons.
-_ALPHA_LOW, _FLOAT_MAX = math.nextafter(-1.0, 0.0), float(np.finfo(float).max)
+# The lane bound x < inf as a closed one, for _lanes's comparisons.
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _degree(n, low: int) -> int:
@@ -134,8 +128,8 @@ def _plain_steps(n: int, alpha: float) -> tuple:
     step: a = (k + k1) + alpha, b = k + alpha and k1 = k + 1.
 
     A tuple of tuples (144 bytes a step), built once per (n, alpha) and shared
-    by every lane, plain or compensated, and Newton round; the cache keeps the
-    last _TABLES of them.
+    by every lane and Newton round: _plain_lane, _compensated_lane and
+    _recurrence read it. The cache keeps the last _TABLES of them.
     """
     return tuple((k + (k + 1.0) + alpha, k + alpha, k + 1.0) for k in map(float, range(1, n)))
 
@@ -234,31 +228,13 @@ def _compensated_lane(n, alpha, x):
     return cur + cur_c, shift
 
 
-def _coefficients(alpha, x, top, a, b):
-    """The lane arrays ((2k+1)+alpha)-x and k+alpha of _recurrence's steps k = 1..top-1.
-
-    Up to _BLOCK_LANES lanes, one broadcast forms them for a block of steps
-    (_BLOCK elements), which saves three numpy calls a step; past that, a
-    block's rows cost more than the calls, and they are formed step by step
-    into the buffers a and b.
-    """
-    rows = _BLOCK // x.size if x.size <= _BLOCK_LANES else 0
-    if not rows:
-        for k in range(1, top):
-            yield np.subtract(np.add(2.0 * k + 1.0, alpha, a), x, a), np.add(k, alpha, b)
-        return
-    for k in range(1, top, rows):
-        ks = np.arange(k, min(k + rows, top), dtype=float)[:, None]
-        yield from zip(2.0 * ks + 1.0 + alpha - x, ks + alpha)
-
-
-def _stride(top, alpha, x) -> int:
+def _stride(n, alpha, x) -> int:
     """The number K of recurrence steps between two rescale checks of _recurrence
-    over these lanes (degrees up to top): the largest K for which the bounds below
-    keep every value, product and difference of a stride normal or zero, and
-    finite, in _recurrence and in _plain_lane alike; 1 where they leave no room.
+    over the lanes x at degree n: the largest K for which the bounds below keep
+    every value, product and difference of a stride normal or zero, and finite,
+    in _recurrence and in _plain_lane alike; 1 where they leave no room.
 
-    Over every lane and step k < top, with u = 2**-53: |a_k - x| <= amax and
+    Over every lane and step k < n, with u = 2**-53: |a_k - x| <= amax and
     b_k <= bmax; b_k >= bmin = 1 + alpha (k = 1); a nonzero |a_k - x| is at least
     2**-52 (a_k >= 2, so it exceeds 1 for x < 1, and else both are multiples of
     2**-52); and, while
@@ -275,38 +251,35 @@ def _stride(top, alpha, x) -> int:
     while 512 + (K-1) decay + floor <= 1022 - slack; the 2 bits of slack cover
     every (1 +- u) factor and the rounding of these bounds themselves.
     """
-    alo, ahi, xlo, xhi = (float(v) for v in (alpha.min(), alpha.max(), x.min(), x.max()))
-    if top < 3 or ahi + 2.0 * top + 1.0 >= 2.0**53:
+    xlo, xhi = float(x.min()), float(x.max())
+    if n < 3 or alpha + 2.0 * n + 1.0 >= 2.0**53:
         return 1
-    amax = max(2.0 * top + ahi - xlo, xhi - alo) + 2.0**-50 * (2.0 * top + abs(ahi)
-                                                                + abs(alo) + xhi)
-    bmin, bmax = 1.0 + alo, top + ahi
+    amax = max(2.0 * n + alpha - xlo, xhi - alpha) + 2.0**-50 * (2.0 * n + 2.0 * abs(alpha) + xhi)
+    bmin, bmax = 1.0 + alpha, n + alpha
     grow = math.log2(amax + bmax) - 1.0  # (|a_k - x| + b_k) / (k + 1), k + 1 >= 2
-    decay = max(0.0, math.log2((top + amax) / bmin))  # b_k / (k + 1 + |a_k - x|)
+    decay = max(0.0, math.log2((n + amax) / bmin))  # b_k / (k + 1 + |a_k - x|)
     tiny = max(52.0, -math.log2(bmin))  # the least nonzero |a_k - x| or b_k
-    birth = 54.0 + tiny + math.log2(top)
+    birth = 54.0 + tiny + math.log2(n)
     pair = (max(0.0, 1.0 - math.log2(bmin)) + 4.0 * grow  # b_k/(k+1) >= min(1, bmin/2)
-            + max(birth, 1.0 + math.log2(max(1.0, 1.0 + ahi + xhi))))  # L_0 beside L_1
-    floor = tiny + math.log2(top) + pair
+            + max(birth, 1.0 + math.log2(max(1.0, 1.0 + alpha + xhi))))  # L_0 beside L_1
+    floor = tiny + math.log2(n) + pair
     room_hi = 1023.0 - 2.0 - 512.0 - math.log2(amax + bmax)
     room_lo = 1022.0 - 2.0 - 512.0 - floor
     if room_lo < 0.0:
         return 1
     steps = min(room_hi / grow, room_lo / decay if decay else math.inf)
-    return max(1, min(int(top), 1 + int(steps)))
+    return max(1, min(n, 1 + int(steps)))
 
 
 @np.errstate(all="ignore")  # overflow is silent, as on floats
 def _recurrence(n, alpha, x):
-    """_plain_lane over the lanes of equal-size degree, alpha and x arrays: (values,
-    shift), where the rows of values are _plain_lane's value and previous, and a
-    degree-0 lane holds L_0 = 1 beside L_{-1} = 0.
+    """_plain_lane over the lanes of the array x, at one degree n >= 1 and one alpha:
+    (value, previous, shift), _plain_lane's three results as lane arrays.
 
-    A lane does _plain_lane's operations in the same order, which keeps its
-    normalized values bit-identical to _plain_lane's; regrouping a sum breaks
-    that. A lane's values are taken at its own degree; it then rides on to the
-    top degree, where it may overflow but touches no other lane. A step's
-    products go into reused buffers.
+    A lane does _plain_lane's operations in the same order, on the same rows of
+    _plain_steps(n, alpha), which keeps its normalized values bit-identical to
+    _plain_lane's; regrouping a sum breaks that. A step's products go into
+    reused buffers.
 
     Rescaling: a lane rescales by the power of two taking m = max(|prev|,
     |cur|) back near 1 whenever m leaves [2**-512, 2**512]. _plain_lane tests
@@ -333,25 +306,16 @@ def _recurrence(n, alpha, x):
     nan-skipping reductions (fmin, fmax), so a lane that left double range
     never stops the other lanes' rescaling.
     """
-    shift, out_shift = np.zeros((2, x.size), dtype=np.int64)
-    # prev holds L_0; degree-0 lanes keep out's L_0 = 1 beside L_{-1} = 0
-    (prev, t1, t2, mag), cur = np.ones((4, x.size)), alpha + 1.0 - x
-    out = np.zeros((2, x.size))
-    out[0] = 1.0
-    stops, top = set(n.tolist()), n.max(initial=0)
-    stride = _stride(top, alpha, x)
-    coefficients = _coefficients(alpha, x, top, t1, t2)
-    for k in range(1, top + 1):
-        if k in stops:  # lanes of degree k are done
-            done = n == k
-            out[0, done], out[1, done], out_shift[done] = cur[done], prev[done], shift[done]
-        if k == top:
-            break
-        a, b = next(coefficients)
-        np.multiply(a, cur, t1)
-        np.multiply(b, prev, t2)
-        np.subtract(t1, t2, t1)
-        np.divide(t1, k + 1.0, prev)
+    subtract, multiply, divide = np.subtract, np.multiply, np.divide
+    shift = np.zeros(x.size, dtype=np.int64)
+    (prev, t1, t2, mag), cur = np.ones((4, x.size)), alpha + 1.0 - x  # prev holds L_0
+    stride = _stride(n, alpha, x)
+    for k, (a, b, k1) in enumerate(_plain_steps(n, alpha), 1):
+        subtract(a, x, t1)
+        multiply(t1, cur, t1)
+        multiply(b, prev, t2)
+        subtract(t1, t2, t1)
+        divide(t1, k1, prev)
         prev, cur = cur, prev
         if k % stride:
             continue
@@ -368,7 +332,7 @@ def _recurrence(n, alpha, x):
         np.ldexp(prev, -e, prev)
         np.ldexp(cur, -e, cur)
         shift += e
-    return out, out_shift
+    return cur, prev, shift
 
 
 def _range_error(n, alpha, x) -> ParameterError:
@@ -377,60 +341,49 @@ def _range_error(n, alpha, x) -> ParameterError:
                           f"(n, alpha, x) = ({n}, {alpha!r}, {x!r})")
 
 
-def _lanes(v, kinds: str, rule, low, high) -> tuple:
-    """(lanes, size): v's lanes as Python values and its lane count. An array whose
-    dtype kind is in kinds gives its tolist() lanes, and its length as size where it is
-    1-D (None where 0-D, -1 past one dimension); the first lane outside [low, high], or
-    nan, raises rule(lane)'s error. Any other value is one lane, rule(v), of size None."""
-    if not (isinstance(v, np.ndarray) and v.dtype.kind in kinds):
-        return [rule(v)], None
-    lanes = v.reshape(-1).tolist()
+def _lanes(x) -> tuple:
+    """(lanes, array): x's lanes as Python values and whether x is a 1-D array. An
+    integer or float array gives its tolist() lanes, each checked by _check_point, then
+    its shape; any other value, a 0-D array too, is one lane, _check_point(x)."""
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "iuf"):
+        return [_check_point(x)], False
+    lanes = x.reshape(-1).tolist()
     for lane in lanes:
-        if not low <= lane <= high:
-            rule(lane)
-    return lanes, (len(v) if v.ndim == 1 else None if v.ndim == 0 else -1)
+        if not 0.0 <= lane <= _FLOAT_MAX:
+            _check_point(lane)
+    if x.ndim > 1:
+        raise ParameterError(f"lane arrays must be 1-D, got shape {x.shape}")
+    return lanes, x.ndim == 1
 
 
 def _evaluate(n, alpha, x, compensated: bool, previous: bool = False):
-    """Lane arrays (mantissas, exponents) of L_n^(alpha)(x), or, when no input is an
-    array, the one lane's pair (mantissa, exponent) as a float and an int: a float call
-    is a one-lane call. With previous (plain mode only), a pair: that result and its
-    like for L_{n-1}^(alpha)(x) (L_{-1} = 0).
+    """Lane arrays (mantissas, exponents) of L_n^(alpha)(x) over a 1-D array x, or, for
+    any other x, its one lane's pair (mantissa, exponent) as a float and an int. With
+    previous (plain mode only), a pair: that result and its like for L_{n-1}^(alpha)(x).
 
-    Every call passes one door on Python values: _lanes reads n, alpha and x, in that
-    order, each lane checked by its input's rule (_degree, _alpha, _check_point), so
-    the first bad lane raises its rule's error; then their sizes must broadcast.
-    Compensated calls and plain calls of fewer than _FEW_LANES lanes run the
-    float-lane kernels; longer plain calls run _recurrence on arrays built from the
-    checked lanes.
+    Every call passes one door on Python values: _degree, _alpha and _lanes read n,
+    alpha and x, in that order. Plain calls at degree >= 1 of at least _FEW_LANES
+    lanes run _recurrence on an array built from the checked lanes; the others run
+    the float-lane kernels.
     """
-    degrees, n_size = _lanes(n, "iu", lambda v: _degree(v, 0), 0, _MAX_DEGREE)
-    alphas, alpha_size = _lanes(alpha, "iuf", _alpha, _ALPHA_LOW, _FLOAT_MAX)
-    points, x_size = _lanes(x, "iuf", _check_point, 0.0, _FLOAT_MAX)
-    sizes = {size for size in (n_size, alpha_size, x_size) if size is not None}
-    if -1 in sizes or len(sizes - {1}) > 1:
-        raise ParameterError(f"lane arrays {'must be 1-D' if -1 in sizes else 'do not broadcast'},"
-                             f" got shapes {np.shape(n)}, {np.shape(alpha)} and {np.shape(x)}")
-    size = max(sizes - {1}, default=1)
-    columns = [v if len(v) == size else v * size for v in (degrees, alphas, points)]
-    if not compensated and size >= _FEW_LANES:
-        values, shift = _recurrence(*(np.array(v, dtype) for v, dtype in
-                                      zip(columns, (np.int64, np.float64, np.float64))))
-        values = values[:2 if previous else 1]
+    n, alpha = _degree(n, 0), _alpha(alpha)
+    points, array = _lanes(x)
+    if n and not compensated and len(points) >= _FEW_LANES:
+        *values, shift = _recurrence(n, alpha, np.array(points, dtype=float))
+        values = np.array(values[:2 if previous else 1])
         m, e = np.frexp(values)  # _normalized, lane by lane
         zero = values == 0.0
         m, e = np.where(zero, 0.0, 2.0 * m), np.where(zero, 0, e - 1 + shift)
         return ((m[0], e[0]), (m[1], e[1])) if previous else (m[0], e[0])
     if compensated:
-        lanes = [_normalized(*_compensated_lane(d, float(a), v)) if d else (1.0, 0)
-                 for d, a, v in zip(*columns)]
-    else:  # rows (L_n, L_{n-1}, shift); a degree-0 lane has L_0 = 1 beside L_{-1} = 0
-        rows = [_plain_lane(d, float(a), v) if d else (1.0, 0.0, 0) for d, a, v in zip(*columns)]
+        lanes = [_normalized(*_compensated_lane(n, alpha, v)) if n else (1.0, 0) for v in points]
+    else:  # rows (L_n, L_{n-1}, shift); degree 0 has L_0 = 1 beside L_{-1} = 0
+        rows = [_plain_lane(n, alpha, v) if n else (1.0, 0.0, 0) for v in points]
         lanes = [_normalized(value, shift) for value, _, shift in rows]
     results = [lanes, [_normalized(prev, shift) for _, prev, shift in rows]] if previous else [lanes]
-    if not sizes:  # a float call: its one lane's pairs
+    if not array:  # a float call: its one lane's pairs
         if not math.isfinite(lanes[0][0]):
-            raise _range_error(degrees[0], alphas[0], points[0])
+            raise _range_error(n, alpha, points[0])
         results = [out[0] for out in results]
     else:
         results = [(np.array([m for m, _ in out], dtype=float),
@@ -442,22 +395,21 @@ def laguerre_polynomial(n: int, alpha: float, x, *, previous: bool = False):
     """Evaluate L_n^(alpha)(x) for any degree n >= 0 by the ascending recurrence.
 
     Uses (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1} with
-    power-of-two rescaling. The degree n is an int or an integer-dtype array
-    (lanes at most _MAX_DEGREE); alpha a non-bool real or a real-dtype array,
-    each lane a finite double > -1; x a non-bool real >= 0 or a real-dtype
-    array of such lanes. The inputs are checked in the order n, alpha, x, each
-    array at its first bad lane, which raises ParameterError (n, alpha) or
-    DomainError (x); then an array of more than one dimension, or arrays that do
-    not broadcast, raise ParameterError. 1-D arrays give arrays (mantissas,
-    exponents): lane i holds L_{n[i]}^(alpha[i])(x[i]) = mantissas[i] *
+    power-of-two rescaling. A call takes one degree n, an integer in
+    0.._MAX_DEGREE, and one alpha, a non-bool real with a finite double > -1;
+    x is a non-bool real >= 0 or a 1-D integer or float array of such lanes.
+    The inputs are checked in the order n, alpha, x: a bad n or alpha, an array
+    of either (0-D too) and an x of more than one dimension raise
+    ParameterError, and a bad x lane DomainError. A 1-D x gives arrays
+    (mantissas, exponents): lane i holds L_n^(alpha)(x[i]) = mantissas[i] *
     2**exponents[i], |mantissa| in [1, 2) or 0, or for a lane that left double
-    range, a nan or inf mantissa. A float call (no array argument) is a one-lane
-    call that returns its lane's pair (mantissa, exponent) as a float and an int,
-    or raises ParameterError where the lane left double range.
+    range, a nan or inf mantissa. Any other x makes a float call, a one-lane
+    call that returns its pair (mantissa, exponent) as a float and an int, or
+    raises ParameterError where the lane left double range.
 
     With previous=True the call returns a pair: that result, then its like for
-    L_{n-1}^(alpha)(x), which the same pass holds when it stops (L_{-1} = 0 for a
-    degree-0 lane). Each equals its own call's normalized bits; together they give
+    L_{n-1}^(alpha)(x), which the same pass holds when it stops (L_{-1} = 0 at
+    degree 0). Each equals its own call's normalized bits; together they give
     the derivative, x L_n' = n L_n - (n+alpha) L_{n-1} (DLMF 18.9.14).
     """
     return _evaluate(n, alpha, x, compensated=False, previous=previous)

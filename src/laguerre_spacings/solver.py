@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -218,9 +219,10 @@ class ZeroSet:
         return np.diff(self.zeros)[::-1].copy()
 
     def zero_at_rank(self, k: int) -> float:
-        """Zero by descending rank: k=1 is the largest, k=n the smallest."""
-        if not 1 <= k <= self.n:
-            raise IndexError(f"rank {k} outside 1..{self.n}")
+        """Zero by descending rank: k=1 is the largest, k=n the smallest; k is a non-bool
+        Integral, and any other k, or one out of range, raises IndexError naming it."""
+        if not (isinstance(k, Integral) and not isinstance(k, bool) and 1 <= k <= self.n):
+            raise IndexError(f"rank {k!r} outside 1..{self.n}")
         return float(self.zeros[self.n - k])
 
 

@@ -6,6 +6,7 @@ Each evaluator input set lists only lanes that stay inside double range.
 """
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,11 +32,22 @@ def _lanes(size, n, alpha, top):
 
 
 def _stacked(size, n, alpha, top):
-    """Per-lane degree and alpha: (n, alpha) lanes beside (n - 1, alpha + 1) lanes, shuffled."""
+    """Two (degree, alpha) families, (n, alpha) lanes beside (n - 1, alpha + 1) lanes,
+    shuffled: per-lane degrees, alphas and points, which _families evaluates."""
     points = np.linspace(0.0, top, size)
     order = np.random.default_rng(size).permutation(2 * size)
     return (np.repeat([n, n - 1], size)[order], np.repeat([alpha, alpha + 1.0], size)[order],
             np.concatenate((points, points))[order])
+
+
+def _families(evaluator, degrees, alphas, x):
+    """evaluator over _stacked's lanes: one call per (degree, alpha) family, its
+    results scattered back into the shuffled order."""
+    mantissas, exponents = np.empty(x.size), np.empty(x.size, dtype=np.int64)
+    for n, alpha in set(zip(degrees.tolist(), alphas.tolist())):
+        lanes = (degrees == n) & (alphas == alpha)
+        mantissas[lanes], exponents[lanes] = evaluator(n, alpha, x[lanes])
+    return mantissas, exponents
 
 
 ARRAY_CALLS = {
@@ -75,8 +87,9 @@ def _evaluator_bits(mode, group):
             m, e = evaluator(n, alpha, x)
             parts.append(np.float64(m).tobytes() + np.int64(e).tobytes())
     else:
+        call = partial(_families, evaluator) if group == "lane_params" else evaluator
         for n, alpha, x in ARRAY_CALLS[group]:
-            mantissas, exponents = evaluator(n, alpha, x)
+            mantissas, exponents = call(n, alpha, x)
             assert np.isfinite(mantissas).all()
             parts.append(mantissas.tobytes() + exponents.astype(np.int64).tobytes())
     return hashlib.sha256(b"".join(parts)).hexdigest()

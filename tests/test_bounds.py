@@ -300,3 +300,10 @@ class TestBoundSet:
         with pytest.raises(ParameterError) as exc:
             bound_set(LaguerreParams(10, 100.0), C=C)
         assert str(exc.value) == f"C must be a finite positive number, got {shown}"
+
+    @pytest.mark.parametrize("C", [True, False, 1j, 1.0 + 0.0j, np.array([2.0])])
+    def test_constant_that_is_no_real_number_refused(self, C):
+        # True ran as C = 1.0, and a complex C escaped as float()'s TypeError
+        with pytest.raises(ParameterError) as exc:
+            bound_set(LaguerreParams(10, 100.0), C=C)
+        assert str(exc.value) == f"C must be a positive number or 'auto', got {C!r}"

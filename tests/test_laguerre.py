@@ -254,8 +254,7 @@ class TestOneRulePerInput:
             lambda: LaguerreParams(5, np.float64(alpha)),
             lambda: laguerre_polynomial(5, alpha, 1.0),
             lambda: laguerre_polynomial_compensated(5, alpha, 1.0),
-            lambda: laguerre_polynomial(5, np.array([0.5, alpha]), np.ones(2)),
-            lambda: laguerre_polynomial(5, np.append(np.full(59, 0.5), alpha), np.ones(60)),
+            lambda: laguerre_polynomial(5, alpha, np.ones(60)),
             lambda: SweepConfig(n_values=(5,), alpha_values=(1.0, alpha)),
             lambda: SweepConfig(n_values=("5",), alpha_values=("1", str(alpha))),
             lambda: bessel_zero(alpha, 1),
@@ -299,22 +298,21 @@ class TestArrayLanes:
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     @pytest.mark.parametrize("size", [1, _FEW_LANES - 1, _FEW_LANES, _FEW_LANES + 1])
     def test_door_outputs_match_across_lane_counts(self, evaluator, size):
-        # Lane 0 is L_0 and the last lane leaves double range; a one-lane call takes each alone.
-        ordinary = [(1000, -0.5, x) for x in np.linspace(0.0, 3900.0, size).tolist()]
-        degree_zero, out_of_range = (0, 2.0, 7.0), (200, 1e200, 1.0)
-        calls = ([[lane] for lane in ordinary + [degree_zero, out_of_range]] if size == 1
-                 else [[degree_zero] + ordinary[1:-1] + [out_of_range]])
-        lost = evaluator(np.array([200]), np.array([1e200]), np.array([1.0]))
-        for lanes in calls:
-            mantissas, exponents = evaluator(*(np.array(v) for v in zip(*lanes)))
-            assert mantissas.dtype == np.float64 and exponents.dtype == np.int64
-            if lanes[-1] == out_of_range:
-                assert not math.isfinite(lost[0][0])
-                assert (mantissas[-1:].tobytes(), exponents[-1]) == (lost[0].tobytes(), lost[1][0])
-                lanes, mantissas, exponents = lanes[:-1], mantissas[:-1], exponents[:-1]
-            pointwise = [evaluator(*lane) for lane in lanes]
-            assert mantissas.tobytes() == np.array([m for m, _ in pointwise]).tobytes()
-            assert exponents.tolist() == [e for _, e in pointwise]
+        # The last lane leaves double range at degree 1000; a one-lane call takes each lane alone.
+        x = np.append(np.linspace(0.0, 3900.0, max(size - 1, 1)), 1e160)
+        calls = [x[i:i + 1] for i in range(x.size)] if size == 1 else [x]
+        for n in (1000, 0):  # at degree 0 every lane is L_0 = 1, the last one too
+            lost = evaluator(n, -0.5, np.array([1e160]))
+            assert math.isfinite(lost[0][0]) == (n == 0)
+            for lanes in calls:
+                mantissas, exponents = evaluator(n, -0.5, lanes)
+                assert mantissas.dtype == np.float64 and exponents.dtype == np.int64
+                if lanes[-1] == 1e160:
+                    assert (mantissas[-1:].tobytes(), exponents[-1]) == (lost[0].tobytes(), lost[1][0])
+                    lanes, mantissas, exponents = lanes[:-1], mantissas[:-1], exponents[:-1]
+                pointwise = [evaluator(n, -0.5, v) for v in lanes.tolist()]
+                assert mantissas.tobytes() == np.array([m for m, _ in pointwise]).tobytes()
+                assert exponents.tolist() == [e for _, e in pointwise]
 
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     @pytest.mark.parametrize("key,value,kind", [
@@ -324,15 +322,14 @@ class TestArrayLanes:
         ("n", True, ParameterError),
     ])
     def test_door_errors_match_across_lane_counts(self, evaluator, key, value, kind):
-        # A float call, then calls of 1, _FEW_LANES - 1 and _FEW_LANES + 1 lanes
-        # whose last lane is bad (a bool degree stays a scalar: an array of them
-        # is an array of another dtype).
+        # A float call, then calls of 1, _FEW_LANES - 1 and _FEW_LANES + 1 lanes,
+        # whose last lane is bad, or which take the bad degree or alpha.
         errors = set()
         for size in (None, 1, _FEW_LANES - 1, _FEW_LANES + 1):
             call = {"n": 5, "alpha": 0.5, "x": 1.5}
             if size is not None:
                 call["x"] = np.linspace(0.0, 9.0, size)
-            if size is None or value is True:
+            if size is None or key != "x":
                 call[key] = value
             else:
                 call[key] = np.append(np.resize(call[key], size - 1), value)
@@ -343,69 +340,83 @@ class TestArrayLanes:
 
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     @pytest.mark.parametrize("n,alpha,points", [
-        (1, 2.0, np.linspace(0.5, 6.0, 12)),  # the (n - 1, alpha + 1) lanes have degree 0
+        (1, 2.0, np.linspace(0.5, 6.0, 12)),  # the (n - 1, alpha + 1) call has degree 0
         (2, 0.0, np.linspace(0.1, 5.0, 12)),
         (30, 0.5, np.array([0.0, 0.3, 9.0, 40.0, 90.0])),  # 10 lanes: run on floats
-        (200, 1e4, np.linspace(1.0, 3e4, 24)),  # lanes rescale at different steps
+        (200, 1e4, np.linspace(1.0, 3e4, 24)),  # 48 lanes, which rescale at different steps
     ])
     def test_mixed_degree_and_alpha_lanes(self, evaluator, n, alpha, points):
-        # per-lane degree and alpha: (n, alpha) lanes beside (n - 1, alpha + 1) lanes, shuffled
-        order = np.random.default_rng(3).permutation(2 * points.size)
-        degrees = np.repeat([n, n - 1], points.size)[order]
-        alphas = np.repeat([alpha, alpha + 1.0], points.size)[order]
-        x = np.concatenate((points, points))[order]
-        mantissas, exponents = evaluator(degrees, alphas, x)
-        pointwise = [evaluator(d, a, v) for d, a, v in zip(degrees.tolist(), alphas.tolist(), x.tolist())]
-        assert mantissas.tobytes() == np.array([m for m, _ in pointwise]).tobytes()
-        assert exponents.tolist() == [e for _, e in pointwise]
+        # L_n^(alpha) and its derivative up to sign, L_{n-1}^(alpha+1), each over
+        # shuffled lanes: every lane has the bits of its own float call
+        x = np.concatenate((points, points))[np.random.default_rng(3).permutation(2 * points.size)]
+        for d, a in ((n, alpha), (n - 1, alpha + 1.0)):
+            mantissas, exponents = evaluator(d, a, x)
+            pointwise = [evaluator(d, a, v) for v in x.tolist()]
+            assert mantissas.tobytes() == np.array([m for m, _ in pointwise]).tobytes()
+            assert exponents.tolist() == [e for _, e in pointwise]
 
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     @pytest.mark.parametrize("n,alpha,match", [
-        (np.array([3, True], dtype=object), 1.0, "degree"),
-        (np.array([True, False]), 1.0, "degree"),
-        (np.array([3, -1]), 1.0, "got -1"),
-        (np.array([3.0, 2.0]), 1.0, "degree"),
-        (np.array([3, 2]), np.array([0.5, -1.0]), "got -1.0"),
-        (3, np.array([0.5, math.nan]), "got nan"),
-        (np.array([3, 2]), np.array([math.inf, 0.5]), "got inf"),
+        (True, 1.0, "degree must be an integer, got True$"),
+        (np.True_, 1.0, "degree must be an integer, got "),
+        (-1, 1.0, "degree must be >= 0, got -1$"),
+        (3.0, 1.0, "degree must be an integer, got 3.0$"),
+        (2, -1.0, "alpha must be > -1, got -1.0$"),
+        (3, math.nan, "alpha must be a finite real, got nan$"),
+        (3, math.inf, "alpha must be a finite real, got inf$"),
     ])
     def test_bad_lane_parameters_rejected(self, evaluator, n, alpha, match):
-        with pytest.raises(ParameterError, match=match):
-            evaluator(n, alpha, np.linspace(0.0, 5.0, 20))
-        with pytest.raises(ParameterError, match=match):
-            evaluator(n, alpha, np.array([1.0, 2.0]))
+        # a bad degree or alpha is refused whichever path x's lanes would take
+        for x in (np.array([1.0, 2.0]), np.linspace(0.0, 5.0, 20), np.linspace(0.0, 5.0, _FEW_LANES + 1)):
+            with pytest.raises(ParameterError, match=match):
+                evaluator(n, alpha, x)
 
-    # The door tests lanes against closed bounds: alpha from the least double above
-    # -1, alpha and x up to the largest finite double. A nan lane fails every
-    # comparison; a -1 lane fails in an integer array as in a float one.
+    # The door reads n, alpha and x in that order: a bad one raises before the next is read.
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    def test_first_bad_degree_lane_raises(self, evaluator):
+        with pytest.raises(ParameterError, match=f"degree must be <= {_MAX_DEGREE}, got {_MAX_DEGREE + 1}$"):
+            evaluator(_MAX_DEGREE + 1, -1.0, np.array([math.nan, 1.0]))
+        with pytest.raises(ParameterError, match="alpha must be > -1, got -1.0$"):
+            evaluator(3, -1.0, np.array([math.nan, 1.0]))
+
+    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
+    @pytest.mark.parametrize("n,alpha,text", [
+        (np.array([3, 4]), 1.0, "degree must be an integer, got array([3, 4])"),
+        (np.array(3), 1.0, "degree must be an integer, got array(3)"),
+        (3, np.array([0.5, 1.0]), "alpha must be a finite real, got array([0.5, 1. ])"),
+        (3, np.array(0.5), "alpha must be a finite real, got array(0.5)"),
+    ])
+    def test_degree_and_alpha_arrays_rejected(self, evaluator, n, alpha, text):
+        # one degree and one alpha a call: an array of either, 0-D too, is refused
+        for x in (1.0, np.array([]), np.linspace(0.0, 5.0, _FEW_LANES + 1)):
+            with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+                evaluator(n, alpha, x)
+
+    # The door tests x's lanes against closed bounds, up to the largest finite
+    # double. A nan lane fails every comparison; a -1 lane fails in an integer
+    # array as in a float one, and a -1 alpha as an int as a float.
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     @pytest.mark.parametrize("key,lanes,kind,text", [
-        ("alpha", np.array([0.5, -1.0]), ParameterError, "alpha must be > -1, got -1.0"),
-        ("alpha", np.array([0, -1]), ParameterError, "alpha must be > -1, got -1.0"),
-        ("alpha", np.array([0.5, math.nan]), ParameterError, "alpha must be a finite real, got nan"),
+        ("alpha", -1.0, ParameterError, "alpha must be > -1, got -1.0"),
+        ("alpha", -1, ParameterError, "alpha must be > -1, got -1.0"),
+        ("alpha", math.nan, ParameterError, "alpha must be a finite real, got nan"),
         ("x", np.array([1.0, math.nan]), DomainError,
          "evaluation point must be a finite real >= 0, got nan"),
         ("x", np.array([1, -1]), DomainError, "evaluation point must be a finite real >= 0, got -1.0"),
     ])
     def test_nan_and_minus_one_lanes_pinned(self, evaluator, key, lanes, kind, text):
-        call = {"n": 5, "alpha": np.array([0.5, 0.5]), "x": np.array([1.0, math.nan])}
-        call[key] = lanes  # a bad alpha lane raises before the nan x lane
+        call = {"n": 5, "alpha": 0.5, "x": np.array([1.0, math.nan])}
+        call[key] = lanes  # a bad alpha raises before the nan x lane
         with pytest.raises(kind, match=f"^{re.escape(text)}$"):
             evaluator(**call)
 
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     def test_lane_bounds_are_closed_at_the_doubles(self, evaluator):
         alpha, top = math.nextafter(-1.0, 0.0), np.finfo(float).max
-        m, e = evaluator(np.array([3, 0]), np.array([alpha, top]), np.array([0.0, top]))
-        assert (m[0], e[0]) == evaluator(3, alpha, 0.0)
-        assert (m[1], e[1]) == (1.0, 0)
-
-    # The door reads n, alpha and x in that order, each array up to its first bad
-    # lane, and only then compares their shapes.
-    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
-    def test_first_bad_degree_lane_raises(self, evaluator):
-        with pytest.raises(ParameterError, match=f"degree must be <= {_MAX_DEGREE}, got {_MAX_DEGREE + 1}$"):
-            evaluator(np.array([3, _MAX_DEGREE + 1, -1]), 0.5, np.ones(3))
+        m, e = evaluator(3, alpha, np.array([0.0, top]))
+        assert (m[0], e[0]) == evaluator(3, alpha, 0.0) and not math.isfinite(m[1])
+        m, e = evaluator(0, top, np.array([top]))
+        assert (m.tolist(), e.tolist()) == ([1.0], [0])
 
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     def test_bad_point_lane_raises_before_the_shape_check(self, evaluator):
@@ -415,69 +426,40 @@ class TestArrayLanes:
             evaluator(3, 0.5, x)
 
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
-    def test_lane_out_of_range_leaves_others_alone(self, evaluator):
-        # The last lane leaves double range; the others must still rescale as
-        # their float calls do instead of overflowing with it.
-        degrees, x = np.array([200] * 21), np.array([3e4 + 100 * i for i in range(20)] + [1.0])
-        alphas = np.array([1e4] * 20 + [1e200])
-        mantissas, exponents = evaluator(degrees, alphas, x)
-        pointwise = [evaluator(200, 1e4, v) for v in x[:20].tolist()]
-        assert mantissas[:20].tobytes() == np.array([m for m, _ in pointwise]).tobytes()
-        assert exponents[:20].tolist() == [e for _, e in pointwise]
-        assert not np.isfinite(mantissas[20])
-        with pytest.raises(ParameterError, match="left double range"):
-            evaluator(200, 1e200, 1.0)
-
-    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
-    def test_finished_lanes_ride_on_silently(self, evaluator):
-        # Once its value is taken, a lane rides on to the top degree: a
-        # degree-1 lane at x = 1e300 then overflows, with no warning and no
-        # effect on the other lanes.
-        degrees = np.resize([0, 1, 2, 7, 200, 201], _FEW_LANES)  # the array pass, in plain mode
-        alphas = np.random.default_rng(9).uniform(-0.5, 50.0, degrees.size)
-        x = np.random.default_rng(10).uniform(0.0, 900.0, degrees.size)
-        x[1::12] = 1e300  # every other degree-1 lane
+    @pytest.mark.parametrize("size", [20, _FEW_LANES])  # lane kernels, then _recurrence in plain mode
+    def test_lane_out_of_range_leaves_others_alone(self, evaluator, size):
+        # The last lane leaves double range, silently; the others must still
+        # rescale as their float calls do instead of overflowing with it.
+        x = np.array([3e4 + 100 * i for i in range(size)] + [1e160])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mantissas, exponents = evaluator(degrees, alphas, x)
-        pointwise = [evaluator(*lane) for lane in zip(degrees.tolist(), alphas.tolist(), x.tolist())]
-        assert mantissas.tobytes() == np.array([m for m, _ in pointwise]).tobytes()
-        assert exponents.tolist() == [e for _, e in pointwise]
+            mantissas, exponents = evaluator(200, 1e4, x)
+        pointwise = [evaluator(200, 1e4, v) for v in x[:-1].tolist()]
+        assert mantissas[:-1].tobytes() == np.array([m for m, _ in pointwise]).tobytes()
+        assert exponents[:-1].tolist() == [e for _, e in pointwise]
+        assert not np.isfinite(mantissas[-1])
+        with pytest.raises(ParameterError, match="left double range"):
+            evaluator(200, 1e4, 1e160)
 
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     def test_all_degree_zero_lanes(self, evaluator):
-        mantissas, exponents = evaluator(np.zeros(48, dtype=int), np.linspace(-0.5, 9.0, 48),
-                                         np.linspace(0.0, 1e300, 48))
-        assert mantissas.tolist() == [1.0] * 48 and exponents.tolist() == [0] * 48
+        for alpha in (-0.5, 9.0):
+            mantissas, exponents = evaluator(0, alpha, np.linspace(0.0, 1e300, 48))
+            assert mantissas.tolist() == [1.0] * 48 and exponents.tolist() == [0] * 48
 
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
-    @pytest.mark.parametrize("n,alpha,x", [
-        (3, 0.5, np.ones((2, 3))),
-        (3, 0.5, np.ones((8, 8))),
-        (np.full((2, 2), 3), 0.5, 1.0),
-        (3, np.full((1, 4), 0.5), np.ones(4)),
-    ])
-    def test_lanes_beyond_one_dimension_rejected(self, evaluator, n, alpha, x):
-        with pytest.raises(ParameterError, match="lane arrays must be 1-D"):
-            evaluator(n, alpha, x)
-
-    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
-    @pytest.mark.parametrize("n,alpha,x", [
-        (np.array([3, 2]), 0.5, np.ones(3)),
-        (3, np.array([0.5, 1.0]), np.ones(3)),
-        (np.array([3, 2, 1]), np.full(4, 0.5), 1.0),
-    ])
-    def test_lanes_that_do_not_broadcast_rejected(self, evaluator, n, alpha, x):
-        with pytest.raises(ParameterError, match=r"do not broadcast, got shapes \("):
-            evaluator(n, alpha, x)
+    @pytest.mark.parametrize("x", [np.ones((2, 3)), np.ones((8, 8))])
+    def test_lanes_beyond_one_dimension_rejected(self, evaluator, x):
+        with pytest.raises(ParameterError, match=r"lane arrays must be 1-D, got shape \("):
+            evaluator(3, 0.5, x)
 
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     @pytest.mark.parametrize("dtype", [np.float32, np.float16])
     def test_narrow_alpha_lanes_run_in_double(self, evaluator, dtype):
         # numpy would keep alpha + 1.0 in float32 (or float16) in the array pass
-        alphas, x = np.full(64, 0.3, dtype=dtype), np.linspace(0.0, 80.0, 64)
-        mantissas, exponents = evaluator(60, alphas, x)
-        pointwise = [evaluator(60, a, v) for a, v in zip(alphas.tolist(), x.tolist())]
+        alpha, x = dtype(0.3), np.linspace(0.0, 80.0, 64)
+        mantissas, exponents = evaluator(60, alpha, x)
+        pointwise = [evaluator(60, float(alpha), v) for v in x.tolist()]
         assert mantissas.tobytes() == np.array([m for m, _ in pointwise]).tobytes()
         assert exponents.tolist() == [e for _, e in pointwise]
 
@@ -548,20 +530,18 @@ class TestDegreeLimit:
                 LaguerreParams(n, 1.0)
 
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
-    @pytest.mark.parametrize("n", [_MAX_DEGREE + 1, 2**63, 2**70, np.uint64(2**63),
-                                   np.array([3, _MAX_DEGREE + 1]), np.array([2**63], dtype=np.uint64)])
+    @pytest.mark.parametrize("n", [_MAX_DEGREE + 1, 2**63, 2**70, np.uint64(2**63)])
     def test_evaluators(self, evaluator, n):
         # an empty x does no step, so a missing check returns instead of hanging
-        high = int(np.max(n))
-        with pytest.raises(ParameterError, match=f"degree must be <= {_MAX_DEGREE}, got {high}$"):
+        with pytest.raises(ParameterError, match=f"degree must be <= {_MAX_DEGREE}, got {int(n)}$"):
             evaluator(n, 0.5, np.array([]))
-        with pytest.raises(ParameterError, match=f"degree must be <= {_MAX_DEGREE}, got {high}$"):
-            evaluator(n, 0.5, np.ones(60) if np.ndim(n) == 0 else np.ones(np.size(n)))
+        with pytest.raises(ParameterError, match=f"degree must be <= {_MAX_DEGREE}, got {int(n)}$"):
+            evaluator(n, 0.5, np.ones(60))
 
     @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
     def test_limit_itself_evaluates(self, evaluator):
         assert math.isfinite(evaluator(_MAX_DEGREE, 0.5, 1.0)[0])
-        assert evaluator(np.array([_MAX_DEGREE]), 0.5, np.array([]))[0].size == 0
+        assert evaluator(_MAX_DEGREE, 0.5, np.array([]))[0].size == 0
 
     def test_sweep_config_and_limit_probe(self):
         from laguerre_spacings.bessel import limit_probe
@@ -720,6 +700,32 @@ class TestStepTables:
         h = laguerre._SPLIT * k1
         assert np.array_equal(h - (h - k1), k1) and _MAX_DEGREE + 1 < 2**26
 
+    def test_every_kernel_reads_the_one_table(self, monkeypatch):
+        # One row's a nudged by an ulp moves the array pass, the float calls and the
+        # compensated lanes, and the array pass still equals the float calls. At the
+        # zeros the compensated value is small enough to feel the nudge: its two-sum
+        # error term recovers (2k+1) + alpha exactly.
+        n, alpha = 40, 0.5
+        x = zeros(LaguerreParams(n, alpha)).zeros[:_FEW_LANES + 1]
+
+        def calls():
+            floats = [laguerre_polynomial(n, alpha, v) for v in x.tolist()]
+            return (*laguerre_polynomial(n, alpha, x), np.array([m for m, _ in floats]),
+                    np.array([e for _, e in floats]), *laguerre_polynomial_compensated(n, alpha, x))
+
+        def nudged(n, alpha, table=laguerre._plain_steps):
+            rows = list(table(n, alpha))
+            a, b, k1 = rows[20]
+            rows[20] = math.nextafter(a, math.inf), b, k1
+            return tuple(rows)
+
+        before = calls()
+        monkeypatch.setattr(laguerre, "_plain_steps", nudged)
+        after = calls()
+        for i in (0, 2, 4):  # mantissas of the array pass, the float calls, the compensated lanes
+            assert after[i].tobytes() != before[i].tobytes()
+        assert after[0].tobytes() == after[2].tobytes() and after[1].tobytes() == after[3].tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(min_value=1, max_value=300),
            alpha=st.one_of(st.floats(min_value=-1.0, max_value=1e4, exclude_min=True),
@@ -735,71 +741,61 @@ class TestArrayPassInputs:
     the same bits."""
 
     def test_inputs_are_left_unchanged(self):
-        degrees = np.repeat([200, 199], 40)
-        alphas, x = np.repeat([1e4, 1e4 + 1.0], 40), np.tile(np.linspace(0.0, 3e4, 40), 2)
-        copies = degrees.copy(), alphas.copy(), x.copy()
-        laguerre_polynomial(degrees, alphas, x)
-        for got, want in zip((degrees, alphas, x), copies):
-            assert got.tobytes() == want.tobytes()
+        x = np.linspace(0.0, 3e4, 80)
+        copy = x.copy()
+        laguerre_polynomial(200, 1e4, x, previous=True)
+        assert x.tobytes() == copy.tobytes()
 
     @pytest.mark.parametrize("n,alpha", [(200, 1e4), (200, 0.5), (30, 1e100)])
     def test_strided_and_narrow_arrays_match_contiguous_ones(self, n, alpha):
         wide = np.linspace(0.0, 3.0 * (n + alpha), 2 * _FEW_LANES + 2)
-        degrees, alphas = np.full(wide.size, n), np.full(wide.size, alpha)
-        want = laguerre_polynomial(degrees[::2].copy(), alphas[::2].copy(), wide[::2].copy())
-        for args in ((degrees[::2], alphas[::2], wide[::2]),
-                     (degrees[::2].astype(np.int32), alphas[::2], wide[::2]),
-                     (n, alpha, wide[::2]), (np.array([n]), np.array([alpha]), wide[::2])):
-            got = laguerre_polynomial(*args)
-            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
-
-    @pytest.mark.parametrize("evaluator", [laguerre_polynomial, laguerre_polynomial_compensated])
-    def test_one_lane_arrays_broadcast_against_empty(self, evaluator):
-        for n, alpha in ((np.array([3]), 0.5), (3, np.array([0.5])), (np.array([3]), np.array([0.5]))):
-            mantissas, exponents = evaluator(n, alpha, np.array([]))
-            assert mantissas.shape == exponents.shape == (0,)
+        narrow = np.arange(0, 7 * _FEW_LANES + 7, 7, dtype=np.int32)
+        for x, contiguous, order in ((wide[::2], wide[::2].copy(), slice(None)),
+                                     (wide[-2::-2], wide[::2].copy(), slice(None, None, -1)),
+                                     (narrow, narrow.astype(float), slice(None))):
+            got, want = laguerre_polynomial(n, alpha, x), laguerre_polynomial(n, alpha, contiguous)
+            assert got[0][order].tobytes() == want[0].tobytes()
+            assert got[1][order].tobytes() == want[1].tobytes()
 
 
 class TestPreviousValue:
     """previous=True gives L_{n-1}^(alpha)(x) beside L_n^(alpha)(x) from one pass: a lane's
     previous value has the normalized bits of its own call at degree n - 1 (L_{-1} = 0
-    for a degree-0 lane), and its value those of the default call."""
+    at degree 0), and its value those of the default call."""
 
     @staticmethod
-    def assert_previous_matches(degrees, alphas, x):
-        (m, e), (pm, pe) = laguerre_polynomial(degrees, alphas, x, previous=True)
-        want = laguerre_polynomial(degrees, alphas, x)
+    def assert_previous_matches(n, alpha, x):
+        (m, e), (pm, pe) = laguerre_polynomial(n, alpha, x, previous=True)
+        want = laguerre_polynomial(n, alpha, x)
         assert m.tobytes() == want[0].tobytes() and e.tobytes() == want[1].tobytes()
-        degrees = np.broadcast_to(degrees, x.shape)
-        lower_m, lower_e = laguerre_polynomial(np.maximum(degrees - 1, 0), alphas, x)
-        finite = np.isfinite(m) & (degrees > 0)
+        if not n:
+            assert not pm.any() and not pe.any()
+            return m
+        lower_m, lower_e = laguerre_polynomial(n - 1, alpha, x)
+        finite = np.isfinite(m)
         assert pm[finite].tobytes() == lower_m[finite].tobytes()
         assert pe[finite].tobytes() == lower_e[finite].tobytes()
-        assert not pm[degrees == 0].any() and not pe[degrees == 0].any()
         return m
 
     @pytest.mark.parametrize("size", [_FEW_LANES - 1, _FEW_LANES + 1])  # lane kernels, _recurrence
     def test_mixed_degrees(self, size):
         rng = np.random.default_rng(size)
-        degrees = rng.integers(0, 60, size)
-        degrees[:4] = 0, 1, 1, 59
-        self.assert_previous_matches(degrees, rng.uniform(-0.9, 3.0, size),
-                                     rng.uniform(0.0, 200.0, size))
+        for n in (0, 1, 2, 59, *rng.integers(3, 60, 4).tolist()):
+            self.assert_previous_matches(n, float(rng.uniform(-0.9, 3.0)), rng.uniform(0.0, 200.0, size))
 
     def test_lanes_rescale_inside_a_stride(self):
         x = np.sort(np.random.default_rng(19).uniform(0.0, 3e4, 150))
-        stride, steps = laguerre._stride(200, np.full(x.size, 1e4), x), []
+        stride, steps = laguerre._stride(200, 1e4, x), []
         for v in x.tolist():
             _reference_plain_lane(200, 1e4, v, steps)
         assert stride > 1 and any(k % stride for k in steps)
         for lanes in (x[:_FEW_LANES - 1], x):
-            self.assert_previous_matches(np.full(lanes.size, 200), 1e4, lanes)
+            self.assert_previous_matches(200, 1e4, lanes)
 
     def test_lane_leaving_double_range_beside_finite_lanes(self):
-        degrees, alphas = np.full(48, 200), np.append(np.full(47, 1e4), 1e200)
-        x = np.append(np.linspace(1.0, 3e4, 47), 1.0)
-        for lanes in (slice(48 - _FEW_LANES + 1, None), slice(None)):
-            m = self.assert_previous_matches(degrees[lanes], alphas[lanes], x[lanes])
+        x = np.append(np.linspace(1.0, 3e4, 47), 1e160)
+        for lanes in (x[48 - _FEW_LANES + 1:], x):
+            m = self.assert_previous_matches(200, 1e4, lanes)
             assert not math.isfinite(m[-1]) and np.isfinite(m[:-1]).all()
 
     @pytest.mark.parametrize("n,alpha,x", [(0, 2.0, 3.0), (1, 2.0, 3.0), (7, 0.5, 3.0),
@@ -822,43 +818,38 @@ class TestStridedRescaleCheck:
     the same lanes leave double range."""
 
     @staticmethod
-    def assert_lanes_match(degrees, alphas, x):
-        degrees, alphas, x = (np.asarray(v, dtype) for v, dtype in
-                              ((degrees, np.int64), (alphas, float), (x, float)))
-        (value, previous), shift = laguerre._recurrence(degrees, alphas, x)
-        for i, (d, a, v) in enumerate(zip(degrees.tolist(), alphas.tolist(), x.tolist())):
-            want_value, want_previous, want_shift = (_reference_plain_lane(d, a, v) if d
-                                                     else (1.0, 0.0, 0))
-            assert math.isfinite(want_value) == math.isfinite(value[i]), (d, a, v)
+    def assert_lanes_match(n, alpha, x):
+        value, previous, shift = laguerre._recurrence(n, alpha, np.asarray(x, dtype=float))
+        for i, v in enumerate(x.tolist()):
+            want_value, want_previous, want_shift = _reference_plain_lane(n, alpha, v)
+            assert math.isfinite(want_value) == math.isfinite(value[i]), (n, alpha, v)
             if math.isfinite(want_value):
                 for got, want in ((value[i], want_value), (previous[i], want_previous)):
                     assert (laguerre._normalized(float(got), int(shift[i]))
-                            == laguerre._normalized(want, want_shift)), (d, a, v)
+                            == laguerre._normalized(want, want_shift)), (n, alpha, v)
 
     def test_lanes_cross_2_512_inside_and_at_stride_boundaries(self):
         rng = np.random.default_rng(19)
         x = np.sort(rng.uniform(0.0, 3e4, 150))
-        degrees, alphas = np.full(x.size, 200), np.full(x.size, 1e4)
-        stride = laguerre._stride(200, alphas, x)
+        stride = laguerre._stride(200, 1e4, x)
         assert stride > 1
         steps = []
         for v in x.tolist():
             _reference_plain_lane(200, 1e4, v, steps)
         assert any(k % stride == 0 for k in steps) and any(k % stride for k in steps)
-        self.assert_lanes_match(degrees, alphas, x)
+        self.assert_lanes_match(200, 1e4, x)
 
     def test_mixed_degrees_end_inside_a_stride(self):
-        # mixed degrees and alphas, with degrees that end at, and between, check steps
+        # degrees whose last step k = n - 1 is a check step, and degrees whose is not
         rng = np.random.default_rng(20)
         for n, alpha, top in ((1000, -0.5, 3900.0), (300, 0.5, 1200.0), (120, 1e4, 1.2e4)):
-            degrees = rng.integers(0, n + 1, 120)
-            degrees[:2] = n, n - 1
-            alphas = alpha + rng.integers(0, 2, 120)
             x = rng.uniform(0.0, top, 120)
-            stride = laguerre._stride(n, alphas, x)
-            assert stride > 1
-            assert any(d % stride == 0 for d in degrees) and any(d % stride for d in degrees)
-            self.assert_lanes_match(degrees, alphas, x)
+            strides = {d: laguerre._stride(d, alpha, x) for d in range(n - 80, n + 1)}
+            at = [d for d, stride in strides.items() if (d - 1) % stride == 0]
+            inside = [d for d, stride in strides.items() if (d - 1) % stride]
+            assert min(strides.values()) > 1 and at and inside
+            for d in (at[-1], inside[-1], inside[0]):
+                self.assert_lanes_match(d, alpha, x)
 
     @pytest.mark.parametrize("n,alpha,x", [
         (60, 1e20, np.linspace(0.0, 3e20, 40)),  # a_k - x can vanish at many steps
@@ -867,21 +858,19 @@ class TestStridedRescaleCheck:
         (5, 1e150, np.linspace(0.0, 3e150, 40)),
     ])
     def test_stride_falls_back_to_one(self, n, alpha, x):
-        alphas = np.full(x.size, alpha)
-        assert laguerre._stride(n, alphas, x) == 1
-        self.assert_lanes_match(np.full(x.size, n), alphas, x)
+        assert laguerre._stride(n, alpha, x) == 1
+        self.assert_lanes_match(n, alpha, x)
 
     def test_lane_leaving_double_range_beside_finite_lanes(self):
-        # On their own the finite lanes check every 30-odd steps; the lane at
-        # alpha = 1e200 leaves double range at step 1, inside such a stride, so
-        # the bound sets the stride to 1.
+        # On their own the finite lanes check every 36 steps; the lane at x =
+        # 1e160 leaves double range at step 1, inside such a stride, so the
+        # bound sets the stride to 1.
         finite = np.linspace(1.0, 3e4, 47)
-        degrees, alphas = np.full(48, 200), np.append(np.full(47, 1e4), 1e200)
-        x = np.append(finite, 1.0)
-        assert laguerre._stride(200, alphas[:47], finite) > 1
-        assert laguerre._stride(200, alphas, x) == 1
-        self.assert_lanes_match(degrees, alphas, x)
-        assert not np.isfinite(laguerre._recurrence(degrees, alphas, x)[0][0, -1])
+        x = np.append(finite, 1e160)
+        assert laguerre._stride(200, 1e4, finite) == 36
+        assert laguerre._stride(200, 1e4, x) == 1
+        self.assert_lanes_match(200, 1e4, x)
+        assert not np.isfinite(laguerre._recurrence(200, 1e4, x)[0][-1])
 
     def test_seeded_lanes_anywhere(self):
         rng = np.random.default_rng(21)
@@ -890,5 +879,4 @@ class TestStridedRescaleCheck:
             alpha = float(rng.choice([-1.0 + 10.0 ** rng.uniform(-15, -1), rng.uniform(-0.9, 2.0),
                                       10.0 ** rng.uniform(0, 40)]))
             x = 10.0 ** rng.uniform(-6, np.log10(4.0 * n + 2.0 * alpha + 10.0) + 1.0, 24)
-            degrees = rng.integers(0, n + 1, 24)
-            self.assert_lanes_match(degrees, alpha + rng.integers(0, 2, 24), x)
+            self.assert_lanes_match(int(rng.integers(1, n + 1)), alpha, x)

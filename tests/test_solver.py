@@ -607,6 +607,14 @@ class TestZeros:
         with pytest.raises(IndexError):
             zs.zero_at_rank(6)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.float64(1.0), True, "1", None])
+    def test_rank_must_be_an_integer(self, k):
+        # a float leaked numpy's IndexError text, and True read as rank 1
+        zs = zeros(LaguerreParams(5, 0.0))
+        with pytest.raises(IndexError, match=f"^{re.escape(f'rank {k!r} outside 1..5')}$"):
+            zs.zero_at_rank(k)
+        assert zs.zero_at_rank(np.int64(2)) == zs.zeros[3]
+
     def test_spacings_descending_ordering(self):
         zs = zeros(LaguerreParams(4, 2.0))
         gaps = zs.spacings_descending()
