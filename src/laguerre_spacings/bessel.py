@@ -162,6 +162,8 @@ def limit_probe(alpha: float, k: int, n_grid) -> LimitProbe:
     spectrum); requires k+1 <= min(n_grid) so the spacing exists everywhere.
     """
     alpha = _require_alpha(alpha)
+    if isinstance(n_grid, (str, bytes)) or not np.iterable(n_grid):
+        raise ParameterError(f"degree grid must be a collection of degrees, got {n_grid!r}")
     grid = tuple(_degree(n, 1) for n in n_grid)
     if not grid:
         raise ParameterError("degree grid is empty")

@@ -125,7 +125,10 @@ def bound_set(params: LaguerreParams, C="auto") -> BoundSet:
     elif C is not None:
         if not isinstance(C, Real) or isinstance(C, bool):
             raise ParameterError(f"C must be a positive number or 'auto', got {C!r}")
-        C = float(C)
+        try:
+            C = float(C)
+        except OverflowError:  # an integral or rational C past double range
+            C = math.inf
         if not math.isfinite(C) or C <= 0.0:
             raise ParameterError(f"C must be a finite positive number, got {C}")
         if params.alpha < params.n / C:

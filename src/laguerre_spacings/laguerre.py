@@ -300,8 +300,7 @@ def _recurrence(n, alpha, x):
     With K = 1, |prev| is a |cur| that passed the test a step ago, or L_1,
     which cannot exceed 2**512 without overflowing the first step's product;
     so the test can fire only where |cur| left the range or is nan, and it
-    gates on |cur|; where it fires for |cur| > 2**512 alone, m is |cur|. A
-    stride lets |prev| leave the range too, so for K > 1 the gate reads m.
+    gates on |cur|. A stride lets |prev| leave the range too: K > 1 gates on m.
     Either way each lane's rescale is its own. Over an array, the gate takes
     nan-skipping reductions (fmin, fmax), so a lane that left double range
     never stops the other lanes' rescaling.
@@ -322,13 +321,10 @@ def _recurrence(n, alpha, x):
         np.abs(cur, mag)
         if stride > 1:
             np.maximum(np.abs(prev, t2), mag, out=mag)
-        if np.fmin.reduce(mag) < _RESCALE_LO:
-            m = np.maximum(np.abs(prev), mag)
-            e = np.where((m > _RESCALE_HI) | ((m > 0.0) & (m < _RESCALE_LO)), np.frexp(m)[1], 0)
-        elif np.fmax.reduce(mag) > _RESCALE_HI:  # then m = mag wherever m > 2**512
-            e = np.where(mag > _RESCALE_HI, np.frexp(mag)[1], 0)
-        else:
+        if not (np.fmin.reduce(mag) < _RESCALE_LO or np.fmax.reduce(mag) > _RESCALE_HI):
             continue
+        m = np.maximum(np.abs(prev), mag)
+        e = np.where((m > _RESCALE_HI) | ((m > 0.0) & (m < _RESCALE_LO)), np.frexp(m)[1], 0)
         np.ldexp(prev, -e, prev)
         np.ldexp(cur, -e, cur)
         shift += e

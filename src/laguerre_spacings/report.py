@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, fields
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -111,8 +112,8 @@ def bulk_stats(zs: ZeroSet, epsilon: float) -> float:
     Bulk means ranks i with epsilon*n <= i <= (1-epsilon)*n. Reported as an
     observation; nothing is asserted about its value.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise ParameterError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    if not (isinstance(epsilon, Real) and 0.0 < epsilon < 0.5):  # a bool fails the range
+        raise ParameterError(f"epsilon must lie in (0, 1/2), got {epsilon!r}")
     if zs.n < 3:
         raise ParameterError("bulk statistics need n >= 3")
     ub = bounds.uniform_spacing_lower(zs.params)

@@ -13,7 +13,6 @@ from .errors import ConvergenceError, ParameterError, RefinementError
 from .laguerre import (
     _FEW_LANES,
     LaguerreParams,
-    _normalized,
     _plain_lane,
     _range_error,
     _to_double,
@@ -230,7 +229,8 @@ def _step(n: int, alpha: float, x: float, compensated: bool, m: float, e: int, p
           pe: int) -> float:
     """The Newton step L/L' at x from L_n^(alpha)(x) = m 2**e and L_{n-1}(x) = pm 2**pe, or
     from the compensated L where compensated (L only: L_{n-1} is far from its own zeros,
-    which interlace with L's); raises if the lane left double range or L' vanished.
+    which interlace with L's); raises if the lane left double range or L' vanished. The
+    pairs need not be normalized: m / pm rounds the same real ratio times a power of two.
 
     x L' = n L - (n + alpha) L_{n-1} (DLMF 18.9.14). With r = L / L_{n-1} a step is
     x r / (n r - (n + alpha)), or x / (n - (n + alpha) / r) for |r| > 1, where r may
@@ -295,7 +295,7 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
         if seeds.dtype.kind not in "iufO":  # bools, complexes, strings: float() would take them
             raise TypeError(f"got an array of {seeds.dtype}")
         seeds = np.asarray(seeds, dtype=float)  # an object array converts by float()
-    except (TypeError, ValueError) as exc:  # a seed that is no real number
+    except (TypeError, ValueError, OverflowError) as exc:  # a seed that is no real number
         raise RefinementError(f"seeds must be real numbers: {exc}") from None
     n, alpha = params.n, params.alpha
     if seeds.ndim != 1:
@@ -334,9 +334,8 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
     for i, (z, compensated) in pending.items():  # the stragglers, each alone, in index order
         try:
             while True:
-                value, prev, shift = _plain_lane(n, alpha, z)
-                lane = *_normalized(value, shift), *_normalized(prev, shift)
-                z, compensated = polish[i].send(_step(n, alpha, z, compensated, *lane))
+                m, pm, e = _plain_lane(n, alpha, z)  # L = m 2**e, L_{n-1} = pm 2**e
+                z, compensated = polish[i].send(_step(n, alpha, z, compensated, m, e, pm, e))
         except StopIteration as done:
             refined[i], residuals[i] = done.value
     if error is not None:

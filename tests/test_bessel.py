@@ -257,6 +257,14 @@ class TestLimitProbe:
         assert type(probe.k) is int
         assert probe.scaled_spacings.tobytes() == limit_probe(0.5, 1, [10]).scaled_spacings.tobytes()
 
+    @pytest.mark.parametrize("grid", [5, None, "abc", np.array(10)])
+    def test_grid_that_is_no_collection_refused(self, grid):
+        # 5, None and the 0-D array raised an untyped TypeError, and "abc" read as the
+        # degrees 'a', 'b' and 'c'
+        with pytest.raises(ParameterError, match=re.escape(
+                f"degree grid must be a collection of degrees, got {grid!r}")):
+            limit_probe(0.5, 1, grid)
+
     @pytest.mark.parametrize("degree", [40.9, "x", True])
     def test_degree_must_be_an_integer(self, degree):
         # A float degree was truncated (40.9 ran n = 40), and a string raised

@@ -1,6 +1,7 @@
 """Closed-form bound tests: edge quantities, the window function, spacing bounds."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -294,9 +295,13 @@ class TestBoundSet:
             bound_set(LaguerreParams(10, 100.0), C=0.0)
 
     @pytest.mark.parametrize("C,shown", [(math.inf, "inf"), (math.nan, "nan"), (0.0, "0.0"),
-                                         (-1.0, "-1.0"), (0, "0.0"), (-1, "-1.0")])
+                                         (-1.0, "-1.0"), (0, "0.0"), (-1, "-1.0"),
+                                         pytest.param(10**400, "inf", id="int-past-double"),
+                                         pytest.param(Fraction(10**400, 3), "inf",
+                                                      id="fraction-past-double")])
     def test_invalid_constant_text(self, C, shown):
-        # inf is positive, so the text names finiteness too
+        # inf is positive, so the text names finiteness too; the integral and rational C
+        # past double range let float()'s OverflowError escape
         with pytest.raises(ParameterError) as exc:
             bound_set(LaguerreParams(10, 100.0), C=C)
         assert str(exc.value) == f"C must be a finite positive number, got {shown}"

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,16 @@ class TestBulkStats:
             bulk_stats(zs, 0.0)
         with pytest.raises(ParameterError):
             bulk_stats(zeros(LaguerreParams(2, 1.0)), 0.1)
+
+    @pytest.mark.parametrize("epsilon", [1j, None, "0.1", [0.1], Decimal("0.1")])
+    def test_epsilon_that_is_no_real_number_refused(self, epsilon):
+        # each raised an untyped TypeError from the range test or the window's ends
+        text = re.escape(f"epsilon must lie in (0, 1/2), got {epsilon!r}")
+        zs = zeros(LaguerreParams(10, 1.0))
+        with pytest.raises(ParameterError, match=text):
+            bulk_stats(zs, epsilon)
+        with pytest.raises(ParameterError, match=text):
+            check_pair(zs.params, ["bulk"], epsilon)
 
 
 class TestSweepConfig:

@@ -336,9 +336,12 @@ class TestRefine:
         (zeros(LaguerreParams(3, 1.0)).zeros + 5j, "got an array of complex128"),
         (["0.9", "3.3", "7.8"], "got an array of <U3"),
         (np.array([False, True, True]), "got an array of bool"),
+        ([10**400], "int too large to convert to float"),
+        (np.array([10**400], dtype=object), "int too large to convert to float"),
     ])
     def test_seeds_that_are_no_numbers_rejected_at_the_door(self, seeds, error):
-        # numpy's ValueError or TypeError escaped from the conversion. Of the last three,
+        # numpy's ValueError or TypeError escaped from the conversion, and for an integer
+        # past double range float()'s OverflowError. Of the complex, string and bool rows,
         # the complex seeds lost their imaginary parts with only a ComplexWarning and
         # were certified, the strings passed as numbers, and the bools were refused only
         # as "seeds are not strictly increasing".
@@ -442,12 +445,10 @@ class TestRefineAgainstReference:
 
 def step_rows(n: int, alpha: float, points: list) -> tuple:
     """Each point's (m, e, pm, pe), the L and L_{n-1} that _step reads, two ways: from
-    the lane kernel's row, as refine's stragglers take it, and from one plain array pass
-    of at least _FEW_LANES lanes (the points repeated), as its batched rounds take it."""
-    kernel = []
-    for x in points:
-        value, prev, shift = solver._plain_lane(n, alpha, x)
-        kernel.append((*laguerre._normalized(value, shift), *laguerre._normalized(prev, shift)))
+    the lane kernel's row as it stands, (value, shift, previous, shift), as refine's
+    stragglers pass it, and from one plain array pass of at least _FEW_LANES lanes (the
+    points repeated), normalized, as its batched rounds take it."""
+    kernel = [(m, e, pm, e) for m, pm, e in (solver._plain_lane(n, alpha, x) for x in points)]
     lanes = np.resize(np.array(points, dtype=float), max(len(points), _FEW_LANES))
     (m, e), (pm, pe) = laguerre_polynomial(n, alpha, lanes, previous=True)
     return kernel, list(zip(m.tolist(), e.tolist(), pm.tolist(), pe.tolist()))[:len(points)]
