@@ -52,9 +52,14 @@ def _pairwise_sums(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _rhs(params: LaguerreParams, x):
     """(Delta(x) - 2 a'(x)) / 3 at an array of points x > 0, where
-    a = (1 - (alpha+1)/x) / 2, a' = (alpha+1) / (2 x^2) and b = n/x."""
+    a = (1 - (alpha+1)/x) / 2, a' = (alpha+1) / (2 x^2) and b = n/x; a' is formed as
+    ((alpha+1)/x) / (2 x) only where 2 x^2 overflows (x past ~1e154)."""
     a = 0.5 * (1.0 - (params.alpha + 1.0) / x)
-    return (params.n / x - a * a - 2.0 * ((params.alpha + 1.0) / (2.0 * x * x))) / 3.0
+    with np.errstate(over="ignore"):
+        square = 2.0 * x * x
+        slope = np.where(square < np.inf, (params.alpha + 1.0) / square,
+                         (params.alpha + 1.0) / x / (2.0 * x))
+    return (params.n / x - a * a - 2.0 * slope) / 3.0
 
 
 def verify_identity(zs: ZeroSet) -> IdentityCheck:

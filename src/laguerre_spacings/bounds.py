@@ -60,9 +60,16 @@ def edge_params(params: LaguerreParams) -> EdgeParams:
     return EdgeParams(U=U, V=V, U2=U * U, V2=V * V)
 
 
+def _root_product(a: float, b: float) -> float:
+    """sqrt(a * b) for a, b >= 0; sqrt(a) * sqrt(b) only where a * b overflows, so
+    every finite product keeps its bits."""
+    product = a * b
+    return math.sqrt(product) if product < math.inf else math.sqrt(a) * math.sqrt(b)
+
+
 def _width(params: LaguerreParams) -> float:
     # U^2 - V^2 without cancellation: (U-V)(U+V) = 2 sqrt(n) * 2 sqrt(n+alpha+1).
-    return 4.0 * math.sqrt(params.n * (params.n + params.alpha + 1.0))
+    return 4.0 * _root_product(params.n, params.n + params.alpha + 1.0)
 
 
 def delta(params: LaguerreParams, x: float) -> float:
@@ -77,12 +84,14 @@ def delta_extremum(params: LaguerreParams) -> tuple[float, float]:
 
     x* = 2 U^2 V^2 / (U^2 + V^2) is the weighted harmonic mean of U^2 and
     V^2, so it always falls inside the window; the maximum value is
-    (U^2 - V^2)^2 / (16 U^2 V^2).
+    (U^2 - V^2)^2 / (16 U^2 V^2). Where 2 U^2 V^2 or 16 U^2 V^2 (alpha+1 = U V past
+    ~3e153) overflows, they take the forms 2 / (1/U^2 + 1/V^2) and (w / U / (4 V))^2.
     """
     e = edge_params(params)
-    x_star = 2.0 * e.U2 * e.V2 / (e.U2 + e.V2)
+    twice, scale = 2.0 * e.U2 * e.V2, 16.0 * e.U2 * e.V2
+    x_star = twice / (e.U2 + e.V2) if twice < math.inf else 2.0 / (1.0 / e.U2 + 1.0 / e.V2)
     w = _width(params)
-    delta_max = w * w / (16.0 * e.U2 * e.V2)
+    delta_max = w * w / scale if scale < math.inf else (w / e.U / (4.0 * e.V)) ** 2
     return x_star, delta_max
 
 
@@ -90,9 +99,11 @@ def uniform_spacing_lower(params: LaguerreParams) -> float:
     """The uniform gap lower bound sqrt(3) (alpha+1) / sqrt(n (n+alpha+1))."""
     if params.n < 2:
         raise ParameterError(f"no spacings exist for degree {params.n}")
-    return math.sqrt(3.0) * (params.alpha + 1.0) / math.sqrt(
-        params.n * (params.n + params.alpha + 1.0)
-    )
+    product = params.n * (params.n + params.alpha + 1.0)
+    if product < math.inf:
+        return math.sqrt(3.0) * (params.alpha + 1.0) / math.sqrt(product)
+    root = math.sqrt(params.n + params.alpha + 1.0)  # alpha past ~1e304: no product
+    return math.sqrt(3.0) * ((params.alpha + 1.0) / root) / math.sqrt(params.n)
 
 
 def krasikov_window(params: LaguerreParams) -> tuple[float, float]:
@@ -138,7 +149,7 @@ def bound_set(params: LaguerreParams, C="auto") -> BoundSet:
     if C is not None:
         range_lower = math.sqrt(params.alpha / params.n) / math.sqrt(C + 1.0)
         proof_lower = math.sqrt(1.5 / (C + 1.0)) * math.sqrt(params.alpha / params.n)
-        root = math.sqrt(params.n * params.alpha)
+        root = _root_product(params.n, params.alpha)
         bracket = root / math.sqrt(C + 1.0), 6.0 * math.sqrt(C + 1.0) * root
     return BoundSet(
         uniform_lower=uniform_spacing_lower(params) if params.n >= 2 else None,

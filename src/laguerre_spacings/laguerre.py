@@ -16,14 +16,18 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 
-# Rescale whenever the running recurrence values leave [2**-512, 2**512].
-# One step multiplies them by about |2k+1+alpha-x|/(k+1), which is about
-# alpha/(k+1) across the zeros, so a step's products (up to 2**512 times
-# alpha or x) stay finite only while alpha and x stay below about 2**512
-# (~1.3e154; about 2**499 for the compensated mode's error terms). Past
-# that a float call raises _range_error's ParameterError.
+# Rescale, downward only, whenever a running recurrence value passes 2**512. No
+# upward rescale is needed: M_k = max(|L_{k-1}|, |L_k|) never falls below
+# 2**-_DRAWDOWN times an earlier M, so from M >= 1/2 it stays above 2**-121 (see
+# _recurrence). One step multiplies the values by about |2k+1+alpha-x|/(k+1), which
+# is about alpha/(k+1) across the zeros, so a step's products (up to 2**512 times
+# alpha or x) stay finite only while alpha and x stay below about 2**512 (~1.3e154;
+# about 2**499 for the compensated mode's error terms). Past that a float call
+# raises _range_error's ParameterError.
 _RESCALE_HI = 2.0**512
-_RESCALE_LO = 2.0**-512
+# log2 of the proved bound on M_j / M_k, j <= k, over every degree, alpha and x
+# the kernels accept, rounding included (the bound is 119.4 bits).
+_DRAWDOWN = 120.0
 # Plain arrays of fewer lanes run lane by lane on floats, where numpy's
 # per-call cost dominates; solver.refine batches its Newton rounds only while
 # this many lanes are pending, and steps the rest one by one on the lane kernel.
@@ -37,7 +41,8 @@ _FEW_LANES = 32
 # solve reads one table, which at this degree takes 2.4 MB (144 bytes a step), so
 # a full cache holds about 9.6 MB. _compensated_lane needs _MAX_DEGREE + 1 < 2**26,
 # where every k + 1 splits exactly and k and 2k + 1 follow from it exactly. The
-# interpreted O(n^2) QL takes minutes here (0.5 s at n = 1000).
+# interpreted O(n^2) QL takes minutes here (0.43 s at n = 1000, min of 5 on a 2-core
+# x86_64 Xeon host).
 _MAX_DEGREE = 2**14
 # Step tables cached: a solve's plain and compensated lanes all read the one table
 # of its (n, alpha); the cache keeps a few solves' tables.
@@ -47,13 +52,13 @@ _SPLIT = 134217729.0  # 2**27 + 1, the Veltkamp splitting constant
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-def _degree(n, low: int) -> int:
-    """n as an int in low.._MAX_DEGREE; a value that is not Integral, or a bool, or one
-    out of that range raises ParameterError naming it."""
+def _degree(n, least: int) -> int:
+    """n as an int in least.._MAX_DEGREE; a value that is not Integral, or a bool, or
+    one out of that range raises ParameterError naming it."""
     if not isinstance(n, Integral) or isinstance(n, bool):
         raise ParameterError(f"degree must be an integer, got {n!r}")
-    if n < low:
-        raise ParameterError(f"degree must be >= {low}, got {int(n)}")
+    if n < least:
+        raise ParameterError(f"degree must be >= {least}, got {int(n)}")
     if n > _MAX_DEGREE:
         raise ParameterError(f"degree must be <= {_MAX_DEGREE}, got {int(n)}")
     return int(n)
@@ -144,15 +149,13 @@ def _plain_lane(n, alpha, x):
     intermediate value, which near the clustered small zeros can dwarf the
     local scale |z L'|.
     """
-    hi, lo, frexp, ldexp = _RESCALE_HI, _RESCALE_LO, math.frexp, math.ldexp
+    hi, frexp, ldexp = _RESCALE_HI, math.frexp, math.ldexp
     shift, prev, cur = 0, 1.0, alpha + 1.0 - x
     for a, b, k1 in _plain_steps(n, alpha):
         prev, cur = cur, ((a - x) * cur - b * prev) / k1
-        if not lo <= abs(cur) <= hi:  # see _recurrence; a nan takes the full test
-            m = max(abs(prev), abs(cur))
-            if m > hi or 0.0 < m < lo:
-                e = frexp(m)[1]
-                prev, cur, shift = ldexp(prev, -e), ldexp(cur, -e), shift + e
+        if abs(cur) > hi:  # see _recurrence
+            e = frexp(cur)[1]
+            prev, cur, shift = ldexp(prev, -e), ldexp(cur, -e), shift + e
     return cur, prev, shift
 
 
@@ -163,8 +166,10 @@ def _compensated_lane(n, alpha, x):
     (s, b, k1) of _plain_steps(n, alpha) and forms the rest of its lane-free terms:
     k = k1 - 1 and 2k+1 = k + k1, exact since k1 < 2**26; s + s_err = (2k+1) +
     alpha and b + b_err = k + alpha as two-sums; b's Veltkamp halves bh + bl. k1
-    is its own upper half, with lower half 0."""
-    hi, lo, frexp, ldexp, split = _RESCALE_HI, _RESCALE_LO, math.frexp, math.ldexp, _SPLIT
+    is its own upper half, with lower half 0. Past alpha or x ~ 2**485 a product or
+    a Veltkamp split can overflow and turn cur nan; the rescale test then reads m =
+    max(|prev|, |cur|) = |prev| (max keeps its first argument beside a nan)."""
+    hi, frexp, ldexp, split = _RESCALE_HI, math.frexp, math.ldexp, _SPLIT
     nx = -x
     s = alpha + 1.0
     bb = s - alpha
@@ -216,9 +221,9 @@ def _compensated_lane(n, alpha, x):
         cur = q + q_err
         bb = cur - q
         cur_c = (q - (cur - bb)) + (q_err - bb)
-        if not lo <= abs(cur) <= hi:  # see _recurrence; a nan takes the full test
+        if not abs(cur) <= hi:  # see _recurrence; a nan cur tests m = |prev|
             m = max(abs(prev), abs(cur))
-            if m > hi or 0.0 < m < lo:
+            if m > hi:
                 e = frexp(m)[1]
                 prev, cur, shift = ldexp(prev, -e), ldexp(cur, -e), shift + e
                 prev_c, cur_c = ldexp(prev_c, -e), ldexp(cur_c, -e)
@@ -239,17 +244,19 @@ def _stride(n, alpha, x) -> int:
     2**-52 (a_k >= 2, so it exceeds 1 for x < 1, and else both are multiples of
     2**-52); and, while
     2k+1+alpha < 2**53, a_k grows with k, so a_k - x is 0 at one step at most.
-    M_k = max(|L_{k-1}|, |L_k|) grows by at most 2**grow a step and decays by at
-    most 2**-decay (see _recurrence). A nonzero L_{k+1} is at least (u/2) min(|a_k -
-    x|, b_k) M_k / (k+1) (a nonzero difference of two doubles is at least u/2 of
-    the larger), or, where a_k = x, b_k/(k+1) |L_{k-1}|. Following each value back
+    M_k = max(|L_{k-1}|, |L_k|) grows by at most 2**grow a step and never falls
+    below 2**-_DRAWDOWN times an earlier M (see _recurrence). A nonzero L_{k+1} is
+    at least (u/2) min(|a_k - x|, b_k) M_k / (k+1) (a nonzero difference of two
+    doubles is at least u/2 of the larger), or, where a_k = x, b_k/(k+1) |L_{k-1}|. Following each value back
     to its birth at most four steps earlier, or to L_0 = 1 or L_1 >= (u/2) min(1,
     bmin) M_1, every nonzero value, product and difference at a step is at least
-    2**-floor times that step's M. A stride starts from M in [2**-512, 2**512]
-    (a check, or M_1 = max(1, |L_1|)), so its products stay below 2**1023 while
-    512 + (K-1) grow + log2(amax + bmax) <= 1023 - slack, and above 2**-1022
-    while 512 + (K-1) decay + floor <= 1022 - slack; the 2 bits of slack cover
-    every (1 +- u) factor and the rounding of these bounds themselves.
+    2**-floor times that step's M. A stride starts from M <= 2**512 (a check, or
+    M_1 = max(1, |L_1|)), so its products stay below 2**1023 while 512 + (K-1)
+    grow + log2(amax + bmax) <= 1023 - slack. Every M is at least 2**-(1 +
+    _DRAWDOWN), since the last rescale left M in [1/2, 1) or M_1 >= 1; so every
+    nonzero value stays above 2**-1022 while 1 + _DRAWDOWN + floor <= 1022 - slack,
+    whatever K is. The 2 bits of slack cover every (1 +- u) factor and the rounding
+    of these bounds themselves.
     """
     xlo, xhi = float(x.min()), float(x.max())
     if n < 3 or alpha + 2.0 * n + 1.0 >= 2.0**53:
@@ -257,18 +264,15 @@ def _stride(n, alpha, x) -> int:
     amax = max(2.0 * n + alpha - xlo, xhi - alpha) + 2.0**-50 * (2.0 * n + 2.0 * abs(alpha) + xhi)
     bmin, bmax = 1.0 + alpha, n + alpha
     grow = math.log2(amax + bmax) - 1.0  # (|a_k - x| + b_k) / (k + 1), k + 1 >= 2
-    decay = max(0.0, math.log2((n + amax) / bmin))  # b_k / (k + 1 + |a_k - x|)
     tiny = max(52.0, -math.log2(bmin))  # the least nonzero |a_k - x| or b_k
     birth = 54.0 + tiny + math.log2(n)
     pair = (max(0.0, 1.0 - math.log2(bmin)) + 4.0 * grow  # b_k/(k+1) >= min(1, bmin/2)
             + max(birth, 1.0 + math.log2(max(1.0, 1.0 + alpha + xhi))))  # L_0 beside L_1
     floor = tiny + math.log2(n) + pair
-    room_hi = 1023.0 - 2.0 - 512.0 - math.log2(amax + bmax)
-    room_lo = 1022.0 - 2.0 - 512.0 - floor
-    if room_lo < 0.0:
+    if 1.0 + _DRAWDOWN + floor > 1020.0:
         return 1
-    steps = min(room_hi / grow, room_lo / decay if decay else math.inf)
-    return max(1, min(n, 1 + int(steps)))
+    room = 1023.0 - 2.0 - 512.0 - math.log2(amax + bmax)
+    return max(1, min(n, 1 + int(room / grow)))
 
 
 @np.errstate(all="ignore")  # overflow is silent, as on floats
@@ -281,14 +285,13 @@ def _recurrence(n, alpha, x):
     _plain_lane's; regrouping a sum breaks that. A step's products go into
     reused buffers.
 
-    Rescaling: a lane rescales by the power of two taking m = max(|prev|,
-    |cur|) back near 1 whenever m leaves [2**-512, 2**512]. _plain_lane tests
-    every step; here the test runs once every K = _stride(...) steps, which
-    keeps every bit. With a_k = 2k+1+alpha, b_k = k+alpha and M_k = max(|L_{k-1}|,
-    |L_k|), (k+1) L_{k+1} = (a_k - x) L_k - b_k L_{k-1} gives
-      growth  M_{k+1} <= M_k max(1, (|a_k - x| + b_k) / (k+1)),
-      decay   M_{k+1} >= M_k min(1, b_k / (k+1+|a_k - x|)),
-    up to (1 +- u)**4. _stride picks K so that, between two checks, no value,
+    Rescaling, downward only: a lane rescales by the power of two taking m into
+    [1/2, 1) whenever m passes 2**512. _plain_lane tests every step; here the test
+    runs once every K = _stride(...) steps, which keeps every bit. With a_k =
+    2k+1+alpha, b_k = k+alpha and M_k = max(|L_{k-1}|, |L_k|), (k+1) L_{k+1} = (a_k -
+    x) L_k - b_k L_{k-1} gives growth M_{k+1} <= M_k max(1, (|a_k - x| + b_k) /
+    (k+1)) up to (1 +- u)**4, and M never falls below 2**-_DRAWDOWN times an earlier
+    M (the floor, below). _stride picks K so that, between two checks, no value,
     product or difference overflows or turns subnormal. Every operation then
     rounds the same real number times a power of two, which a power-of-two
     scaling commutes with; so the lane carries _plain_lane's values times
@@ -297,13 +300,29 @@ def _recurrence(n, alpha, x):
     tiny); where they leave no room (x past about 2**70, alpha past
     2**53), K = 1 and the test runs every step.
 
-    With K = 1, |prev| is a |cur| that passed the test a step ago, or L_1,
-    which cannot exceed 2**512 without overflowing the first step's product;
-    so the test can fire only where |cur| left the range or is nan, and it
-    gates on |cur|. A stride lets |prev| leave the range too: K > 1 gates on m.
-    Either way each lane's rescale is its own. Over an array, the gate takes
-    nan-skipping reductions (fmin, fmax), so a lane that left double range
-    never stops the other lanes' rescaling.
+    With K = 1, m = |cur|: |prev| is a |cur| that passed the test a step ago, or
+    L_1, which cannot exceed 2**512 without overflowing the first step's product.
+    A stride lets |prev| pass 2**512 too, so K > 1 takes m = max(|prev|, |cur|).
+    Either way each lane's rescale is its own, and the gate's reduction (fmax)
+    skips nan, so a lane that left double range never stops the others' rescaling.
+
+    The floor: for any y_0 = 1, y_1, ... with (k+1) y_{k+1} = (a_k - x) y_k - b_k
+    y_{k-1} + r_k, G_k = (k+alpha) y_{k-1}**2 - (2k+alpha-x) y_{k-1} y_k + k y_k**2
+    obeys (k+1) G_{k+1} = (k+alpha) G_k + x y_k**2 + E_k, E_k = r_k (2 b_k (y_k -
+    y_{k-1}) - (alpha+x) y_k + r_k), G_1 = x + E_0 (y_{-1} = 0, b_0 = alpha). For L
+    (r = 0) that is the Christoffel-Darboux sum k G_k = x sum_{j<k} L_j**2
+    prod_{i=j+1}^{k-1} (i+alpha)/i, and always G_k <= (2k+alpha+|2k+alpha-x|) M_k**2,
+    so the pair cannot collapse while x is away from 0. The values all three kernels
+    carry obey |r_k| <= 4.01 u ((a_k + |a_k - x|) |y_k| + b_k |y_{k-1}|). Then M_j /
+    M_k (j <= k <= n <= 2**14) is at most: 1 for x >= (1 + 2**-40)(4n + 2 alpha + 2),
+    where |L_k| grows; 2**23.1 for alpha >= 2**26, the product of the per-step
+    lower bounds b_k / (k+1+|a_k - x|) on M_{k+1} / M_k; 2**57.2 for x at or above
+    the root x_3 ~ 8.02 u (9.5 abar**2 + 5.5 n abar), abar = 2n+1+max(alpha, 0), at
+    which the E_j stay below half of the sum's x y_j**2 terms; and 2**119.4 below
+    x_3, where the differences y_k - y_{k-1} move slowly and a weighted norm |y_k| +
+    W |y_k - y_{k-1}| bounds the backward steps. Hence _DRAWDOWN = 120, M >=
+    2**-121, and no value needs rescaling upward; the worst measured M_j / M_k is
+    2**71.7 (n = 6473, alpha = -1 + 2**-52, x = 3.3e-19).
     """
     subtract, multiply, divide = np.subtract, np.multiply, np.divide
     shift = np.zeros(x.size, dtype=np.int64)
@@ -321,10 +340,9 @@ def _recurrence(n, alpha, x):
         np.abs(cur, mag)
         if stride > 1:
             np.maximum(np.abs(prev, t2), mag, out=mag)
-        if not (np.fmin.reduce(mag) < _RESCALE_LO or np.fmax.reduce(mag) > _RESCALE_HI):
+        if not np.fmax.reduce(mag) > _RESCALE_HI:
             continue
-        m = np.maximum(np.abs(prev), mag)
-        e = np.where((m > _RESCALE_HI) | ((m > 0.0) & (m < _RESCALE_LO)), np.frexp(m)[1], 0)
+        e = np.where(mag > _RESCALE_HI, np.frexp(mag)[1], 0)
         np.ldexp(prev, -e, prev)
         np.ldexp(cur, -e, cur)
         shift += e

@@ -129,9 +129,10 @@ def _format_float(x: float) -> str:
 
 
 def _alpha_tag(alpha: float) -> str:
-    """alpha as a file-name tag: an integer's digits, else the shortest decimal that
-    reads back as the same double, so distinct alphas never share a CSV name."""
-    if float(alpha).is_integer():
+    """alpha as a file-name tag: an integer's digits below 2**53, where every integer
+    is a double, else the shortest decimal that reads back as the same double (1e+296),
+    so distinct alphas never share a CSV name and no tag outgrows a file name."""
+    if float(alpha).is_integer() and abs(alpha) < 2.0**53:
         return str(int(alpha))
     return repr(float(alpha))
 

@@ -312,3 +312,34 @@ class TestBoundSet:
         with pytest.raises(ParameterError) as exc:
             bound_set(LaguerreParams(10, 100.0), C=C)
         assert str(exc.value) == f"C must be a positive number or 'auto', got {C!r}"
+
+
+class TestPastSquaredAlpha:
+    """Past alpha ~ 1.3e154, (alpha+1)^2, n (n+alpha+1) and n alpha overflow a double;
+    every bound must still match mpmath (at 50 digits, in forms free of cancellation)."""
+
+    @pytest.mark.parametrize("n", [3, 5, 16384])
+    @pytest.mark.parametrize("alpha", [1e160, 1e200, 1e308])
+    def test_bounds_match_mpmath(self, n, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            a, m = mpmath.mpf(alpha), mpmath.mpf(n)
+            root = mpmath.sqrt(m * a)
+            expected = {  # U^2 V^2 = (alpha+1)^2, U^2 + V^2 = 2 (2n+alpha+1)
+                "x_star": (a + 1) ** 2 / (2 * m + a + 1),
+                "delta_max": m * (m + a + 1) / (a + 1) ** 2,
+                "uniform_lower": mpmath.sqrt(3) * (a + 1) / mpmath.sqrt(m * (m + a + 1)),
+                "bracket_lo": root / mpmath.sqrt(m / a + 1),
+                "bracket_hi": 6 * mpmath.sqrt(m / a + 1) * root,
+            }
+            bs = bound_set(LaguerreParams(n, alpha))
+            got = {"x_star": bs.x_star, "delta_max": bs.delta_max,
+                   "uniform_lower": bs.uniform_lower, "bracket_lo": bs.range_bracket[0],
+                   "bracket_hi": bs.range_bracket[1]}
+            for name, value in got.items():
+                assert math.isfinite(value) and value > 0.0, (name, value)
+                assert abs(value / expected[name] - 1) < 1e-15, (name, value)
+        assert uniform_spacing_lower(LaguerreParams(n, alpha)) == bs.uniform_lower
+        assert delta_extremum(LaguerreParams(n, alpha)) == (bs.x_star, bs.delta_max)
+        lo, hi = krasikov_window(LaguerreParams(n, alpha))
+        assert math.isfinite(lo) and math.isfinite(hi)

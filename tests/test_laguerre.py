@@ -557,7 +557,7 @@ def _reference_plain_lane(n, alpha, x, rescaled_at=None):
     """_plain_lane as a loop that forms every step term itself (no step table), giving
     (value, previous, shift); the list rescaled_at, if given, collects the steps k
     (computing L_{k+1}) at which it rescales down from above 2**512."""
-    hi, lo = laguerre._RESCALE_HI, laguerre._RESCALE_LO
+    hi, lo = laguerre._RESCALE_HI, 2.0**-512
     shift, prev, cur, k = 0, 1.0, alpha + 1.0 - x, 1.0
     for _ in range(n - 1):
         k1 = k + 1.0
@@ -575,7 +575,7 @@ def _reference_plain_lane(n, alpha, x, rescaled_at=None):
 
 def _reference_compensated_lane(n, alpha, x):
     """_compensated_lane as a loop that forms every step term itself (no step table)."""
-    hi, lo, ldexp = laguerre._RESCALE_HI, laguerre._RESCALE_LO, math.ldexp
+    hi, lo, ldexp = laguerre._RESCALE_HI, 2.0**-512, math.ldexp
     split = 134217729.0
 
     def two_sum(a, b):
@@ -880,3 +880,87 @@ class TestStridedRescaleCheck:
                                       10.0 ** rng.uniform(0, 40)]))
             x = 10.0 ** rng.uniform(-6, np.log10(4.0 * n + 2.0 * alpha + 10.0) + 1.0, 24)
             self.assert_lanes_match(int(rng.integers(1, n + 1)), alpha, x)
+
+
+class TestFloor:
+    """The floor that makes every rescale downward (see laguerre._recurrence): M_k =
+    max(|L_{k-1}|, |L_k|) never falls below 2**-_DRAWDOWN times an earlier M."""
+
+    @staticmethod
+    def energy(k, alpha, x, y):
+        return (k + alpha) * y[k - 1] ** 2 - (2 * k + alpha - x) * y[k - 1] * y[k] + k * y[k] ** 2
+
+    def test_energy_identity_in_exact_rationals(self):
+        # (k+1) G_{k+1} = (k+alpha) G_k + x y_k**2 + E_k for every sequence with residuals
+        # r_k, G_1 = x + E_0; for L itself (r = 0) G_1 = x and k G_k is the
+        # Christoffel-Darboux sum, bounded by (2k+alpha+|2k+alpha-x|) k M_k**2.
+        rng = np.random.default_rng(31)
+        for trial in range(60):
+            alpha = Fraction(int(rng.integers(-999, 9000)), 1000)
+            x = Fraction(int(rng.integers(0, 20000)), int(rng.integers(1, 997)))
+            exact = trial % 2 == 0
+            y = [Fraction(1), 1 + alpha - x if exact else Fraction(int(rng.integers(-500, 500)), 7)]
+            r = [y[1] - (1 + alpha - x)]
+            for k in range(1, 14):
+                r.append(Fraction(0) if exact else Fraction(int(rng.integers(-50, 50)), 13))
+                y.append(((2 * k + 1 + alpha - x) * y[k] - (k + alpha) * y[k - 1] + r[k]) / (k + 1))
+            e = [r[0] * (alpha - x + r[0])] + [r[k] * (2 * (k + alpha) * (y[k] - y[k - 1])
+                                              - (alpha + x) * y[k] + r[k]) for k in range(1, 14)]
+            assert self.energy(1, alpha, x, y) == x + e[0]
+            for k in range(1, 13):
+                assert ((k + 1) * self.energy(k + 1, alpha, x, y)
+                        == (k + alpha) * self.energy(k, alpha, x, y) + x * y[k] ** 2 + e[k])
+            if exact:
+                for k in range(1, 14):
+                    weights = [math.prod((i + alpha) / i for i in range(j + 1, k)) for j in range(k)]
+                    g = self.energy(k, alpha, x, y)
+                    assert k * g == x * sum(w * y[j] ** 2 for j, w in enumerate(weights))
+                    assert g <= (2 * k + alpha + abs(2 * k + alpha - x)) * max(y[k - 1] ** 2, y[k] ** 2)
+
+    def test_extremal_input_floor(self):
+        # alpha = -1 + 2**-53 at x = 0: L_k(0) = binom(k + alpha, k) ~ (alpha + 1)/k
+        alpha, prev, cur, low = -1.0 + 2.0**-53, 1.0, 2.0**-53, 0.0
+        for a, b, k1 in laguerre._plain_steps(2**14, alpha):
+            prev, cur = cur, (a * cur - b * prev) / k1
+            low = min(low, math.log2(max(abs(prev), abs(cur))))
+        assert abs(low - -66.9999) < 1e-3 and low > -1.0 - laguerre._DRAWDOWN
+
+    def test_drawdown_bound_covers_every_regime(self):
+        # The four cases of the proof, as upper bounds in bits over every degree 2..2**14
+        # and cells of log2(1 + alpha); every term is monotone in alpha over a cell.
+        eps = 4.01 * 2.0**-53
+        ep, n = eps * (1 + eps), np.arange(2.0, 2.0**14 + 1.0)
+        worst = {}
+        a26 = 2.0**26  # alpha >= 2**26: per-step bounds, decreasing in alpha, growing with n
+        top = n[-1]
+        x1 = (1 + 2.0**-40) * (4 * top + 2 * a26 + 2)
+        k = np.arange(1.0, top)
+        worst["large alpha"] = np.sum(np.log2((k + 1 + x1 - 3 - a26 + eps * (2 * (2 * top + 1 + a26) + x1))
+                                             / ((1 - eps) * (k + a26))))
+        edges = -1.0 + 2.0 ** np.append(np.arange(-53.0, 26.0, 0.25), 26.0)
+        edges[-1] = a26
+        ks = np.arange(2.0, 2.0**14)
+        def h(alpha):  # sum_{k=2}^{n-1} 1/(k+alpha) for every n
+            return np.concatenate(([0.0], np.cumsum(1.0 / (ks + alpha))))
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            abar = 2 * n + 1 + max(hi, 0.0)
+            b, c = 6.5 * abar + 1.5 * n, 9.5 * abar**2 + 5.5 * n * abar
+            half = 0.5 - ep * b
+            root = np.sqrt(half * half - 4 * ep * ep * c)
+            x3 = 2 * ep * c / (half + root)  # T(x) <= x/2 from x3 up to (half + root)/(2 ep)
+            assert np.all((1 + 2.0**-40) * (4 * n + 2 * hi + 2) <= (half + root) / (2 * ep))
+            pmin = 1.0 if lo >= 0 else (1 + lo) / (n - 1)
+            worst["energy"] = max(worst.get("energy", 0.0), float(np.max(
+                0.5 * np.log2(2 * n * (2 * (2 * n + max(hi, 0.0)) / x3 + 1) / pmin))))
+            sig_hi, sig_lo = x3 * (1 + eps) + 3 * eps * abar, eps * (7 + 2 * lo)
+            h_hi, h_lo = h(lo) * (1 + 1e-12), h(hi) * (1 - 1e-12)
+            w = np.sqrt(np.maximum(n / np.where(h_lo > 0, h_lo, 1.0) / sig_lo, 1.0))
+            w = np.where(h_lo > 0, w, 1.0)
+            grow = (2 * np.maximum(np.sqrt(n * h_hi * sig_hi), h_hi * sig_hi)
+                    + (max(0.0, 1 - lo) + sig_hi) * h_hi + n * eps) / (1 - eps)
+            first = np.maximum(1.0, (5 + hi + x3) * (1 + 2 * eps) / ((1 - eps) * (1 + lo)))
+            worst["near zero"] = max(worst.get("near zero", 0.0), float(np.max(
+                np.log2(first) + np.log2(1 + 2 * w) + grow / math.log(2))))
+        assert worst == pytest.approx({"large alpha": 23.07, "energy": 57.19, "near zero": 119.37},
+                                      abs=0.01)
+        assert max(worst.values()) * (1 + 1e-9) <= laguerre._DRAWDOWN <= 511.0

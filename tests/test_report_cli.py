@@ -564,6 +564,9 @@ class TestFilenames:
         (10, 1.0000001, "n10_alpha1.0000001.csv"),  # "g" gave n10_alpha1.csv
         (10, 1e-7 - 1.0, "n10_alpha-0.9999999.csv"),
         (10, 1.5e-300, "n10_alpha1.5e-300.csv"),
+        (10, 2.0**53 - 1.0, "n10_alpha9007199254740991.csv"),  # the last digits tag
+        (10, 2.0**53, "n10_alpha9007199254740992.0.csv"),
+        (1, 1e296, "n1_alpha1e+296.csv"),  # its 297 digits overran a file name
     ])
     def test_tags(self, n, alpha, name):
         assert pair_filename(n, alpha) == name
@@ -575,6 +578,13 @@ class TestFilenames:
         assert main(["sweep", "--config", str(config)]) == 0
         assert capsys.readouterr().out.startswith("wrote 6 pair CSVs")
         assert len(list((tmp_path / "out").glob("*.csv"))) == 6
+
+    def test_a_sweep_at_alpha_1e296_writes_its_csv(self, tmp_path, capsys):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"n_values = 1\nalpha_values = 1e296\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["sweep", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.startswith("wrote 1 pair CSVs")
+        assert [p.name for p in (tmp_path / "out").glob("*.csv")] == ["n1_alpha1e+296.csv"]
 
 
 class TestCli:
