@@ -12,6 +12,15 @@ and off-diagonal b_{2i+1} b_{2i+2}, is the one solved: a quarter of the full QL'
 with ranks 1..20 within 1e-15 of 40-digit roots (6.6e-15 at full size). The QL, which
 deflates largest first, stops after the 20 ranks it keeps when a Sturm count certifies
 them (exactly 30 eigenvalues below 1 - 2**-10 times the least kept); else it runs on.
+
+limit_probe reads two zeros of L_n^(alpha) per degree, x_{k-1} and x_k in ascending
+order from 0, and solves only those where n > k + 1: the QL on the Laguerre Jacobi
+matrix stops once a Sturm count certifies its k + 2 smallest eigenvalues
+(solver._smallest), and the two ranks alone are Newton-polished from them, each
+certified by its residual as a ZeroSet would be. At n = k + 1, where x_k is the
+largest zero, the full ZeroSet is solved and certified. So a failure in a zero the
+probe does not read no longer raises, and the probe costs O(k n) per degree in place of
+O(n^2): 0.04 s at n = 1600, about 1 s at n = 2**14.
 """
 
 from __future__ import annotations
@@ -26,7 +35,14 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .laguerre import LaguerreParams, _alpha, _degree
-from .solver import JacobiMatrix, _count_below, _deflations
+from .solver import (
+    JacobiMatrix,
+    _count_below,
+    _deflations,
+    _polish_rank,
+    _smallest,
+    build_jacobi,
+)
 from .solver import zeros as solve_zeros
 
 MAX_RANK = 20
@@ -159,7 +175,11 @@ def limit_probe(alpha: float, k: int, n_grid) -> LimitProbe:
     """Track the k-th smallest spacing of L_n^(alpha) against the Bessel limit.
 
     Pairs j_{alpha,k} with the k-th smallest zero (the clustered end of the
-    spectrum); requires k+1 <= min(n_grid) so the spacing exists everywhere.
+    spectrum); requires k+1 <= min(n_grid) so the spacing exists everywhere. At a
+    degree n > k + 1 only the two zeros of the spacing are solved and certified (a
+    Sturm-certified partial QL, then a Newton residual within ZeroSet's cap, else
+    RefinementError), to the bits the full ZeroSet gives them; at n = k + 1 the full
+    ZeroSet is. A failure in any other zero does not raise.
     """
     alpha = _require_alpha(alpha)
     if isinstance(n_grid, (str, bytes)) or not np.iterable(n_grid):
@@ -177,7 +197,11 @@ def limit_probe(alpha: float, k: int, n_grid) -> LimitProbe:
     target = j_next * j_next - j_k * j_k
     scaled = np.empty(len(grid))
     for i, n in enumerate(grid):
-        zs = solve_zeros(LaguerreParams(n=n, alpha=alpha))
-        spacing = float(zs.zeros[k] - zs.zeros[k - 1])
-        scaled[i] = (n + (alpha + 1.0) / 2.0) * spacing
+        params = LaguerreParams(n=n, alpha=alpha)
+        if n == k + 1:  # rank k is the largest zero: no seed above it
+            low, high = solve_zeros(params).zeros[k - 1:k + 1].tolist()
+        else:
+            seeds = _smallest(build_jacobi(params), k + 2).tolist()
+            low, high = (_polish_rank(params, seeds, rank) for rank in (k - 1, k))
+        scaled[i] = (n + (alpha + 1.0) / 2.0) * (high - low)
     return LimitProbe(alpha=alpha, k=k, n_grid=grid, scaled_spacings=scaled, target=target)

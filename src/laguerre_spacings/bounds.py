@@ -8,11 +8,14 @@ V once, so equivalent expressions cannot drift apart through cancellation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Real
 
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 from .laguerre import LaguerreParams, _check_point
+
+_TINY = sys.float_info.min  # the least normal double
 
 
 @dataclass(frozen=True)
@@ -73,10 +76,23 @@ def _width(params: LaguerreParams) -> float:
 
 
 def delta(params: LaguerreParams, x: float) -> float:
-    """(U^2 - x)(x - V^2) / (4 x^2): positive exactly on the zero window."""
+    """(U^2 - x)(x - V^2) / (4 x^2): positive exactly on the zero window.
+
+    Where the numerator or 4 x^2 leaves the normal doubles (x or alpha past ~1.3e154,
+    x below ~1e-154), it is formed as ((U^2 - x) / (2x)) ((x - V^2) / (2x)); every
+    other input keeps its bits. A value past double range raises DomainError.
+    """
     x = _check_point(x, positive=True)
     e = edge_params(params)
-    return (e.U2 - x) * (x - e.V2) / (4.0 * x * x)
+    upper, lower = e.U2 - x, x - e.V2
+    numerator, denominator = upper * lower, 4.0 * x * x
+    if _TINY <= abs(numerator) < math.inf and _TINY <= denominator < math.inf:
+        value = numerator / denominator
+    else:
+        value = (upper / (2.0 * x)) * (lower / (2.0 * x))
+    if not math.isfinite(value):
+        raise DomainError(f"delta at x = {x!r} lies past double range")
+    return value
 
 
 def delta_extremum(params: LaguerreParams) -> tuple[float, float]:

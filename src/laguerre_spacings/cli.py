@@ -184,7 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("bessel-probe",
-                       help="Bessel zeros, gap facts, and the scaled-spacing limit")
+                       help="Bessel zeros, gap facts, and the scaled-spacing limit; per "
+                            "degree n > k + 1 only the spacing's two zeros are solved "
+                            "and certified (all n at n = k + 1)")
     p.add_argument("--alpha", type=float, required=True, help="exponent in (-1, 1]")
     p.add_argument("--k", type=int, required=True, help="spacing rank at the clustered end")
     p.add_argument("--ngrid", type=integer_list, required=True,

@@ -153,6 +153,34 @@ def eigen_zeros(jacobi: JacobiMatrix) -> np.ndarray:
     return np.sort(np.fromiter(_deflations(jacobi), float, jacobi.dimension))
 
 
+def _smallest(jacobi: JacobiMatrix, count: int) -> np.ndarray:
+    """The count smallest eigenvalues, sorted ascending: np.sort(eigen_zeros(jacobi))[:count]
+    bit for bit, from as few QL deflations as a Sturm count certifies.
+
+    top is the count-th smallest value deflated so far. When a deflation lies above a
+    positive top not counted before, the QL stops if _count_below finds exactly count
+    eigenvalues below t = top (1 + 2**-10); else it runs on, to the end if no count
+    agrees. Sound because every yield is final: the n yields of a full QL are the
+    eigenvalues of T + E and the count is the exact count of T + F, with |E| and |F| a
+    few eps |T| per sweep run (Barth, Martin and Wilkinson, Numer. Math. 9, 1967). By
+    Weyl's theorem the (count+1)-th smallest yield lies at or above t - |E| - |F|, above
+    top while top 2**-10 exceeds |E| + |F|, so the count values at or below top are the
+    full sort's first count. For limit_probe's Laguerre matrices (count >= 3, alpha in
+    (-1, 1], n <= 2**14) top 2**-10 is at least 5e4 eps |T| (n = 2**14, alpha -> -1,
+    count 3), and a stopped QL ran at most 226 sweeps (99 positions, count 3, alpha 1).
+    """
+    values, top, counted = [], math.nan, math.nan  # counted: the top last refused
+    for value in _deflations(jacobi):
+        values.append(value)
+        if len(values) == count or value < top:
+            top = float(np.sort(values)[count - 1])  # a nan sorts last, as in eigen_zeros
+        elif value > top > 0.0 and top != counted:  # the count at one t never changes
+            counted = top
+            if _count_below(jacobi, top * (1.0 + 2.0**-10)) == count:
+                break
+    return np.sort(values)[:count]
+
+
 def _count_below(jacobi: JacobiMatrix, t: float) -> int:
     """How many eigenvalues lie below t: a Sturm count (Barth, Martin and Wilkinson,
     Numer. Math. 9, 1967) of the negative pivots of LDL^T = T - tI, where a pivot within
@@ -166,6 +194,10 @@ def _count_below(jacobi: JacobiMatrix, t: float) -> int:
             q = -pivmin
         count += q < 0.0
     return count
+
+
+def _residual_error(worst: float) -> RefinementError:
+    return RefinementError(f"worst residual {worst:.3g} exceeds {_RESIDUAL_CAP} ulp-equivalents")
 
 
 @dataclass(frozen=True)
@@ -203,9 +235,7 @@ class ZeroSet:
                 f"zeros escape the bracketing window ({edge.V2}, {edge.U2})"
             )
         if not np.max(r) <= _RESIDUAL_CAP:
-            raise RefinementError(
-                f"worst residual {np.max(r):.3g} exceeds {_RESIDUAL_CAP} ulp-equivalents"
-            )
+            raise _residual_error(np.max(r))
         if not np.min(r) >= 0.0:
             raise RefinementError(f"negative residual {np.min(r):.3g}: a residual is a magnitude")
 
@@ -277,6 +307,29 @@ def _polish(i: int, z: float, lo: float, hi: float):
     return z, residual
 
 
+def _alone(n: int, alpha: float, polish, z: float, compensated: bool):
+    """Run a _polish lane to its end on the lane kernel, from the point z and mode it
+    asks a step for: returns (zero, residual). The kernel skips the evaluator's checks:
+    a seed is finite and >= 0, and the drift test keeps every later point in (0, inf)."""
+    try:
+        while True:
+            m, pm, e = _plain_lane(n, alpha, z)  # L = m 2**e, L_{n-1} = pm 2**e
+            z, compensated = polish.send(_step(n, alpha, z, compensated, m, e, pm, e))
+    except StopIteration as done:
+        return done.value
+
+
+def _polish_rank(params: LaguerreParams, seeds: list, i: int) -> float:
+    """Zero i (ascending) of L_n^(alpha) from the ascending seeds 0..i+1, polished alone
+    to the bits refine gives it from the same seeds, its residual held to ZeroSet's cap."""
+    lo = 0.5 * (seeds[i - 1] + seeds[i]) if i else 0.0
+    polish = _polish(i, seeds[i], lo, 0.5 * (seeds[i] + seeds[i + 1]))
+    zero, residual = _alone(params.n, params.alpha, polish, *next(polish))
+    if not residual <= _RESIDUAL_CAP:
+        raise _residual_error(residual)
+    return zero
+
+
 def refine(params: LaguerreParams, approx) -> ZeroSet:
     """Polish approximate zeros by Newton iteration and certify residuals.
 
@@ -331,13 +384,8 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
             except (ParameterError, RefinementError) as exc:  # lanes above it cannot matter
                 error = exc
                 break
-    for i, (z, compensated) in pending.items():  # the stragglers, each alone, in index order
-        try:
-            while True:
-                m, pm, e = _plain_lane(n, alpha, z)  # L = m 2**e, L_{n-1} = pm 2**e
-                z, compensated = polish[i].send(_step(n, alpha, z, compensated, m, e, pm, e))
-        except StopIteration as done:
-            refined[i], residuals[i] = done.value
+    for i, asked in pending.items():  # the stragglers, each alone, in index order
+        refined[i], residuals[i] = _alone(n, alpha, polish[i], *asked)
     if error is not None:
         raise error
     return ZeroSet(params=params, zeros=refined, residuals=residuals)

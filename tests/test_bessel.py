@@ -1,5 +1,6 @@
 """Bessel-zero tests: eigenproblem zeros, gap facts, and the scaled-spacing limit."""
 
+import functools
 import math
 import re
 import subprocess
@@ -17,6 +18,7 @@ from laguerre_spacings import (
     DomainError,
     LaguerreParams,
     ParameterError,
+    RefinementError,
     bessel,
     bessel_zero,
     bessel_zero_table,
@@ -288,6 +290,79 @@ class TestLimitProbe:
         scaled_bound = n * uniform_spacing_lower(params)
         scaled_gaps = n * np.diff(zs.zeros)
         assert np.all(scaled_gaps > scaled_bound)
+
+
+PROBE_ALPHAS = [-1.0 + 2.0**-52, -0.999999, 0.5, 1.0] + [
+    float(a) for a in 1.0 - 2.0 * np.random.default_rng(32).random(4)]
+
+
+@functools.lru_cache(maxsize=None)
+def full_zero_set(n, alpha):
+    return zeros(LaguerreParams(n, alpha)).zeros
+
+
+def reference_probe(alpha, k, grid):
+    """The probe's spacings read off full zero sets, as it computed them before."""
+    scaled = np.empty(len(grid))
+    for i, n in enumerate(grid):
+        z = full_zero_set(n, alpha)
+        scaled[i] = (n + (alpha + 1.0) / 2.0) * float(z[k] - z[k - 1])
+    return scaled
+
+
+class TestProbeSolvesItsRanks:
+    # At n > k + 1 the probe solves and certifies ranks k - 1 and k alone; its
+    # bits must be those the full ZeroSet gives them.
+    @staticmethod
+    def count_yields(monkeypatch):
+        yielded, deflations = [], solver._deflations
+
+        def counted(jacobi):
+            for value in deflations(jacobi):
+                yielded.append(value)
+                yield value
+
+        monkeypatch.setattr(solver, "_deflations", counted)
+        return yielded
+
+    @pytest.mark.parametrize("k", [1, 5, 12, 19])
+    @pytest.mark.parametrize("alpha", PROBE_ALPHAS)
+    def test_bits_are_the_full_zero_sets(self, alpha, k):
+        grid = (k + 1, k + 2, 97, 1000)
+        got = limit_probe(alpha, k, grid).scaled_spacings
+        assert got.tobytes() == reference_probe(alpha, k, grid).tobytes()
+
+    def test_full_zero_set_only_at_k_plus_1(self, monkeypatch):
+        degrees = []
+        solve = bessel.solve_zeros
+        monkeypatch.setattr(bessel, "solve_zeros", lambda p: degrees.append(p.n) or solve(p))
+        limit_probe(0.5, 19, (20, 40, 20, 100))
+        assert degrees == [20, 20]
+
+    def test_n1000_deflates_under_100_positions(self, monkeypatch):
+        yielded, counts, count_below = self.count_yields(monkeypatch), [], solver._count_below
+        monkeypatch.setattr(solver, "_count_below",
+                            lambda jacobi, t: counts.append(t) or count_below(jacobi, t))
+        limit_probe(0.5, 19, [1000])
+        assert 0 < len(yielded) < 100 and 1 <= len(counts) <= 2
+
+    @pytest.mark.parametrize("alpha", [0.5, -0.999999])
+    def test_fallback_is_the_full_ql(self, monkeypatch, alpha):
+        yielded = self.count_yields(monkeypatch)
+        monkeypatch.setattr(solver, "_count_below", lambda jacobi, t: -1)
+        got = limit_probe(alpha, 19, (20, 300)).scaled_spacings
+        assert len(yielded) == 20 + 300
+        assert got.tobytes() == reference_probe(alpha, 19, (20, 300)).tobytes()
+
+    def test_residual_past_the_cap_refused(self, monkeypatch):
+        # The text ZeroSet gives a zero set whose worst residual is 65.
+        params = LaguerreParams(2, 0.5)
+        with pytest.raises(RefinementError) as refused:
+            solver.ZeroSet(params=params, zeros=zeros(params).zeros, residuals=[0.0, 65.0])
+        alone = solver._alone
+        monkeypatch.setattr(solver, "_alone", lambda *lane: (alone(*lane)[0], 65.0))
+        with pytest.raises(RefinementError, match=f"^{re.escape(str(refused.value))}$"):
+            limit_probe(0.5, 5, [40])
 
 
 def test_import_needs_no_mpmath():

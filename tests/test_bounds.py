@@ -1,6 +1,8 @@
 """Closed-form bound tests: edge quantities, the window function, spacing bounds."""
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +77,41 @@ class TestDelta:
             delta(LaguerreParams(2, 0.0), 0.0)
         with pytest.raises(DomainError):
             delta(LaguerreParams(2, 0.0), -1.0)
+
+    @staticmethod
+    def reference(n, alpha, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(400):
+            U = mpmath.sqrt(n + mpmath.mpf(alpha) + 1) + mpmath.sqrt(n)
+            V = (mpmath.mpf(alpha) + 1) / U
+            return (U * U - x) * (x - V * V) / (4 * mpmath.mpf(x) ** 2)
+
+    @pytest.mark.parametrize("n,alpha,x,value", [
+        (5, 1.0, 1e160, -0.25), (5, 1e160, 2e160, -0.0625), (5, 1e160, 1e150, -2.5e19),
+        (5, 1.0, 1e154, -0.25), (5, 1.0, 1e-154, -1e308), (3, 1e300, 2e300, -0.0625)])
+    def test_finite_past_the_squares(self, n, alpha, x, value):
+        # The numerator or 4 x^2 overflowed: nan, -inf and -0.0 where the value is finite.
+        got = delta(LaguerreParams(n, alpha), x)
+        assert got == pytest.approx(value, rel=1e-9)
+        assert got == pytest.approx(float(self.reference(n, alpha, x)), rel=4e-16)
+
+    @pytest.mark.parametrize("n,alpha,x", [
+        (5, 1.0, 1e-320), (5, 1e-300, 1e-300), (5, 1.0, 1e-160), (3, 1e300, 1e-10)])
+    def test_value_past_double_range_refused(self, n, alpha, x):
+        # 4 x^2 underflowed to 0 (ZeroDivisionError) or the quotient to -inf.
+        assert abs(self.reference(n, alpha, x)) > sys.float_info.max
+        refusal = re.escape(f"delta at x = {x!r} lies past double range")
+        with pytest.raises(DomainError, match=refusal):
+            delta(LaguerreParams(n, alpha), x)
+
+    def test_normal_range_keeps_the_direct_form(self):
+        rng = np.random.default_rng(32)
+        for _ in range(2000):
+            n, alpha = int(rng.integers(1, 2000)), float(-1.0 + 10.0 ** rng.uniform(-15, 12))
+            params = LaguerreParams(n, alpha)
+            e = edge_params(params)
+            x = float(np.exp(rng.uniform(math.log(e.V2) - 3, math.log(e.U2) + 3)))
+            assert delta(params, x) == (e.U2 - x) * (x - e.V2) / (4.0 * x * x)
 
 
 class TestDeltaExtremum:

@@ -18,6 +18,7 @@ from laguerre_spacings import (
     ParameterError,
     RefinementError,
     ZeroSet,
+    bessel,
     build_jacobi,
     eigen_zeros,
     laguerre,
@@ -277,6 +278,57 @@ class TestCountBelow:
         for t in (0.0, -1e-300, 1e-300, 1.0, -1.0):
             assert solver._count_below(m, t) == np.sum(ev < t), t
         assert solver._count_below(m, math.nan) == 0
+
+
+def laguerre_block(n, alpha):
+    return build_jacobi(LaguerreParams(n, alpha))
+
+
+def random_block(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    return solver.JacobiMatrix(diag=rng.normal(size=n) + 3.0 * rng.uniform(0, 1),
+                               offdiag=rng.normal(size=n - 1))
+
+
+# (matrix, count): Laguerre blocks at the probe's ranks, counts up to the dimension,
+# Ikebe's block (its QL deflates largest first) and random tridiagonals with
+# eigenvalues of both signs (a top at or below 0 is never counted).
+SMALLEST_CASES = [
+    (laguerre_block(1000, 0.5), 21), (laguerre_block(300, -1.0 + 2.0**-52), 3),
+    (laguerre_block(200, 1.0), 7), (laguerre_block(40, -0.999999), 40),
+    (laguerre_block(1, 0.5), 1), (laguerre_block(5, 1e4), 2),
+    (bessel._ikebe_even_block(0.25), 5),
+] + [(random_block(seed), count) for seed in range(6) for count in (1, 2, 5)]
+
+
+class TestSmallest:
+    # _smallest stops the QL once a Sturm count certifies the count smallest
+    # values; its bits must be the full sort's first count, certificate or not.
+    @staticmethod
+    def count_yields(monkeypatch):
+        yielded, deflations = [], solver._deflations
+
+        def counted(jacobi):
+            for value in deflations(jacobi):
+                yielded.append(value)
+                yield value
+
+        monkeypatch.setattr(solver, "_deflations", counted)
+        return yielded
+
+    @pytest.mark.parametrize("jacobi,count", SMALLEST_CASES)
+    def test_bits_are_the_full_sort(self, jacobi, count):
+        want = np.sort(eigen_zeros(jacobi))[:count]
+        assert solver._smallest(jacobi, count).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("jacobi,count", SMALLEST_CASES[::3])
+    def test_fallback_is_the_full_ql(self, monkeypatch, jacobi, count):
+        want = np.sort(eigen_zeros(jacobi))[:count]
+        yielded = self.count_yields(monkeypatch)
+        monkeypatch.setattr(solver, "_count_below", lambda jacobi, t: -1)
+        assert solver._smallest(jacobi, count).tobytes() == want.tobytes()
+        assert len(yielded) == jacobi.dimension
 
 
 class TestRefine:
