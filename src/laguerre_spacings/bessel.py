@@ -9,9 +9,9 @@ and Kahan showed (SIAM J. Numer. Anal. B 2, 1965), T^2 couples only rows of equa
 parity, so an even/odd permutation splits it into two N/2-row tridiagonals that each
 hold every 1/j_{alpha,k}^2. The even block (b_0 = 0), with diagonal b_{2i}^2 + b_{2i+1}^2
 and off-diagonal b_{2i+1} b_{2i+2}, is the one solved: a quarter of the full QL's cost,
-with ranks 1..20 within 1e-15 of 40-digit roots (6.6e-15 at full size). The QL, which
-deflates largest first, stops after the 20 ranks it keeps when a Sturm count certifies
-them (exactly 30 eigenvalues below 1 - 2**-10 times the least kept); else it runs on.
+with ranks 1..20 within 1e-15 of 40-digit roots (6.6e-15 at full size). The block is
+solved negated, so its largest values come first, by solver._smallest: the QL stops
+after the 20 ranks it keeps when a Sturm count certifies them, else it runs on.
 
 limit_probe reads two zeros of L_n^(alpha) per degree, x_{k-1} and x_k in ascending
 order from 0, and solves only those where n > k + 1: the QL on the Laguerre Jacobi
@@ -19,7 +19,7 @@ matrix stops once a Sturm count certifies its k + 2 smallest eigenvalues
 (solver._smallest), and the two ranks alone are Newton-polished from them, each
 certified by its residual as a ZeroSet would be. At n = k + 1, where x_k is the
 largest zero, the full ZeroSet is solved and certified. So a failure in a zero the
-probe does not read no longer raises, and the probe costs O(k n) per degree in place of
+probe does not read does not raise, and the probe costs O(k n) per degree, not
 O(n^2): 0.04 s at n = 1600, about 1 s at n = 2**14.
 """
 
@@ -28,21 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 from numbers import Integral
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
 from .laguerre import LaguerreParams, _alpha, _degree
-from .solver import (
-    JacobiMatrix,
-    _count_below,
-    _deflations,
-    _polish_rank,
-    _smallest,
-    build_jacobi,
-)
+from .solver import JacobiMatrix, _polish_rank, _smallest, build_jacobi
 from .solver import zeros as solve_zeros
 
 MAX_RANK = 20
@@ -76,11 +68,7 @@ def _ikebe_even_block(alpha: float) -> JacobiMatrix:
 def _zeros(alpha: float) -> np.ndarray:
     """j_{alpha,1} .. j_{alpha,MAX_RANK}, ascending and read-only: the full QL's bits."""
     block = _ikebe_even_block(alpha)
-    deflations = _deflations(block)
-    top = list(islice(deflations, MAX_RANK))
-    if _count_below(block, min(top) * (1.0 - 2.0**-10)) != block.dimension - MAX_RANK:
-        top += deflations
-    z = 1.0 / np.sqrt(np.sort(top)[:-MAX_RANK - 1:-1])  # largest first
+    z = 1.0 / np.sqrt(-_smallest(JacobiMatrix(-block.diag, block.offdiag), MAX_RANK))
     z.setflags(write=False)
     return z
 

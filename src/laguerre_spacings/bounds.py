@@ -55,12 +55,18 @@ class BoundSet:
 
 def edge_params(params: LaguerreParams) -> EdgeParams:
     """Edge quantities; V is formed as (alpha+1)/U so that U*V = alpha+1 holds
-    to a rounding error even when alpha+1 underflows the subtraction."""
+    to a rounding error even when alpha+1 underflows the subtraction. Where V*V
+    overflows (alpha within a few ulps of the largest double, V rounded up past its
+    square root), U^2 and V^2 are formed as alpha + 2n + 1 +- 2 sqrt(n (n+alpha+1))."""
     root_sum = math.sqrt(params.n + params.alpha + 1.0)
     root_n = math.sqrt(params.n)
     U = root_sum + root_n
     V = (params.alpha + 1.0) / U
-    return EdgeParams(U=U, V=V, U2=U * U, V2=V * V)
+    U2, V2 = U * U, V * V
+    if V2 == math.inf:
+        middle, half = params.alpha + 2.0 * params.n + 1.0, _width(params) / 2.0
+        U2, V2 = middle + half, middle - half
+    return EdgeParams(U=U, V=V, U2=U2, V2=V2)
 
 
 def _root_product(a: float, b: float) -> float:
@@ -78,13 +84,21 @@ def _width(params: LaguerreParams) -> float:
 def delta(params: LaguerreParams, x: float) -> float:
     """(U^2 - x)(x - V^2) / (4 x^2): positive exactly on the zero window.
 
-    Where the numerator or 4 x^2 leaves the normal doubles (x or alpha past ~1.3e154,
-    x below ~1e-154), it is formed as ((U^2 - x) / (2x)) ((x - V^2) / (2x)); every
-    other input keeps its bits. A value past double range raises DomainError.
+    Where x lies within alpha - w of alpha, w = U^2 - V^2 the window's width, U^2, V^2
+    and x share their leading bits, which U^2 - x and x - V^2 would cancel; there the two
+    are formed as w/2 + m and w/2 - m, m = (alpha - x) + (2n + 1), since U^2 and V^2 are
+    alpha + 2n + 1 +- w/2. Where the numerator or 4 x^2 leaves the normal doubles (x or
+    alpha past ~1.3e154, x below ~1e-154), it is formed as ((U^2 - x) / (2x))
+    ((x - V^2) / (2x)). A value past double range raises DomainError.
     """
     x = _check_point(x, positive=True)
-    e = edge_params(params)
-    upper, lower = e.U2 - x, x - e.V2
+    w = _width(params)
+    if abs(params.alpha - x) + w < params.alpha:
+        m = (params.alpha - x) + (2.0 * params.n + 1.0)
+        upper, lower = w / 2.0 + m, w / 2.0 - m
+    else:
+        e = edge_params(params)
+        upper, lower = e.U2 - x, x - e.V2
     numerator, denominator = upper * lower, 4.0 * x * x
     if _TINY <= abs(numerator) < math.inf and _TINY <= denominator < math.inf:
         value = numerator / denominator
@@ -101,11 +115,12 @@ def delta_extremum(params: LaguerreParams) -> tuple[float, float]:
     x* = 2 U^2 V^2 / (U^2 + V^2) is the weighted harmonic mean of U^2 and
     V^2, so it always falls inside the window; the maximum value is
     (U^2 - V^2)^2 / (16 U^2 V^2). Where 2 U^2 V^2 or 16 U^2 V^2 (alpha+1 = U V past
-    ~3e153) overflows, they take the forms 2 / (1/U^2 + 1/V^2) and (w / U / (4 V))^2.
+    ~3e153) overflows, they take the forms 8 / (4/U^2 + 4/V^2), whose reciprocals stay
+    normal up to the largest double, and (w / U / (4 V))^2.
     """
     e = edge_params(params)
     twice, scale = 2.0 * e.U2 * e.V2, 16.0 * e.U2 * e.V2
-    x_star = twice / (e.U2 + e.V2) if twice < math.inf else 2.0 / (1.0 / e.U2 + 1.0 / e.V2)
+    x_star = twice / (e.U2 + e.V2) if twice < math.inf else 8.0 / (4.0 / e.U2 + 4.0 / e.V2)
     w = _width(params)
     delta_max = w * w / scale if scale < math.inf else (w / e.U / (4.0 * e.V)) ** 2
     return x_star, delta_max

@@ -155,29 +155,41 @@ def eigen_zeros(jacobi: JacobiMatrix) -> np.ndarray:
 
 def _smallest(jacobi: JacobiMatrix, count: int) -> np.ndarray:
     """The count smallest eigenvalues, sorted ascending: np.sort(eigen_zeros(jacobi))[:count]
-    bit for bit, from as few QL deflations as a Sturm count certifies.
+    bit for bit, from as few QL deflations as a Sturm count certifies. The package's one
+    early-stopping QL: the Bessel table runs it on Ikebe's block negated, whose QL yields
+    exactly the negated values.
 
-    top is the count-th smallest value deflated so far. When a deflation lies above a
-    positive top not counted before, the QL stops if _count_below finds exactly count
-    eigenvalues below t = top (1 + 2**-10); else it runs on, to the end if no count
-    agrees. Sound because every yield is final: the n yields of a full QL are the
-    eigenvalues of T + E and the count is the exact count of T + F, with |E| and |F| a
-    few eps |T| per sweep run (Barth, Martin and Wilkinson, Numer. Math. 9, 1967). By
-    Weyl's theorem the (count+1)-th smallest yield lies at or above t - |E| - |F|, above
-    top while top 2**-10 exceeds |E| + |F|, so the count values at or below top are the
-    full sort's first count. For limit_probe's Laguerre matrices (count >= 3, alpha in
-    (-1, 1], n <= 2**14) top 2**-10 is at least 5e4 eps |T| (n = 2**14, alpha -> -1,
-    count 3), and a stopped QL ran at most 226 sweeps (99 positions, count 3, alpha 1).
+    top is the count-th smallest value deflated so far; it is new at the deflation that
+    brings the values to count and at each one below it. At a new top the QL stops if
+    _count_below finds exactly count eigenvalues below t = top + |top| 2**-10; else it runs
+    on, to the end if no count agrees. A count that finds c > count skips the next c - count
+    - 1 new tops, which the values it found missing must bring before one can agree (at
+    n = 1000, count 3 the QL deflates ranks 17, 16, ..., 0 first). Sound because every
+    yield is final: the n yields of a full QL are the eigenvalues of T + E and the count
+    is the exact count of T + F, with |E| and |F| a few eps |T| per sweep run (Barth,
+    Martin and Wilkinson, Numer. Math. 9, 1967). By Weyl's theorem the (count+1)-th
+    smallest yield lies at or above t - |E| - |F|, above top while |top| 2**-10 exceeds
+    |E| + |F|, so the count values at or below top are the full sort's first count. The
+    margin |top| 2**-10 / (eps |T|), measured:
+    - limit_probe's Laguerre matrices (count >= 3, alpha in (-1, 1], n <= 2**14): at
+      least 5e4 (n = 2**14, alpha -> -1, count 3), and a stopped QL ran at most 226
+      sweeps (99 positions, count 3, alpha 1), so the argument covers every stop there;
+    - Ikebe's negated block (count 20, at most 54 sweeps over 304 alphas): 1.6e10 at
+      alpha = 1, 4.8e3 at -0.999999, 48 at -1 + 1e-8, 0.48 at -1 + 1e-10 and 1e-6 at
+      -1 + 2**-52, as |T| grows like 1/(alpha + 1). So the argument covers the stop down
+      to about alpha + 1 = 1e-6 (4.8e3 against 54 sweeps) and not below about 1e-8; there
+      the bits are still the full QL's on every alpha tested (-1 + 2**-52 among them).
     """
-    values, top, counted = [], math.nan, math.nan  # counted: the top last refused
+    values, top, missing = [], math.nan, 1
     for value in _deflations(jacobi):
         values.append(value)
-        if len(values) == count or value < top:
+        if len(values) == count or value < top:  # top is new: one fewer value missing
             top = float(np.sort(values)[count - 1])  # a nan sorts last, as in eigen_zeros
-        elif value > top > 0.0 and top != counted:  # the count at one t never changes
-            counted = top
-            if _count_below(jacobi, top * (1.0 + 2.0**-10)) == count:
-                break
+            missing -= 1
+            if missing <= 0:
+                missing = _count_below(jacobi, top + abs(top) * 2.0**-10) - count
+                if missing == 0:
+                    break
     return np.sort(values)[:count]
 
 
@@ -282,11 +294,16 @@ def _step(n: int, alpha: float, x: float, compensated: bool, m: float, e: int, p
     return x * r / d if small else x / d
 
 
-def _polish(i: int, z: float, lo: float, hi: float):
-    """Newton on zero i from the seed z within (lo, hi): yields each (point, compensated)
-    it needs a step at, is sent that step, and returns (zero, residual). A step depends
-    on the point and mode alone, so each mode's memo of evaluated points supplies the
-    repeats: a lane that closes a cycle rides it to the iteration cap without yielding."""
+def _polish(seeds: list, i: int):
+    """Newton on zero i from the ascending seeds' seeds[i], held strictly between the
+    midpoints to its neighbouring seeds (0 below the first seed, inf above the last):
+    yields each (point, compensated) it needs a step at, is sent that step, and returns
+    (zero, residual). A step depends on the point and mode alone, so each mode's memo of
+    evaluated points supplies the repeats: a lane that closes a cycle rides it to the
+    iteration cap without yielding."""
+    z = seeds[i]
+    lo = 0.5 * (seeds[i - 1] + z) if i else 0.0
+    hi = 0.5 * (z + seeds[i + 1]) if i + 1 < len(seeds) else math.inf
     for compensated in (False, True):
         memo = {}
         for _ in range(_MAX_NEWTON_ITERATIONS):
@@ -321,9 +338,9 @@ def _alone(n: int, alpha: float, polish, z: float, compensated: bool):
 
 def _polish_rank(params: LaguerreParams, seeds: list, i: int) -> float:
     """Zero i (ascending) of L_n^(alpha) from the ascending seeds 0..i+1, polished alone
-    to the bits refine gives it from the same seeds, its residual held to ZeroSet's cap."""
-    lo = 0.5 * (seeds[i - 1] + seeds[i]) if i else 0.0
-    polish = _polish(i, seeds[i], lo, 0.5 * (seeds[i] + seeds[i + 1]))
+    to the bits refine gives it from the same seeds (_polish reads no seed past i + 1),
+    its residual held to ZeroSet's cap."""
+    polish = _polish(seeds, i)
     zero, residual = _alone(params.n, params.alpha, polish, *next(polish))
     if not residual <= _RESIDUAL_CAP:
         raise _residual_error(residual)
@@ -341,7 +358,7 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
     L_{n-1} at every point they ask for from one plain pass. Then the remaining
     lanes, all below any that failed, finish alone in index order on the lane
     kernel, which skips the evaluator's checks: the seeds are finite and >= 0,
-    and the drift test keeps every later point in (lo, hi), inside (0, inf).
+    and the drift test keeps every later point in its bracket, inside (0, inf).
     """
     try:
         seeds = np.asarray(approx)
@@ -366,11 +383,9 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
         raise ConvergenceError(f"near-duplicate zeros {a!r} and {b!r}; "
                                "theory guarantees simple zeros")
 
-    refined = seeds.tolist()
-    mids = [0.5 * (a + b) for a, b in zip(refined, refined[1:])]
-    lo, hi = [0.0] + mids, mids + [math.inf]
-    polish = [_polish(i, refined[i], lo[i], hi[i]) for i in range(n)]
-    pending, residuals, error = {i: next(p) for i, p in enumerate(polish)}, [0.0] * n, None
+    seeds, refined, residuals = seeds.tolist(), [0.0] * n, [0.0] * n
+    polish = [_polish(seeds, i) for i in range(n)]
+    pending, error = {i: next(p) for i, p in enumerate(polish)}, None
     while pending and len(pending) >= _FEW_LANES:
         asked, pending = pending, {}
         points = np.array([z for z, _ in asked.values()])

@@ -121,35 +121,39 @@ ALPHAS = [float(a) for a in np.random.default_rng(24).uniform(-1.0, 1.0, 40)] + 
 
 class TestTopDeflations:
     # _zeros stops the QL after the MAX_RANK values it keeps; its bits must be
-    # those of the full eigen_zeros, certificate or fallback.
+    # those of the full eigen_zeros, certificate or fallback. The counter wraps
+    # solver's own _deflations, which eigen_zeros runs too, so the yields are
+    # read before the reference QL runs.
     @staticmethod
     def full_ql(alpha):
         return 1.0 / np.sqrt(eigen_zeros(bessel._ikebe_even_block(alpha))[:-21:-1])
 
     @staticmethod
     def count_yields(monkeypatch):
-        yielded = []
+        yielded, deflations = [], solver._deflations
 
-        def deflations(block):
-            for value in solver._deflations(block):
+        def counted(block):
+            for value in deflations(block):
                 yielded.append(value)
                 yield value
 
-        monkeypatch.setattr(bessel, "_deflations", deflations)
+        monkeypatch.setattr(solver, "_deflations", counted)
         return yielded
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_certified_top_is_the_full_ql(self, monkeypatch, alpha):
         yielded = self.count_yields(monkeypatch)
-        assert bessel._zeros.__wrapped__(alpha).tobytes() == self.full_ql(alpha).tobytes()
+        got = bessel._zeros.__wrapped__(alpha)
         assert len(yielded) == 20
+        assert got.tobytes() == self.full_ql(alpha).tobytes()
 
     @pytest.mark.parametrize("alpha", ALPHAS[::8] + ALPHAS[-3:])
     def test_fallback_is_the_full_ql(self, monkeypatch, alpha):
         yielded = self.count_yields(monkeypatch)
-        monkeypatch.setattr(bessel, "_count_below", lambda block, t: -1)
-        assert bessel._zeros.__wrapped__(alpha).tobytes() == self.full_ql(alpha).tobytes()
+        monkeypatch.setattr(solver, "_count_below", lambda block, t: -1)
+        got = bessel._zeros.__wrapped__(alpha)
         assert len(yielded) == 50
+        assert got.tobytes() == self.full_ql(alpha).tobytes()
 
 
 class TestTable:

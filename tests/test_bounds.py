@@ -15,6 +15,8 @@ from laguerre_spacings import (
     LaguerreParams,
     ParameterError,
     bound_set,
+    bounds,
+    cli,
     delta,
     delta_extremum,
     edge_params,
@@ -104,14 +106,46 @@ class TestDelta:
         with pytest.raises(DomainError, match=refusal):
             delta(LaguerreParams(n, alpha), x)
 
-    def test_normal_range_keeps_the_direct_form(self):
+    @staticmethod
+    def seeded_inputs():
+        """2000 seeded (params, x, near): x log-uniform over the window widened e**3 each
+        way; near is true where x lies within alpha - w of alpha (w = U^2 - V^2)."""
         rng = np.random.default_rng(32)
         for _ in range(2000):
             n, alpha = int(rng.integers(1, 2000)), float(-1.0 + 10.0 ** rng.uniform(-15, 12))
             params = LaguerreParams(n, alpha)
             e = edge_params(params)
             x = float(np.exp(rng.uniform(math.log(e.V2) - 3, math.log(e.U2) + 3)))
-            assert delta(params, x) == (e.U2 - x) * (x - e.V2) / (4.0 * x * x)
+            yield params, x, abs(alpha - x) + bounds._width(params) < alpha
+
+    def test_normal_range_keeps_the_direct_form(self):
+        # Away from alpha (or where alpha <= w) and in the normal range, the bits are
+        # those of the direct form; 1674 of the 2000 inputs.
+        kept = 0
+        for params, x, near in self.seeded_inputs():
+            if not near:
+                e = edge_params(params)
+                assert delta(params, x) == (e.U2 - x) * (x - e.V2) / (4.0 * x * x)
+                kept += 1
+        assert kept == 1674
+
+    def test_near_alpha_within_8_eps_of_mpmath(self):
+        # Near alpha, U^2 - x and x - V^2 cancelled the leading bits U^2 and V^2 share
+        # with x: the direct form read up to 1230 eps off on these 326 inputs; the
+        # worst now is 5.2 eps.
+        near = [(params, x) for params, x, near in self.seeded_inputs() if near]
+        assert len(near) == 326
+        for params, x in near:
+            want = float(self.reference(params.n, params.alpha, x))
+            assert abs(delta(params, x) - want) <= 8.0 * sys.float_info.epsilon * abs(want)
+
+    @pytest.mark.parametrize("n,alpha,x,value", [
+        (10, 1e40, 1e40, 1.0e-39), (10, 1e33, 1e33, 1.0e-32), (10, 1e20, 1e20, 1.0e-19)])
+    def test_window_centre_at_large_alpha(self, n, alpha, x, value):
+        # The direct form read 0.0, 2.08e-32 and 1.1e-7 relative off here.
+        got = delta(LaguerreParams(n, alpha), x)
+        assert abs(got / value - 1.0) <= 1e-9  # pytest.approx would take 0.0 for 1e-39
+        assert abs(got / float(self.reference(n, alpha, x)) - 1.0) <= 4e-16
 
 
 class TestDeltaExtremum:
@@ -380,3 +414,25 @@ class TestPastSquaredAlpha:
         assert delta_extremum(LaguerreParams(n, alpha)) == (bs.x_star, bs.delta_max)
         lo, hi = krasikov_window(LaguerreParams(n, alpha))
         assert math.isfinite(lo) and math.isfinite(hi)
+
+    @pytest.mark.parametrize("n", [1, 5, 16384])
+    def test_largest_alpha_keeps_every_bound_finite(self, n, capsys):
+        # V rounds up past sqrt(max), so V*V overflowed: the window read (inf, max - 1 ulp),
+        # the sharpened lower end inf, and x* = inf, where 1/U^2 and 1/V^2 were subnormal.
+        mpmath = pytest.importorskip("mpmath")
+        alpha = sys.float_info.max
+        with mpmath.workdps(100):
+            a = mpmath.mpf(alpha)
+            half = 2 * mpmath.sqrt(n * (n + a + 1))
+            squares = float(a + 2 * n + 1 + half), float(a + 2 * n + 1 - half)
+            x_star = float((a + 1) ** 2 / (2 * n + a + 1))
+        params = LaguerreParams(n, alpha)
+        e = edge_params(params)
+        assert (e.U2, e.V2) == squares
+        got = delta_extremum(params)[0]
+        assert abs(got / x_star - 1) <= sys.float_info.epsilon
+        bs = bound_set(params)
+        for value in (*krasikov_window(params), bs.x_star, bs.delta_max):
+            assert math.isfinite(value) and value > 0.0, value
+        assert cli.main(["bounds", "--n", str(n), f"--alpha={alpha!r}"]) == 0
+        assert not re.search(r"\b(inf|nan)\b", capsys.readouterr().out)

@@ -293,7 +293,7 @@ def random_block(seed):
 
 # (matrix, count): Laguerre blocks at the probe's ranks, counts up to the dimension,
 # Ikebe's block (its QL deflates largest first) and random tridiagonals with
-# eigenvalues of both signs (a top at or below 0 is never counted).
+# eigenvalues of both signs (a top of either sign is counted, at top + |top| 2**-10).
 SMALLEST_CASES = [
     (laguerre_block(1000, 0.5), 21), (laguerre_block(300, -1.0 + 2.0**-52), 3),
     (laguerre_block(200, 1.0), 7), (laguerre_block(40, -0.999999), 40),
@@ -329,6 +329,31 @@ class TestSmallest:
         monkeypatch.setattr(solver, "_count_below", lambda jacobi, t: -1)
         assert solver._smallest(jacobi, count).tobytes() == want.tobytes()
         assert len(yielded) == jacobi.dimension
+
+
+NEGATED_ALPHAS = [float(a) for a in np.random.default_rng(33).uniform(-1.0, 1.0, 200)] + [
+    -1.0 + 2.0**-52, -1.0 + 1e-12, 1e-300, 0.5, 1.0]
+
+
+class TestNegatedDeflations:
+    # The Bessel table runs _smallest on Ikebe's block with its diagonal negated:
+    # its bits hold only if the QL yields exactly the negated values of T, in order.
+    @staticmethod
+    def assert_negated(m):
+        negated = solver.JacobiMatrix(diag=-m.diag, offdiag=m.offdiag)
+        want = -np.array(list(solver._deflations(m)))
+        assert np.array(list(solver._deflations(negated))).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("alpha", NEGATED_ALPHAS)
+    def test_ikebe_block(self, alpha):
+        self.assert_negated(bessel._ikebe_even_block(alpha))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_tridiagonal(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        self.assert_negated(solver.JacobiMatrix(
+            diag=rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3), offdiag=rng.normal(size=n - 1)))
 
 
 class TestRefine:
