@@ -11,7 +11,7 @@ import sys
 from . import bessel, bounds, report
 from .errors import ConvergenceError, DomainError, ParameterError, RefinementError
 from .laguerre import LaguerreParams
-from .solver import zeros
+from .solver import _HELPER_LEAST_N, zeros
 
 # argparse reads a token starting with '-' as an option unless it matches the
 # parser's negative-number pattern, which on Python 3.11 has no exponent form.
@@ -158,11 +158,17 @@ def build_parser() -> argparse.ArgumentParser:
     def integer_list(text):
         return [int(p) for p in text.split(",") if p.strip()]
 
-    p = sub.add_parser("zeros", help="compute all zeros with residual diagnostics")
+    def solving(name, text):  # the solve forks a helper where it may (solver._spare_cpu)
+        gate = (f"; at n >= {_HELPER_LEAST_N} with alpha + 1 < n // 8 a second usable core "
+                "searches the smallest zeros (same bytes; taskset -c N keeps one core)")
+        return sub.add_parser(name, help=text + "; a spare core at large n (same bytes)",
+                              description=text + gate)
+
+    p = solving("zeros", "compute all zeros with residual diagnostics")
     add_pair(p)
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
 
-    p = sub.add_parser("spacings", help="consecutive-zero gaps vs the uniform bound")
+    p = solving("spacings", "consecutive-zero gaps vs the uniform bound")
     add_pair(p)
 
     p = sub.add_parser("bounds", help="edge quantities and every closed-form bound")
@@ -170,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=auto_or_number, default="auto",
                    help="constant for the large-alpha bound, or 'auto' for n/alpha")
 
-    p = sub.add_parser("verify", help="run checks for one (n, alpha)")
+    p = solving("verify", "run checks for one (n, alpha)")
     add_pair(p)
     p.add_argument("--checks", default="bethe,bounds,krasikov",
                    help="comma-separated subset of bethe,bounds,krasikov")

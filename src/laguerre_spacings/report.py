@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bethe, bounds
+from . import bethe, bounds, forks
 from .errors import ParameterError
 from .laguerre import LaguerreParams, _alpha, _degree
 from .solver import ZeroSet, zeros
@@ -248,57 +248,33 @@ def _solve(share: list, config: SweepConfig) -> dict:
 
 
 def _solve_shares(grid: list, config: SweepConfig) -> dict:
-    """{(n, alpha): PairChecks} solved one process per core this process may use, at
-    most one a pair; {} where that is one, or where forking is absent or unsafe: a
-    child forked beside a second thread could find a lock that thread held, for ever.
+    """{(n, alpha): PairChecks} solved one process per CPU this process may use, at
+    most one a pair; {} where that is one, or where it may not fork
+    (forks.usable_cpus).
 
-    This process solves share 0 of _deal while a child forked per other share solves
-    its own and pickles its _solve result into a pipe. Each pipe is read to EOF and
-    each child reaped, on every path; only a child that exited 0 is trusted. A pair
-    missing from the result (its share's error, a dead child, a failed fork) is the
-    caller's to solve.
+    This process solves share 0 of _deal while a child forked per other share, held
+    on a CPU of its own (so its solves fork no helper), solves its own and pickles
+    its _solve result into a pipe. Each pipe is read to EOF and each child reaped, on
+    every path; only a child that exited 0 is trusted. A pair missing from the result
+    (its share's error, a dead child, a failed fork) is the caller's to solve.
     """
-    import pickle  # both loaded with numpy already; local, so no other command pays
-    import threading
-
-    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return {}
-    workers = min(len(os.sched_getaffinity(0)), len(grid))
+    cpus = forks.usable_cpus()
+    workers = min(len(cpus), len(grid)) if cpus is not None else 1
     if workers == 1:
         return {}
-    shares = _deal(grid, workers)
-    children, payloads, statuses = [], [], []  # children: (pid, read end of its pipe)
+    shares, children = _deal(grid, workers), []
     try:
-        for share in shares[1:]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # out of processes: the caller solves the shares left
-                os.close(read)
-                os.close(write)
+        for share, cpu in zip(shares[1:], cpus[1:]):
+            child = forks.fork(lambda share=share: _solve(share, config), cpu)
+            if child is None:  # out of processes: the caller solves the shares left
                 break
-            if pid == 0:  # the child: it never returns into the caller's stack
-                status = 1
-                try:
-                    with os.fdopen(write, "wb") as pipe:
-                        pickle.dump(_solve(share, config), pipe)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write)
-            children.append((pid, read))
+            children.append(child)
         done = _solve(shares[0], config)
-        for pid, read in children:
-            with open(read, "rb", closefd=False) as pipe:
-                payloads.append(pipe.read())
-    finally:  # a child still writing gets EPIPE once its read end is closed
-        for pid, read in children:
-            os.close(read)
-            statuses.append(os.waitpid(pid, 0)[1])
-    for payload, status in zip(payloads, statuses):
-        if status == 0:  # exited 0, so its payload is whole
-            done.update(pickle.loads(payload))
+        while children:
+            done.update(forks.reap(children.pop(0), wait=True) or {})
+    finally:  # a child still solving is killed, one still writing gets EPIPE
+        for child in children:
+            forks.reap(child, wait=False)
     return done
 
 

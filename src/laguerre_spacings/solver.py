@@ -8,7 +8,7 @@ from numbers import Integral
 
 import numpy as np
 
-from . import bounds
+from . import bounds, forks
 from .errors import ConvergenceError, ParameterError, RefinementError
 from .laguerre import (
     _FEW_LANES,
@@ -27,6 +27,11 @@ _MAX_NEWTON_ITERATIONS = 20
 _RESIDUAL_CAP = 64.0  # ulp-equivalents: |L(z)| / (eps * |z * L'(z)|)
 _ESCALATE_AT = 16.0  # re-polish with the compensated evaluator above this
 _DUPLICATE_FACTOR = 1e3  # gaps below this many eps*|z| indicate eigensolver failure
+_HARD_EDGE = 8  # zeros' helper searches the lowest n // _HARD_EDGE ranks
+# The crossover, measured as medians of 20-30 alternating runs a side on a 2-core x86_64
+# VM: the helper lost 13-20% at n = 256 and 320, alpha = 1, and saved 5-16% from 384 up
+# but for one run at 512, alpha = -0.5 (6% lost while the spare core ran 40% slower).
+_HELPER_LEAST_N = 384
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,7 @@ def _smallest(jacobi: JacobiMatrix, count: int) -> np.ndarray:
     """The count smallest eigenvalues, sorted ascending: np.sort(eigen_zeros(jacobi))[:count]
     bit for bit, from as few QL deflations as a Sturm count certifies. The package's one
     early-stopping QL: the Bessel table runs it on Ikebe's block negated, whose QL yields
-    exactly the negated values.
+    exactly the negated values, and zeros' helper runs it on the Laguerre matrix.
 
     top is the count-th smallest value deflated so far; it is new at the deflation that
     brings the values to count and at each one below it. At a new top the QL stops if
@@ -178,7 +183,12 @@ def _smallest(jacobi: JacobiMatrix, count: int) -> np.ndarray:
       alpha = 1, 4.8e3 at -0.999999, 48 at -1 + 1e-8, 0.48 at -1 + 1e-10 and 1e-6 at
       -1 + 2**-52, as |T| grows like 1/(alpha + 1). So the argument covers the stop down
       to about alpha + 1 = 1e-6 (4.8e3 against 54 sweeps) and not below about 1e-8; there
-      the bits are still the full QL's on every alpha tested (-1 + 2**-52 among them).
+      the bits are still the full QL's on every alpha tested (-1 + 2**-52 among them);
+    - zeros' helper (count n // 8 + 1, n from 384 to 2**14, alpha + 1 < n // 8): at least
+      4.2e10 (n = 2**14, alpha -> -1), far above the at most 50 n <= 8.2e5 sweeps of a
+      QL, so the argument covers every stop there. refine also takes the helper's zeros
+      only where its seeds equal the full QL's bit for bit, so a failed certificate would
+      cost time, never a wrong zero.
     """
     values, top, missing = [], math.nan, 1
     for value in _deflations(jacobi):
@@ -294,16 +304,23 @@ def _step(n: int, alpha: float, x: float, compensated: bool, m: float, e: int, p
     return x * r / d if small else x / d
 
 
+def _bracket(seeds: list, i: int) -> tuple:
+    """Zero i's bracket: the midpoints from the ascending seeds' seeds[i] to its
+    neighbours, 0 below the first seed and inf above the last."""
+    lo = 0.5 * (seeds[i - 1] + seeds[i]) if i else 0.0
+    hi = 0.5 * (seeds[i] + seeds[i + 1]) if i + 1 < len(seeds) else math.inf
+    return lo, hi
+
+
 def _polish(seeds: list, i: int):
-    """Newton on zero i from the ascending seeds' seeds[i], held strictly between the
-    midpoints to its neighbouring seeds (0 below the first seed, inf above the last):
-    yields each (point, compensated) it needs a step at, is sent that step, and returns
-    (zero, residual). A step depends on the point and mode alone, so each mode's memo of
-    evaluated points supplies the repeats: a lane that closes a cycle rides it to the
-    iteration cap without yielding."""
+    """Newton on zero i from the ascending seeds' seeds[i], held strictly inside its
+    _bracket: yields each (point, compensated) it needs a step at, is sent that step,
+    and returns (zero, residual, compensated), the mode of its last step. A step
+    depends on the point and mode alone, so each mode's memo of evaluated points
+    supplies the repeats: a lane that closes a cycle rides it to the iteration cap
+    without yielding."""
     z = seeds[i]
-    lo = 0.5 * (seeds[i - 1] + z) if i else 0.0
-    hi = 0.5 * (z + seeds[i + 1]) if i + 1 < len(seeds) else math.inf
+    lo, hi = _bracket(seeds, i)
     for compensated in (False, True):
         memo = {}
         for _ in range(_MAX_NEWTON_ITERATIONS):
@@ -321,13 +338,14 @@ def _polish(seeds: list, i: int):
         # small zeros at large n): redo the polish with the sharper evaluator.
         if residual <= _ESCALATE_AT:
             break
-    return z, residual
+    return z, residual, compensated
 
 
 def _alone(n: int, alpha: float, polish, z: float, compensated: bool):
     """Run a _polish lane to its end on the lane kernel, from the point z and mode it
-    asks a step for: returns (zero, residual). The kernel skips the evaluator's checks:
-    a seed is finite and >= 0, and the drift test keeps every later point in (0, inf)."""
+    asks a step for: returns (zero, residual, compensated). The kernel skips the
+    evaluator's checks: a seed is finite and >= 0, and the drift test keeps every later
+    point in (0, inf)."""
     try:
         while True:
             m, pm, e = _plain_lane(n, alpha, z)  # L = m 2**e, L_{n-1} = pm 2**e
@@ -341,24 +359,89 @@ def _polish_rank(params: LaguerreParams, seeds: list, i: int) -> float:
     to the bits refine gives it from the same seeds (_polish reads no seed past i + 1),
     its residual held to ZeroSet's cap."""
     polish = _polish(seeds, i)
-    zero, residual = _alone(params.n, params.alpha, polish, *next(polish))
+    zero, residual, _ = _alone(params.n, params.alpha, polish, *next(polish))
     if not residual <= _RESIDUAL_CAP:
         raise _residual_error(residual)
     return zero
 
 
-def refine(params: LaguerreParams, approx) -> ZeroSet:
+def _search(n: int, alpha: float, seeds: list, ranks) -> tuple:
+    """Run the _polish lanes of ranks (ascending) from the ascending seeds, each to the
+    bits it would get alone: returns ({rank: (zero, residual, compensated)} of the
+    lanes that finished, the lowest failing lane's error or None). While at least
+    _FEW_LANES lanes are pending, a round takes L and L_{n-1} at every point they ask
+    for from one plain pass; a failing lane drops the lanes above it. Then the
+    remaining lanes, all below any that failed, finish alone in rank order on the lane
+    kernel until one fails. The kernel skips the evaluator's checks: the seeds are
+    finite and >= 0, and the drift test keeps every later point in its bracket, inside
+    (0, inf)."""
+    polish = {i: _polish(seeds, i) for i in ranks}
+    pending, done, error = {i: next(p) for i, p in polish.items()}, {}, None
+    while pending and len(pending) >= _FEW_LANES:
+        asked, pending = pending, {}
+        points = np.array([z for z, _ in asked.values()])
+        (m, e), (pm, pe) = laguerre_polynomial(n, alpha, points, previous=True)
+        rows = zip(m.tolist(), e.tolist(), pm.tolist(), pe.tolist())
+        for (i, (z, compensated)), lane in zip(asked.items(), rows):
+            try:
+                pending[i] = polish[i].send(_step(n, alpha, z, compensated, *lane))
+            except StopIteration as finished:
+                done[i] = finished.value
+            except (ParameterError, RefinementError) as exc:  # lanes above it cannot matter
+                error = exc
+                break
+    for i, asked in pending.items():  # the stragglers, each alone, in rank order
+        try:
+            done[i] = _alone(n, alpha, polish[i], *asked)
+        except (ParameterError, RefinementError) as exc:
+            return done, exc
+    return done, error
+
+
+def _certify(n: int, alpha: float, seeds: list, answers: dict, ranks) -> dict:
+    """{rank: (zero, residual, compensated)} of the answers {rank: (zero, compensated)}
+    for ranks that hold here: the zero lies inside its _bracket, and one step there in
+    its mode gives a residual the mode could end on (at most _ESCALATE_AT plain, at
+    most _RESIDUAL_CAP compensated). The plain values come from one pass over every
+    answer, and each compensated answer takes its own compensated evaluation."""
+    held = {}
+    for i in ranks:
+        if i in answers:
+            lo, hi = _bracket(seeds, i)
+            if lo < answers[i][0] < hi:
+                held[i] = answers[i]
+    if not held:
+        return {}
+    points = np.array([z for z, _ in held.values()])
+    (m, e), (pm, pe) = laguerre_polynomial(n, alpha, points, previous=True)
+    rows = zip(m.tolist(), e.tolist(), pm.tolist(), pe.tolist())
+    certified = {}
+    for (i, (z, compensated)), lane in zip(held.items(), rows):
+        try:
+            residual = abs(_step(n, alpha, z, compensated, *lane)) / (_EPS * abs(z))
+        except (ParameterError, RefinementError):  # searched here, where it raises again
+            continue
+        if residual <= (_RESIDUAL_CAP if compensated else _ESCALATE_AT):
+            certified[i] = z, residual, compensated
+    return certified
+
+
+def refine(params: LaguerreParams, approx, found=None) -> ZeroSet:
     """Polish approximate zeros by Newton iteration and certify residuals.
 
     Each seed must sit within half the local gap of its true zero. A refined
     value crossing the midpoint toward a neighbor raises RefinementError.
     Every zero runs the one-zero loop of _polish as a lane on _step, to the
-    bits it would get alone; of several failing zeros, the lowest one's error
-    is raised. While at least _FEW_LANES lanes are pending, a round takes L and
-    L_{n-1} at every point they ask for from one plain pass. Then the remaining
-    lanes, all below any that failed, finish alone in index order on the lane
-    kernel, which skips the evaluator's checks: the seeds are finite and >= 0,
-    and the drift test keeps every later point in its bracket, inside (0, inf).
+    bits it would get alone (_search); of several failing zeros, the lowest
+    one's error is raised.
+
+    found, if given, is called once the ranks from K = n // 8 up are searched,
+    and returns (seeds, answers): answers maps ranks below K to (zero,
+    compensated), searched from seeds. Where seeds equals the first K + 1 of
+    approx bit for bit, each answer is certified here by one step in its mode
+    (_certify), and the ranks below K that found no certified answer are
+    searched here. So the bits and errors are those without found, whatever it
+    returns; a wrong answer is refused by its bracket or its residual.
     """
     try:
         seeds = np.asarray(approx)
@@ -383,30 +466,77 @@ def refine(params: LaguerreParams, approx) -> ZeroSet:
         raise ConvergenceError(f"near-duplicate zeros {a!r} and {b!r}; "
                                "theory guarantees simple zeros")
 
-    seeds, refined, residuals = seeds.tolist(), [0.0] * n, [0.0] * n
-    polish = [_polish(seeds, i) for i in range(n)]
-    pending, error = {i: next(p) for i, p in enumerate(polish)}, None
-    while pending and len(pending) >= _FEW_LANES:
-        asked, pending = pending, {}
-        points = np.array([z for z, _ in asked.values()])
-        (m, e), (pm, pe) = laguerre_polynomial(n, alpha, points, previous=True)
-        rows = zip(m.tolist(), e.tolist(), pm.tolist(), pe.tolist())
-        for (i, (z, compensated)), lane in zip(asked.items(), rows):
-            try:
-                pending[i] = polish[i].send(_step(n, alpha, z, compensated, *lane))
-            except StopIteration as done:
-                refined[i], residuals[i] = done.value
-            except (ParameterError, RefinementError) as exc:  # lanes above it cannot matter
-                error = exc
-                break
-    for i, asked in pending.items():  # the stragglers, each alone, in index order
-        refined[i], residuals[i] = _alone(n, alpha, polish[i], *asked)
+    low = n // _HARD_EDGE if found is not None else 0
+    head, seeds = seeds[:low + 1].tobytes(), seeds.tolist()
+    done, error = _search(n, alpha, seeds, range(low, n))
+    if low:
+        searched, answers = found()
+        if np.asarray(searched, dtype=float).tobytes() == head:
+            done.update(_certify(n, alpha, seeds, answers, range(low)))
+        rest, low_error = _search(n, alpha, seeds, [i for i in range(low) if i not in done])
+        done.update(rest)
+        error = low_error or error
     if error is not None:
         raise error
+    refined, residuals, _ = zip(*(done[i] for i in range(n)))
     return ZeroSet(params=params, zeros=refined, residuals=residuals)
 
 
+def _hard_edge(params: LaguerreParams, jacobi: JacobiMatrix, count: int) -> tuple:
+    """zeros' helper: (seeds, answers) for refine's found, from the count + 1 smallest
+    eigenvalues (_smallest) and the search of ranks below count from them."""
+    seeds = _smallest(jacobi, count + 1).tolist()
+    done, _ = _search(params.n, params.alpha, seeds, range(count))
+    return seeds, {i: (z, compensated) for i, (z, _, compensated) in done.items()}
+
+
+def _spare_cpu(n: int, alpha: float, count: int):
+    """(the CPUs this process may use, the one it runs on, another) where zeros forks
+    its helper, else None. All must hold: os.fork and os.sched_getaffinity exist, the
+    process runs one thread on at least 2 CPUs and has no child (a sweep's caller
+    while its shares run; each share holds one CPU), n >= _HELPER_LEAST_N, and
+    alpha + 1 < count: there the partial QL for count + 1 ranks measured 25-52% of the
+    full QL at n = 256-2000, and 42-104% from alpha = count up."""
+    if n < _HELPER_LEAST_N or not alpha + 1.0 < count:
+        return None
+    cpus = forks.usable_cpus()
+    if cpus is None or len(cpus) < 2 or forks.has_child():
+        return None
+    mine = forks.running_cpu(cpus)
+    return cpus, mine, next(cpu for cpu in cpus if cpu != mine)
+
+
 def zeros(params: LaguerreParams) -> ZeroSet:
-    """All n zeros: Jacobi eigenvalues refined by Newton, invariants enforced."""
-    approx = eigen_zeros(build_jacobi(params))
-    return refine(params, approx)
+    """All n zeros: Jacobi eigenvalues refined by Newton, invariants enforced.
+
+    Where _spare_cpu finds a spare CPU, a forked helper held on it searches the
+    lowest K = n // 8 ranks (_hard_edge: a partial QL, then refine's search) while
+    this process, held on its own CPU, runs the full QL and searches the ranks from
+    K up. refine then takes the helper's answer if it has come, without waiting,
+    certifies each of its zeros here and searches here every rank it lacks: a helper
+    that is late, dies or errs costs time, never a bit. The helper is killed if late
+    and reaped, and this process's CPUs restored, on every path.
+    """
+    jacobi = build_jacobi(params)
+    count = params.n // _HARD_EDGE
+    placement = _spare_cpu(params.n, params.alpha, count)
+    if placement is None:
+        return refine(params, eigen_zeros(jacobi))
+    cpus, mine, spare = placement
+    helper = None
+    forks.pin({mine})
+    try:
+        helper = forks.fork(lambda: _hard_edge(params, jacobi, count), spare)
+        approx = eigen_zeros(jacobi)
+
+        def found():
+            nonlocal helper
+            child, helper = helper, None
+            answer = forks.reap(child, wait=False) if child is not None else None
+            return answer or ([], {})
+
+        return refine(params, approx, found=found)
+    finally:
+        if helper is not None:
+            forks.reap(helper, wait=False)
+        forks.pin(cpus)

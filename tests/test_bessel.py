@@ -352,6 +352,7 @@ class TestProbeSolvesItsRanks:
 
     @pytest.mark.parametrize("alpha", [0.5, -0.999999])
     def test_fallback_is_the_full_ql(self, monkeypatch, alpha):
+        bessel._zeros(alpha)  # the Bessel table's own QL yields are not the probe's
         yielded = self.count_yields(monkeypatch)
         monkeypatch.setattr(solver, "_count_below", lambda jacobi, t: -1)
         got = limit_probe(alpha, 19, (20, 300)).scaled_spacings
@@ -364,7 +365,7 @@ class TestProbeSolvesItsRanks:
         with pytest.raises(RefinementError) as refused:
             solver.ZeroSet(params=params, zeros=zeros(params).zeros, residuals=[0.0, 65.0])
         alone = solver._alone
-        monkeypatch.setattr(solver, "_alone", lambda *lane: (alone(*lane)[0], 65.0))
+        monkeypatch.setattr(solver, "_alone", lambda *lane: (alone(*lane)[0], 65.0, True))
         with pytest.raises(RefinementError, match=f"^{re.escape(str(refused.value))}$"):
             limit_probe(0.5, 5, [40])
 
