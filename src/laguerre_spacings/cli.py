@@ -158,9 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     def integer_list(text):
         return [int(p) for p in text.split(",") if p.strip()]
 
-    def solving(name, text):  # the solve forks a helper where it may (solver._spare_cpu)
-        gate = (f"; at n >= {_HELPER_LEAST_N} with alpha + 1 < n // 8 a second usable core "
-                "searches the smallest zeros (same bytes; taskset -c N keeps one core)")
+    def solving(name, text):  # the solve forks a helper where it may (solver._spare_cpus)
+        gate = (f"; at n >= {_HELPER_LEAST_N} with alpha + 1 < n // 8 a second core, if one "
+                "is idle, searches the smallest zeros (same bytes; taskset -c N keeps one core)")
         return sub.add_parser(name, help=text + "; a spare core at large n (same bytes)",
                               description=text + gate)
 

@@ -252,9 +252,9 @@ def _solve_shares(grid: list, config: SweepConfig) -> dict:
     most one a pair; {} where that is one, or where it may not fork
     (forks.usable_cpus).
 
-    This process solves share 0 of _deal while a child forked per other share, held
-    on a CPU of its own (so its solves fork no helper), solves its own and pickles
-    its _solve result into a pipe. Each pipe is read to EOF and each child reaped, on
+    This process solves share 0 of _deal while a child forked per other share (a
+    forked child, so its solves fork no helper) solves its own and pickles its _solve
+    result into a pipe. Each pipe is read to EOF and each child reaped, on
     every path; only a child that exited 0 is trusted. A pair missing from the result
     (its share's error, a dead child, a failed fork) is the caller's to solve.
     """
@@ -264,8 +264,8 @@ def _solve_shares(grid: list, config: SweepConfig) -> dict:
         return {}
     shares, children = _deal(grid, workers), []
     try:
-        for share, cpu in zip(shares[1:], cpus[1:]):
-            child = forks.fork(lambda share=share: _solve(share, config), cpu)
+        for share in shares[1:]:
+            child = forks.fork(lambda share=share: _solve(share, config))
             if child is None:  # out of processes: the caller solves the shares left
                 break
             children.append(child)

@@ -426,7 +426,7 @@ def _certify(n: int, alpha: float, seeds: list, answers: dict, ranks) -> dict:
     return certified
 
 
-def refine(params: LaguerreParams, approx, found=None) -> ZeroSet:
+def refine(params: LaguerreParams, approx, *, found=None) -> ZeroSet:
     """Polish approximate zeros by Newton iteration and certify residuals.
 
     Each seed must sit within half the local gap of its true zero. A refined
@@ -435,13 +435,16 @@ def refine(params: LaguerreParams, approx, found=None) -> ZeroSet:
     bits it would get alone (_search); of several failing zeros, the lowest
     one's error is raised.
 
-    found, if given, is called once the ranks from K = n // 8 up are searched,
-    and returns (seeds, answers): answers maps ranks below K to (zero,
-    compensated), searched from seeds. Where seeds equals the first K + 1 of
-    approx bit for bit, each answer is certified here by one step in its mode
-    (_certify), and the ranks below K that found no certified answer are
-    searched here. So the bits and errors are those without found, whatever it
-    returns; a wrong answer is refused by its bracket or its residual.
+    found is zeros' hook for its helper process, not for other callers. If
+    given, it is called once the ranks from K = n // 8 up are searched, and
+    returns (seeds, answers): answers maps ranks below K to (zero,
+    compensated), searched from seeds. Answers are taken only where seeds
+    equals the first K + 1 of approx bit for bit, and each is certified here
+    by one step in its mode (_certify); the ranks below K that found no
+    certified answer are searched here. zeros' helper runs the same _search
+    from those seeds, so its zeros are this search's bits. The bracket and
+    residual checks guard against a faulty answer; they do not prove its bits
+    equal: a zero a few ulp off could pass them.
     """
     try:
         seeds = np.asarray(approx)
@@ -490,28 +493,29 @@ def _hard_edge(params: LaguerreParams, jacobi: JacobiMatrix, count: int) -> tupl
     return seeds, {i: (z, compensated) for i, (z, _, compensated) in done.items()}
 
 
-def _spare_cpu(n: int, alpha: float, count: int):
-    """(the CPUs this process may use, the one it runs on, another) where zeros forks
-    its helper, else None. All must hold: os.fork and os.sched_getaffinity exist, the
-    process runs one thread on at least 2 CPUs and has no child (a sweep's caller
-    while its shares run; each share holds one CPU), n >= _HELPER_LEAST_N, and
-    alpha + 1 < count: there the partial QL for count + 1 ranks measured 25-52% of the
-    full QL at n = 256-2000, and 42-104% from alpha = count up."""
+def _spare_cpus(n: int, alpha: float, count: int):
+    """The CPUs this process may use where zeros forks its helper, else None. All must
+    hold: n >= _HELPER_LEAST_N; alpha + 1 < count, where the partial QL for count + 1
+    ranks measured 25-52% of the full QL at n = 256-2000, against 42-104% from
+    alpha = count up; this process may fork (forks.usable_cpus: it is no forked
+    child, so a sweep's shares fork none); it has no child (a sweep's caller while its
+    shares run); and forks.idle_cpus finds 2 CPUs free. Where another process kept
+    every core busy the helper cost time: two large_n runs side by side on 2 CPUs
+    took 0.571 s a median op with it against 0.447 s without."""
     if n < _HELPER_LEAST_N or not alpha + 1.0 < count:
         return None
     cpus = forks.usable_cpus()
-    if cpus is None or len(cpus) < 2 or forks.has_child():
+    if cpus is None or forks.has_child() or forks.idle_cpus(cpus) < 2:
         return None
-    mine = forks.running_cpu(cpus)
-    return cpus, mine, next(cpu for cpu in cpus if cpu != mine)
+    return cpus
 
 
 def zeros(params: LaguerreParams) -> ZeroSet:
     """All n zeros: Jacobi eigenvalues refined by Newton, invariants enforced.
 
-    Where _spare_cpu finds a spare CPU, a forked helper held on it searches the
-    lowest K = n // 8 ranks (_hard_edge: a partial QL, then refine's search) while
-    this process, held on its own CPU, runs the full QL and searches the ranks from
+    Where _spare_cpus finds 2 free CPUs, a forked helper held on the second searches
+    the lowest K = n // 8 ranks (_hard_edge: a partial QL, then refine's search) while
+    this process, held on the first, runs the full QL and searches the ranks from
     K up. refine then takes the helper's answer if it has come, without waiting,
     certifies each of its zeros here and searches here every rank it lacks: a helper
     that is late, dies or errs costs time, never a bit. The helper is killed if late
@@ -519,14 +523,13 @@ def zeros(params: LaguerreParams) -> ZeroSet:
     """
     jacobi = build_jacobi(params)
     count = params.n // _HARD_EDGE
-    placement = _spare_cpu(params.n, params.alpha, count)
-    if placement is None:
+    cpus = _spare_cpus(params.n, params.alpha, count)
+    if cpus is None:
         return refine(params, eigen_zeros(jacobi))
-    cpus, mine, spare = placement
     helper = None
-    forks.pin({mine})
+    forks.pin({cpus[0]})
     try:
-        helper = forks.fork(lambda: _hard_edge(params, jacobi, count), spare)
+        helper = forks.fork(lambda: _hard_edge(params, jacobi, count), cpus[1])
         approx = eigen_zeros(jacobi)
 
         def found():

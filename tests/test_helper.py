@@ -1,9 +1,14 @@
 """zeros' hard-edge helper: a forked process searches the lowest n // 8 ranks while the
-caller runs the full QL, and the caller certifies its zeros. Whatever the helper does
-(answers, is late, dies, fails on a rank), the zeros, residuals and errors are those
-of a solve without it; no child is left and the caller's CPUs are restored."""
+caller runs the full QL, and the caller certifies its zeros. The caller takes answers
+only from seeds equal to its own bit for bit, and the helper runs the caller's own
+search from them, so an answering helper's zeros are the caller's bits; the residual
+check guards against a faulty answer. Whatever the helper does (answers, is late,
+dies, fails on a rank), the zeros, residuals and errors are those of a solve without
+it; no child is left and the caller's CPUs are restored."""
 
 import bisect
+import io
+import math
 import os
 import signal
 import subprocess
@@ -45,10 +50,11 @@ def without_helper(params):
 
 @pytest.fixture
 def helper(monkeypatch, tmp_path):
-    """The helper forked from degree 16 up; yields a list that gains each helper's
-    answer (None where it gave none). After the test no child of this process is left
-    and its CPUs are those it had."""
+    """The helper forked from degree 16 up, every usable CPU read as idle; yields a list
+    that gains each helper's answer (None where it gave none). After the test no child
+    of this process is left and its CPUs are those it had."""
     monkeypatch.setattr(solver, "_HELPER_LEAST_N", 16)
+    monkeypatch.setattr(forks, "idle_cpus", len)
     answers, reap = [], forks.reap
 
     def recorded(child, wait):
@@ -202,6 +208,85 @@ class TestGate:
         config = SweepConfig([40, 48, 56, 64], [0.0, 1.0], output_dir=tmp_path / "sweep")
         run_sweep(config)
         assert forks_logged(log) == min(len(CPUS), 8) - 1
+
+    @pytest.mark.parametrize("idle", [0, 1])
+    def test_busy_cpus(self, helper, monkeypatch, tmp_path, idle):
+        # Another task on the spare core, or a CPU quota of one: the QL would share a core.
+        log = fork_log(monkeypatch, tmp_path)
+        monkeypatch.setattr(forks, "idle_cpus", lambda cpus: idle)
+        zeros(LaguerreParams(200, 1.0))
+        assert forks_logged(log) == 0
+
+    def test_sigchld_ignored(self, helper, monkeypatch, tmp_path):
+        # Its children would be reaped by the kernel, not by reap: it forks none.
+        params = LaguerreParams(300, -0.5)
+        want = outcome(without_helper, params)
+        log = fork_log(monkeypatch, tmp_path)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            got = outcome(zeros, params)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert got == want and forks_logged(log) == 0 and helper == []
+
+
+def fake_files(monkeypatch, files: dict):
+    """forks' open reads files {path: text}; any other path is missing."""
+    def opened(path, *args, **kwargs):
+        if path not in files:
+            raise FileNotFoundError(path)
+        return io.StringIO(files[path])
+
+    monkeypatch.setattr(forks, "open", opened, raising=False)
+
+
+class TestIdleCpus:
+    LOAD = "/proc/loadavg"
+
+    @pytest.mark.parametrize("runnable,quota,idle", [
+        (1, "max 100000", 4), (3, "max 100000", 2), (5, "max 100000", 0),
+        (1, "150000 100000", 1.5), (2, "400000 100000", 3)])
+    def test_cpus_less_quota_and_other_tasks(self, monkeypatch, runnable, quota, idle):
+        fake_files(monkeypatch, {self.LOAD: f"0.50 0.40 0.30 {runnable}/90 4242\n",
+                                 "/proc/self/cgroup": "0::/\n",
+                                 "/sys/fs/cgroup/cpu.max": quota + "\n"})
+        assert forks.idle_cpus([0, 1, 2, 3]) == idle
+
+    def test_an_unreadable_count_is_no_idle_cpu(self, monkeypatch):
+        fake_files(monkeypatch, {})
+        assert forks.idle_cpus([0, 1]) == 0
+
+    def test_v2_quota_of_an_ancestor(self, monkeypatch):
+        fake_files(monkeypatch, {"/proc/self/cgroup": "0::/a/b\n",
+                                 "/sys/fs/cgroup/a/b/cpu.max": "max 100000\n",
+                                 "/sys/fs/cgroup/a/cpu.max": "150000 100000\n",
+                                 "/sys/fs/cgroup/cpu.max": "max 100000\n"})
+        assert forks._cpu_quota() == 1.5
+
+    def test_v1_quota_at_a_container_root(self, monkeypatch):
+        # Without a cgroup namespace the path names the host's cgroup; the mount is ours.
+        fake_files(monkeypatch, {"/proc/self/cgroup": "4:memory:/docker/x\n"
+                                                      "3:cpu,cpuacct:/docker/x\n",
+                                 "/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "100000\n",
+                                 "/sys/fs/cgroup/cpu/cpu.cfs_period_us": "100000\n"})
+        assert forks._cpu_quota() == 1.0
+
+    def test_no_quota(self, monkeypatch):
+        fake_files(monkeypatch, {"/proc/self/cgroup": "3:cpu:/\n0::/\n",
+                                 "/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "-1\n",
+                                 "/sys/fs/cgroup/cpu/cpu.cfs_period_us": "100000\n",
+                                 "/sys/fs/cgroup/cpu.max": "max 100000\n"})
+        assert forks._cpu_quota() == math.inf
+
+
+class TestReap:
+    def test_a_child_reaped_elsewhere_gives_no_answer(self):
+        child = forks.fork(lambda: 1)
+        os.waitpid(child[0], 0)
+        assert forks.reap(child, wait=True) is None
+
+    def test_a_child_answers(self):
+        assert forks.reap(forks.fork(lambda: {"a": 1}), wait=True) == {"a": 1}
 
 
 class TestFound:
