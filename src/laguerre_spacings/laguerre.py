@@ -41,8 +41,8 @@ _FEW_LANES = 32
 # solve reads one table, which at this degree takes 2.4 MB (144 bytes a step), so
 # a full cache holds about 9.6 MB. _compensated_lane needs _MAX_DEGREE + 1 < 2**26,
 # where every k + 1 splits exactly and k and 2k + 1 follow from it exactly. The
-# interpreted O(n^2) QL takes minutes here (0.43 s at n = 1000, min of 5 on a 2-core
-# x86_64 Xeon host).
+# interpreted O(n^2) QL takes about a minute here (0.23 s at n = 1000 and 3.6 s at
+# n = 4000, alpha = 1, process time, min of 5 and 2 on a 2-core x86_64 host).
 _MAX_DEGREE = 2**14
 # Step tables cached: a solve's plain and compensated lanes all read the one table
 # of its (n, alpha); the cache keeps a few solves' tables.

@@ -74,11 +74,28 @@ def _deflations(jacobi: JacobiMatrix):
     test on the entries they leave behind, in place of the scan that would follow; same
     tests, same order, same bits. A rotation that underflows (h = 0) raises
     ZeroDivisionError at f / h, which restores d and restarts the sweep.
+
+    A rotation runs that split test, h <= eps (|d_j| + |d_j+1|), only where h <= thr =
+    4 eps G, with G the largest Gershgorin row sum |d_i| + |e_i-1| + |e_i| of the input;
+    the test at j = m, which cannot move the split below m, is skipped. This is sound
+    for 2**-900 <= G <= 2**900. G bounds ||T||_2, and each iterate is orthogonally
+    similar to T + E, with ||E|| a few eps ||T|| per sweep (Barth, Martin and Wilkinson,
+    Numer. Math. 9, 1967), far below G over at most 50 n sweeps; in that range of G no
+    sweep overflows or underflows to change that. So every diagonal entry is at most 2G
+    in magnitude, and as rounding is monotone, fl(eps fl(|d_j| + |d_j+1|)) <=
+    fl(eps 4G) = thr, which is exact there. Hence h > thr means the test would fail. A G
+    outside that range, or inf or nan, sets thr = inf: every rotation runs the test.
     """
     n = jacobi.dimension
-    d = jacobi.diag.astype(float).tolist()
-    e = jacobi.offdiag.astype(float).tolist() + [0.0]
+    diag, offdiag = jacobi.diag.astype(float), jacobi.offdiag.astype(float)
+    d, e = diag.tolist(), offdiag.tolist() + [0.0]
     eps, hypot, copysign = _EPS, math.hypot, math.copysign
+    with np.errstate(over="ignore"):  # a row sum past double range is inf: no threshold
+        rows, off = np.abs(diag), np.abs(offdiag)
+        rows[1:] += off
+        rows[:-1] += off
+        gershgorin = float(np.max(rows, initial=0.0))  # nan if any entry is nan
+    thr = 4.0 * eps * gershgorin if 2.0**-900 <= gershgorin <= 2.0**900 else math.inf
     # The split scans from l and from l + 1, when the last sweep's rotations
     # already ran the scan's test on their final values (else None).
     split = above = None
@@ -113,8 +130,8 @@ def _deflations(jacobi: JacobiMatrix):
             p = 0.0
             dn = d[m]  # d[j], carried down the sweep: the rotation at i = j - 1 reads it first
             # The scan's test at j, on e[j], d[j] and d[j + 1] as this sweep
-            # leaves them; the lowest hit in (l, m], else m.
-            low, d_up = m, abs(d[m + 1]) if m + 1 < n else 0.0  # |d[j + 1]|
+            # leaves them, where h <= thr; the lowest hit in (l, m), else m.
+            low = m
             try:
                 for i in range(m - 1, l - 1, -1):
                     j = i + 1
@@ -132,11 +149,8 @@ def _deflations(jacobi: JacobiMatrix):
                     dj = g + p
                     g = c * r - b
                     d[j] = dj
-                    if dj < 0.0:  # |dj|: for -0.0 and nan it compares as abs(dj) does
-                        dj = -dj
-                    if h <= eps * (dj + d_up):
+                    if h <= thr and j < m and h <= eps * (abs(dj) + abs(d[j + 1])):
                         low = j
-                    d_up = dj
             except ZeroDivisionError:  # h == 0: an underflowed rotation
                 d[j] -= p
                 e[m] = 0.0
@@ -148,7 +162,7 @@ def _deflations(jacobi: JacobiMatrix):
                 if m + 1 < n and not 0.0 <= eps * (abs(d[m]) + abs(d[m + 1])):
                     split = None  # a nan: the scan would not stop at m
                 else:
-                    split, above = (l if abs(g) <= eps * (abs(d[l]) + d_up) else low), low
+                    split, above = (l if abs(g) <= eps * (abs(d[l]) + abs(d[l + 1])) else low), low
         yield d[l]
 
 

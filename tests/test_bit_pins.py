@@ -1,7 +1,9 @@
 """Bit pins: sha256 digests of the evaluators' and the QL eigensolver's output bits.
 
 The digests were recorded before the hot loops of `laguerre._recurrence` and
-`solver.eigen_zeros` were reworked for speed; a rework must keep every bit.
+`solver.eigen_zeros` were reworked for speed; a rework must keep every bit. The
+n = 2000 and negated Ikebe block groups were recorded before the QL's rotations
+skipped the split test above a Gershgorin threshold.
 Each evaluator input set lists only lanes that stay inside double range.
 """
 
@@ -108,12 +110,21 @@ def _ikebe(alpha, dimension=100):
                         offdiag=0.5 / np.sqrt((alpha + k) * (alpha + k + 1.0)))
 
 
+def _negated_block(alpha):
+    block = _ikebe_even_block(alpha)
+    return JacobiMatrix(diag=-block.diag, offdiag=block.offdiag)
+
+
 EIGEN_MATRICES = {
     "paper_grid": lambda: [build_jacobi(LaguerreParams(n, a)) for n, a in PAPER_GRID],
     "n1000_alpha-0.5": lambda: [build_jacobi(LaguerreParams(1000, -0.5))],
     "n1000_alpha1e4": lambda: [build_jacobi(LaguerreParams(1000, 1e4))],
     "ikebe_alpha0.3": lambda: [_ikebe(0.3)],
     "ikebe_even_block_alpha0.3": lambda: [_ikebe_even_block(0.3)],
+    "n2000_alpha1": lambda: [build_jacobi(LaguerreParams(2000, 1.0))],
+    # The Bessel table's QL runs on the block negated, every diagonal entry below 0.
+    "negated_ikebe_even_block_alpha-0.999999": lambda: [_negated_block(-0.999999)],
+    "negated_ikebe_even_block_alpha-1+2**-52": lambda: [_negated_block(-1.0 + 2.0**-52)],
 }
 
 EIGEN_DIGESTS = {
@@ -122,6 +133,11 @@ EIGEN_DIGESTS = {
     "n1000_alpha1e4": "49ffb08740455df59a604d27ec9f850032027bca1d78460f4c8bd981ee2e45c9",
     "ikebe_alpha0.3": "685afb37d6b7d6715da2e44445d8397510e978c78143e94de75ec63eedcf8a12",
     "ikebe_even_block_alpha0.3": "0324feb48f2e466a925f4d19a73d13b45cc871c2ac1e726d170a207677e29010",
+    "n2000_alpha1": "8ca7ddff2b893851ddeb7134fa1bf86adb1d7c5bf7493e4084bc75b128e27981",
+    "negated_ikebe_even_block_alpha-0.999999":
+        "d3117e2e8b82af729a29ba4a24302c1cdc02857162a37adead0542076af2835b",
+    "negated_ikebe_even_block_alpha-1+2**-52":
+        "be7997b8a02612c19abbb537b4673047f9f89bafdae014eb7e9dd8a83f855955",
 }
 
 

@@ -101,6 +101,78 @@ def reference_refine(params: LaguerreParams, approx, step=reference_step) -> Zer
     return ZeroSet(params=params, zeros=np.array(refined), residuals=np.array(residuals))
 
 
+def reference_deflations(jacobi):
+    """The QL of solver._deflations frozen before its rotations skipped the split test
+    above a Gershgorin threshold: every rotation runs the test on the entries it leaves."""
+    n = jacobi.dimension
+    d = jacobi.diag.astype(float).tolist()
+    e = jacobi.offdiag.astype(float).tolist() + [0.0]
+    split = above = None
+    for l in range(n):
+        sweeps = 0
+        while True:
+            if split is None:
+                dm = abs(d[l])
+                for m in range(l, n - 1):
+                    dn = abs(d[m + 1])
+                    if abs(e[m]) <= EPS * (dm + dn):
+                        break
+                    dm = dn
+                else:
+                    m = n - 1
+                above = None
+            else:
+                m = split
+            if m == l:
+                split, above = above, None
+                break
+            sweeps += 1
+            if sweeps > 50:
+                raise ConvergenceError(f"eigenvalue {l} of {n} not isolated after 50 QL sweeps")
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            dn = d[m]
+            low, d_up = m, abs(d[m + 1]) if m + 1 < n else 0.0
+            try:
+                for i in range(m - 1, l - 1, -1):
+                    j = i + 1
+                    ei = e[i]
+                    f = s * ei
+                    b = c * ei
+                    h = math.hypot(f, g)
+                    e[j] = h
+                    s = f / h
+                    c = g / h
+                    g = dn - p
+                    dn = d[i]
+                    r = (dn - g) * s + 2.0 * c * b
+                    p = s * r
+                    dj = g + p
+                    g = c * r - b
+                    d[j] = dj
+                    if dj < 0.0:
+                        dj = -dj
+                    if h <= EPS * (dj + d_up):
+                        low = j
+                    d_up = dj
+            except ZeroDivisionError:
+                d[j] -= p
+                e[m] = 0.0
+                split = None
+            else:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+                if m + 1 < n and not 0.0 <= EPS * (abs(d[m]) + abs(d[m + 1])):
+                    split = None
+                else:
+                    split, above = (l if abs(g) <= EPS * (abs(d[l]) + d_up) else low), low
+        yield d[l]
+
+
 def outcome(polish, params: LaguerreParams, seeds):
     """The zeros' and residuals' bits, or the error's type and message."""
     try:
@@ -211,6 +283,12 @@ class TestJacobi:
         assert np.all(j.offdiag > 0)
 
 
+# A subnormal tridiagonal (diagonal, off-diagonal) whose QL rotations underflow.
+UNDERFLOWING = (
+    np.array([2.042046476e-315, -2.748179943e-315, -6.376607053e-315, 3.0608874e-316]),
+    np.array([5.92501956e-316, 1.62915677e-315, -1.252597715e-315]))
+
+
 class TestEigen:
     def test_one_by_one(self):
         assert eigen_zeros(build_jacobi(LaguerreParams(1, 7.3))).tolist() == [8.3]
@@ -241,8 +319,7 @@ class TestEigen:
         # and agree with LAPACK to a few subnormal ulps.
         from scipy.linalg import eigvalsh_tridiagonal
 
-        d = np.array([2.042046476e-315, -2.748179943e-315, -6.376607053e-315, 3.0608874e-316])
-        e = np.array([5.92501956e-316, 1.62915677e-315, -1.252597715e-315])
+        d, e = UNDERFLOWING
         got = eigen_zeros(solver.JacobiMatrix(diag=d, offdiag=e))
         assert hashlib.sha256(got.tobytes()).hexdigest() == (
             "3598f268a1f49eeaeab64eb9c20e8ad1dc4e737ccb15204cfd6c431394d9dca8")
@@ -354,6 +431,123 @@ class TestNegatedDeflations:
         n = int(rng.integers(1, 60))
         self.assert_negated(solver.JacobiMatrix(
             diag=rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3), offdiag=rng.normal(size=n - 1)))
+
+
+def tridiagonal(d, e):
+    return solver.JacobiMatrix(diag=np.asarray(d, dtype=float), offdiag=np.asarray(e, dtype=float))
+
+
+def negated(m):
+    return solver.JacobiMatrix(diag=-m.diag, offdiag=m.offdiag)
+
+
+def mixed_signs(seed):
+    """Diagonal entries drawn from four values with random signs, so that many repeat."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    values = rng.normal(size=4) * 10.0 ** rng.uniform(-2, 2)
+    d = rng.choice(values, size=n) * rng.choice([-1.0, 1.0], size=n)
+    return tridiagonal(d, rng.normal(size=n - 1) * 10.0 ** rng.uniform(-3, 1))
+
+
+def repeated_blocks(seed):
+    """Copies of one small block, coupled by off-diagonals from 1e-20 to 1e-6."""
+    rng = np.random.default_rng(seed)
+    copies, size = int(rng.integers(2, 8)), int(rng.integers(1, 6))
+    d, e = rng.normal(size=size) * 5.0, rng.normal(size=size - 1)
+    link = 10.0 ** rng.uniform(-20, -6)
+    return tridiagonal(np.tile(d, copies), np.tile(np.append(e, link), copies)[:-1])
+
+
+def planted(seed, entry):
+    """A random tridiagonal with one off-diagonal at 0, at a subnormal, or at the split
+    test's edge eps (|d_j| + |d_j+1|) or one ulp either side of it."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 30))
+    d, e = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2), rng.normal(size=n - 1)
+    j = int(rng.integers(0, n - 1))
+    edge = EPS * (abs(d[j]) + abs(d[j + 1]))
+    e[j] = {"zero": 0.0, "subnormal": 7 * 5e-324, "edge": edge,
+            "below": np.nextafter(edge, 0.0), "above": np.nextafter(edge, np.inf)}[entry]
+    return tridiagonal(d, e)
+
+
+def gershgorin(m):
+    """G, the largest Gershgorin row sum |d_i| + |e_i-1| + |e_i|."""
+    rows = np.abs(m.diag)
+    rows[1:] += np.abs(m.offdiag)
+    rows[:-1] += np.abs(m.offdiag)
+    return float(np.max(rows))
+
+
+def scaled_past(m, end, inside):
+    """m times the power of 2 that puts its G just inside, or just outside, the end
+    2**end of the range where _deflations sets a split threshold."""
+    g = math.log2(gershgorin(m))
+    k = end - (math.ceil(g) if end > 0 else math.floor(g))
+    k += 0 if inside else (1 if end > 0 else -1)
+    return tridiagonal(np.ldexp(m.diag, k), np.ldexp(m.offdiag, k))
+
+
+def with_entry(m, side, value):
+    d, e = m.diag.copy(), m.offdiag.copy()
+    (d if side == "diag" else e)[1] = value
+    return tridiagonal(d, e)
+
+
+UNIT_ROW_SUM = tridiagonal([0.5, 0.5, 0.5], [0.25, 0.25])  # G = 1, exactly
+IKEBE_ALPHAS = (-1.0 + 2.0**-52, -1.0 + 1e-12, -0.999999, 0.3, 1.0)
+# A copy of _deflations with threshold eps G in place of 4 eps G changes the yields of 14
+# of these 226 matrices (in wilkinson, random_mixed_signs and repeated_blocks); one that
+# drops the rotations' split test changes 65; 2 eps G changes none.
+DEFLATION_CORPUS = {
+    "paper_grid": lambda: [laguerre_block(n, a) for n, a in SWEEP],
+    "n1000": lambda: [laguerre_block(1000, -0.5), laguerre_block(1000, 1e4)],
+    "ikebe_blocks": lambda: [bessel._ikebe_even_block(a) for a in IKEBE_ALPHAS],
+    "negated_ikebe_blocks": lambda: [negated(bessel._ikebe_even_block(a)) for a in IKEBE_ALPHAS],
+    "wilkinson": lambda: [tridiagonal(np.abs(np.arange(n) - (n - 1) / 2.0), np.ones(n - 1))
+                          for n in (21, 41, 101)],
+    "random_mixed_signs": lambda: [mixed_signs(seed) for seed in range(80)],
+    "repeated_blocks": lambda: [repeated_blocks(seed) for seed in range(60)],
+    "planted_offdiagonals": lambda: [planted(seed, entry) for seed in range(6) for entry in
+                                     ("zero", "subnormal", "edge", "below", "above")],
+    "gershgorin_range_ends": lambda: [
+        tridiagonal(np.ldexp(UNIT_ROW_SUM.diag, k), np.ldexp(UNIT_ROW_SUM.offdiag, k))
+        for k in (900, 901, -900, -901)] + [
+        scaled_past(mixed_signs(seed), end, inside)
+        for seed in range(100, 104) for end in (900, -900) for inside in (True, False)],
+    "nan_and_inf_entries": lambda: [with_entry(mixed_signs(7), side, value)
+                                    for side in ("diag", "offdiag")
+                                    for value in (math.nan, math.inf)],
+    "underflowed_rotation": lambda: [tridiagonal(*UNDERFLOWING)],
+}
+
+
+class TestDeflationsAgainstReference:
+    # _deflations runs the rotations' split test only where h <= 4 eps G; every yield,
+    # its order and bits, and every error must be the frozen loop's.
+    @staticmethod
+    def yields(deflations, jacobi):
+        values = []
+        try:
+            for value in deflations(jacobi):
+                values.append(value)
+        except ConvergenceError as exc:
+            return np.array(values).tobytes(), str(exc)
+        return np.array(values).tobytes(), None
+
+    @pytest.mark.parametrize("family", sorted(DEFLATION_CORPUS))
+    def test_same_yields_and_errors(self, family):
+        for jacobi in DEFLATION_CORPUS[family]():
+            want = self.yields(reference_deflations, jacobi)
+            assert self.yields(solver._deflations, jacobi) == want
+
+    def test_corpus_reaches_both_sides_of_the_range_and_an_error(self):
+        ends = DEFLATION_CORPUS["gershgorin_range_ends"]()
+        inside = [2.0**-900 <= gershgorin(m) <= 2.0**900 for m in ends]
+        assert inside == [True, False, True, False] + [True, False] * 8
+        assert any(self.yields(reference_deflations, m)[1] is not None
+                   for m in DEFLATION_CORPUS["nan_and_inf_entries"]())
 
 
 class TestRefine:
