@@ -11,7 +11,8 @@ hold every 1/j_{alpha,k}^2. The even block (b_0 = 0), with diagonal b_{2i}^2 + b
 and off-diagonal b_{2i+1} b_{2i+2}, is the one solved: a quarter of the full QL's cost,
 with ranks 1..20 within 1e-15 of 40-digit roots (6.6e-15 at full size). The block is
 solved negated, so its largest values come first, by solver._smallest: the QL stops
-after the 20 ranks it keeps when a Sturm count certifies them, else it runs on.
+after the 20 ranks it keeps when a Sturm count certifies them, else it runs on. Below
+alpha + 1 = 1e-6, where the certificate is no longer proved, the full QL runs.
 
 limit_probe reads two zeros of L_n^(alpha) per degree, x_{k-1} and x_k in ascending
 order from 0, and solves only those where n > k + 1: the QL on the Laguerre Jacobi
@@ -34,11 +35,14 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .laguerre import LaguerreParams, _alpha, _degree
-from .solver import JacobiMatrix, _polish_rank, _smallest, build_jacobi
+from .solver import JacobiMatrix, _polish_rank, _smallest, build_jacobi, eigen_zeros
 from .solver import zeros as solve_zeros
 
 MAX_RANK = 20
 _IKEBE_DIMENSION = 100
+# The Bessel table's QL stops early from this alpha + 1 up: there its certificate's
+# margin is at least 4.8e3 against at most 54 sweeps, and 48 at 1e-8.
+_STOP_PROVED_FROM = 1e-6
 
 # Slack for flag comparisons between exact bounds and double arithmetic
 # (the alpha = 1/2 gaps equal pi exactly and must not flip the flag).
@@ -66,9 +70,15 @@ def _ikebe_even_block(alpha: float) -> JacobiMatrix:
 
 @lru_cache(maxsize=1024)  # an entry is MAX_RANK doubles
 def _zeros(alpha: float) -> np.ndarray:
-    """j_{alpha,1} .. j_{alpha,MAX_RANK}, ascending and read-only: the full QL's bits."""
+    """j_{alpha,1} .. j_{alpha,MAX_RANK}, ascending and read-only: the full QL's bits. The
+    QL stops under its Sturm certificate (solver._certified) only where that is proved."""
     block = _ikebe_even_block(alpha)
-    z = 1.0 / np.sqrt(-_smallest(JacobiMatrix(-block.diag, block.offdiag), MAX_RANK))
+    negated = JacobiMatrix(-block.diag, block.offdiag)
+    if alpha + 1.0 < _STOP_PROVED_FROM:
+        top = eigen_zeros(negated)[:MAX_RANK]
+    else:
+        top = _smallest(negated, MAX_RANK)
+    z = 1.0 / np.sqrt(-top)
     z.setflags(write=False)
     return z
 

@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def solving(name, text):  # the solve forks a helper where it may (solver._spare_cpus)
         gate = (f"; at n >= {_HELPER_LEAST_N} with alpha + 1 < n // 8 a second core, if one "
-                "is idle, searches the smallest zeros (same bytes; taskset -c N keeps one core)")
+                "is idle, finishes the eigenvalue solve (same bytes; taskset -c N keeps one core)")
         return sub.add_parser(name, help=text + "; a spare core at large n (same bytes)",
                               description=text + gate)
 

@@ -2,11 +2,11 @@
 pickles the result into a pipe, and the caller reads it, waiting or not, and reaps the
 child.
 
-The sweep's shares (report._solve_shares) and the solve's hard-edge helper
-(solver.zeros) both run on these. A child leaves by os._exit on every path, so it
-never returns into the caller's stack, and the caller trusts only a child that
-exited 0: a dead, failed or killed child costs time, never a result. A child forks
-no child of its own.
+The sweep's shares (report._solve_shares) and the solve's helper, which finishes the
+caller's QL (solver.zeros), both run on these. A child leaves by os._exit on every
+path, so it never returns into the caller's stack, and the caller trusts only a child
+that exited 0: a dead, failed or killed child costs time, never a result. A child
+forks no child of its own.
 """
 
 from __future__ import annotations

@@ -27,10 +27,11 @@ _MAX_NEWTON_ITERATIONS = 20
 _RESIDUAL_CAP = 64.0  # ulp-equivalents: |L(z)| / (eps * |z * L'(z)|)
 _ESCALATE_AT = 16.0  # re-polish with the compensated evaluator above this
 _DUPLICATE_FACTOR = 1e3  # gaps below this many eps*|z| indicate eigensolver failure
-_HARD_EDGE = 8  # zeros' helper searches the lowest n // _HARD_EDGE ranks
-# The crossover, measured as medians of 20-30 alternating runs a side on a 2-core x86_64
-# VM: the helper lost 13-20% at n = 256 and 320, alpha = 1, and saved 5-16% from 384 up
-# but for one run at 512, alpha = -0.5 (6% lost while the spare core ran 40% slower).
+_HARD_EDGE = 8  # zeros searches the lowest n // _HARD_EDGE ranks while its helper's QL runs
+# The crossover, measured in four sets of 24-40 alternating runs a side of zeros with the
+# helper and with the gate shut, alpha in {-0.5, 1}, on a 2-core x86_64 VM: the helper lost
+# 6-31% at n = 192 in all 4 medians and saved 9-29% at 512 in all 8; at 256, 320 and 384
+# it read -28% to +20%, losing in 2 or 3 of 8 medians at each.
 _HELPER_LEAST_N = 384
 
 
@@ -172,11 +173,11 @@ def eigen_zeros(jacobi: JacobiMatrix) -> np.ndarray:
     return np.sort(np.fromiter(_deflations(jacobi), float, jacobi.dimension))
 
 
-def _smallest(jacobi: JacobiMatrix, count: int) -> np.ndarray:
-    """The count smallest eigenvalues, sorted ascending: np.sort(eigen_zeros(jacobi))[:count]
-    bit for bit, from as few QL deflations as a Sturm count certifies. The package's one
-    early-stopping QL: the Bessel table runs it on Ikebe's block negated, whose QL yields
-    exactly the negated values, and zeros' helper runs it on the Laguerre matrix.
+def _certified(jacobi: JacobiMatrix, count: int) -> tuple:
+    """(values, rest): the values the QL (_deflations) yielded up to the deflation at
+    which a Sturm count certified the count smallest among them as the count smallest
+    eigenvalues, and the QL suspended there, which yields the others; all n values, and
+    rest spent, where no count agreed. _smallest and zeros share it.
 
     top is the count-th smallest value deflated so far; it is new at the deflation that
     brings the values to count and at each one below it. At a new top the QL stops if
@@ -196,16 +197,16 @@ def _smallest(jacobi: JacobiMatrix, count: int) -> np.ndarray:
     - Ikebe's negated block (count 20, at most 54 sweeps over 304 alphas): 1.6e10 at
       alpha = 1, 4.8e3 at -0.999999, 48 at -1 + 1e-8, 0.48 at -1 + 1e-10 and 1e-6 at
       -1 + 2**-52, as |T| grows like 1/(alpha + 1). So the argument covers the stop down
-      to about alpha + 1 = 1e-6 (4.8e3 against 54 sweeps) and not below about 1e-8; there
-      the bits are still the full QL's on every alpha tested (-1 + 2**-52 among them);
-    - zeros' helper (count n // 8 + 1, n from 384 to 2**14, alpha + 1 < n // 8): at least
+      to about alpha + 1 = 1e-6 (4.8e3 against 54 sweeps) and not below about 1e-8; the
+      Bessel table runs the full QL below alpha + 1 = 1e-6 (bessel._zeros);
+    - zeros (count n // 8 + 1, n from 384 to 2**14, alpha + 1 < n // 8): at least
       4.2e10 (n = 2**14, alpha -> -1), far above the at most 50 n <= 8.2e5 sweeps of a
-      QL, so the argument covers every stop there. refine also takes the helper's zeros
-      only where its seeds equal the full QL's bit for bit, so a failed certificate would
-      cost time, never a wrong zero.
+      QL, so the argument covers every stop there. refine also takes the zeros searched
+      from these values only where they equal the full QL's bit for bit, so a failed
+      certificate would cost time, never a wrong zero.
     """
-    values, top, missing = [], math.nan, 1
-    for value in _deflations(jacobi):
+    rest, values, top, missing = _deflations(jacobi), [], math.nan, 1
+    for value in rest:
         values.append(value)
         if len(values) == count or value < top:  # top is new: one fewer value missing
             top = float(np.sort(values)[count - 1])  # a nan sorts last, as in eigen_zeros
@@ -214,7 +215,15 @@ def _smallest(jacobi: JacobiMatrix, count: int) -> np.ndarray:
                 missing = _count_below(jacobi, top + abs(top) * 2.0**-10) - count
                 if missing == 0:
                     break
-    return np.sort(values)[:count]
+    return values, rest
+
+
+def _smallest(jacobi: JacobiMatrix, count: int) -> np.ndarray:
+    """The count smallest eigenvalues, sorted ascending: np.sort(eigen_zeros(jacobi))[:count]
+    bit for bit, from as few QL deflations as _certified's Sturm count certifies. The
+    Bessel table runs it on Ikebe's block negated, whose QL yields exactly the negated
+    values, and limit_probe on the Laguerre matrix."""
+    return np.sort(_certified(jacobi, count)[0])[:count]
 
 
 def _count_below(jacobi: JacobiMatrix, t: float) -> int:
@@ -412,35 +421,7 @@ def _search(n: int, alpha: float, seeds: list, ranks) -> tuple:
     return done, error
 
 
-def _certify(n: int, alpha: float, seeds: list, answers: dict, ranks) -> dict:
-    """{rank: (zero, residual, compensated)} of the answers {rank: (zero, compensated)}
-    for ranks that hold here: the zero lies inside its _bracket, and one step there in
-    its mode gives a residual the mode could end on (at most _ESCALATE_AT plain, at
-    most _RESIDUAL_CAP compensated). The plain values come from one pass over every
-    answer, and each compensated answer takes its own compensated evaluation."""
-    held = {}
-    for i in ranks:
-        if i in answers:
-            lo, hi = _bracket(seeds, i)
-            if lo < answers[i][0] < hi:
-                held[i] = answers[i]
-    if not held:
-        return {}
-    points = np.array([z for z, _ in held.values()])
-    (m, e), (pm, pe) = laguerre_polynomial(n, alpha, points, previous=True)
-    rows = zip(m.tolist(), e.tolist(), pm.tolist(), pe.tolist())
-    certified = {}
-    for (i, (z, compensated)), lane in zip(held.items(), rows):
-        try:
-            residual = abs(_step(n, alpha, z, compensated, *lane)) / (_EPS * abs(z))
-        except (ParameterError, RefinementError):  # searched here, where it raises again
-            continue
-        if residual <= (_RESIDUAL_CAP if compensated else _ESCALATE_AT):
-            certified[i] = z, residual, compensated
-    return certified
-
-
-def refine(params: LaguerreParams, approx, *, found=None) -> ZeroSet:
+def refine(params: LaguerreParams, approx, *, searched=None) -> ZeroSet:
     """Polish approximate zeros by Newton iteration and certify residuals.
 
     Each seed must sit within half the local gap of its true zero. A refined
@@ -449,16 +430,11 @@ def refine(params: LaguerreParams, approx, *, found=None) -> ZeroSet:
     bits it would get alone (_search); of several failing zeros, the lowest
     one's error is raised.
 
-    found is zeros' hook for its helper process, not for other callers. If
-    given, it is called once the ranks from K = n // 8 up are searched, and
-    returns (seeds, answers): answers maps ranks below K to (zero,
-    compensated), searched from seeds. Answers are taken only where seeds
-    equals the first K + 1 of approx bit for bit, and each is certified here
-    by one step in its mode (_certify); the ranks below K that found no
-    certified answer are searched here. zeros' helper runs the same _search
-    from those seeds, so its zeros are this search's bits. The bracket and
-    residual checks guard against a faulty answer; they do not prove its bits
-    equal: a zero a few ulp off could pass them.
+    searched is zeros' hand-over, not for other callers: (head, below), where below
+    maps ranks under len(head) - 1 to the (zero, residual, compensated) _search gave
+    them from the ascending seeds head. They are taken only where head equals the
+    first len(head) seeds bit for bit, so each is this search's own bits (_polish
+    reads no seed past i + 1); every other rank is searched here.
     """
     try:
         seeds = np.asarray(approx)
@@ -483,37 +459,25 @@ def refine(params: LaguerreParams, approx, *, found=None) -> ZeroSet:
         raise ConvergenceError(f"near-duplicate zeros {a!r} and {b!r}; "
                                "theory guarantees simple zeros")
 
-    low = n // _HARD_EDGE if found is not None else 0
-    head, seeds = seeds[:low + 1].tobytes(), seeds.tolist()
-    done, error = _search(n, alpha, seeds, range(low, n))
-    if low:
-        searched, answers = found()
-        if np.asarray(searched, dtype=float).tobytes() == head:
-            done.update(_certify(n, alpha, seeds, answers, range(low)))
-        rest, low_error = _search(n, alpha, seeds, [i for i in range(low) if i not in done])
-        done.update(rest)
-        error = low_error or error
+    head, below = searched if searched is not None else ((), {})
+    if seeds[:len(head)].tobytes() != np.asarray(head, dtype=float).tobytes():
+        below = {}  # searched from other seeds
+    done, error = _search(n, alpha, seeds.tolist(), [i for i in range(n) if i not in below])
     if error is not None:
         raise error
+    done.update(below)
     refined, residuals, _ = zip(*(done[i] for i in range(n)))
     return ZeroSet(params=params, zeros=refined, residuals=residuals)
 
 
-def _hard_edge(params: LaguerreParams, jacobi: JacobiMatrix, count: int) -> tuple:
-    """zeros' helper: (seeds, answers) for refine's found, from the count + 1 smallest
-    eigenvalues (_smallest) and the search of ranks below count from them."""
-    seeds = _smallest(jacobi, count + 1).tolist()
-    done, _ = _search(params.n, params.alpha, seeds, range(count))
-    return seeds, {i: (z, compensated) for i, (z, _, compensated) in done.items()}
-
-
 def _spare_cpus(n: int, alpha: float, count: int):
     """The CPUs this process may use where zeros forks its helper, else None. All must
-    hold: n >= _HELPER_LEAST_N; alpha + 1 < count, where the partial QL for count + 1
-    ranks measured 25-52% of the full QL at n = 256-2000, against 42-104% from
-    alpha = count up; this process may fork (forks.usable_cpus: it is no forked
-    child, so a sweep's shares fork none); it has no child (a sweep's caller while its
-    shares run); and forks.idle_cpus finds 2 CPUs free. Where another process kept
+    hold: n >= _HELPER_LEAST_N (at n = 512 the helper saved 9-29% of zeros, at 192 it
+    lost 6-31%, and at 256-384 it read -28% to +20%); alpha + 1 < count, where the QL
+    certifies the count + 1 smallest values, the fork point, after 25-52% of its time at
+    n = 256-2000, against 42-104% from alpha = count up; this process may fork
+    (forks.usable_cpus: it is no forked child, so a sweep's shares fork none); it has no
+    child (a sweep's caller while its shares run); and forks.idle_cpus finds 2 CPUs free. Where another process kept
     every core busy the helper cost time: two large_n runs side by side on 2 CPUs
     took 0.571 s a median op with it against 0.447 s without."""
     if n < _HELPER_LEAST_N or not alpha + 1.0 < count:
@@ -527,33 +491,36 @@ def _spare_cpus(n: int, alpha: float, count: int):
 def zeros(params: LaguerreParams) -> ZeroSet:
     """All n zeros: Jacobi eigenvalues refined by Newton, invariants enforced.
 
-    Where _spare_cpus finds 2 free CPUs, a forked helper held on the second searches
-    the lowest K = n // 8 ranks (_hard_edge: a partial QL, then refine's search) while
-    this process, held on the first, runs the full QL and searches the ranks from
-    K up. refine then takes the helper's answer if it has come, without waiting,
-    certifies each of its zeros here and searches here every rank it lacks: a helper
-    that is late, dies or errs costs time, never a bit. The helper is killed if late
-    and reaped, and this process's CPUs restored, on every path.
+    Where _spare_cpus finds 2 free CPUs, this process runs the QL until a Sturm count
+    certifies the K + 1 smallest eigenvalues, K = n // 8 (_certified), and forks a
+    helper, held on the second CPU, that finishes that same QL and pipes back its
+    values, while this process, held on the first, searches the ranks below K from its
+    own K + 1. refine then searches the ranks from K up on the full QL's values, and
+    takes this search's zeros where its seeds are those values bit for bit. So every
+    zero is searched and certified here. A helper that dies, fails or cannot be forked
+    leaves this process to finish its own copy of the QL: that costs time, never a bit.
+    The helper is waited for, killed if this process raises, and reaped, and this
+    process's CPUs are restored, on every path.
     """
+    n, alpha = params.n, params.alpha
     jacobi = build_jacobi(params)
-    count = params.n // _HARD_EDGE
-    cpus = _spare_cpus(params.n, params.alpha, count)
+    count = n // _HARD_EDGE
+    cpus = _spare_cpus(n, alpha, count)
     if cpus is None:
         return refine(params, eigen_zeros(jacobi))
+    values, rest = _certified(jacobi, count + 1)
+    head = np.sort(values)[:count + 1]
     helper = None
     forks.pin({cpus[0]})
     try:
-        helper = forks.fork(lambda: _hard_edge(params, jacobi, count), cpus[1])
-        approx = eigen_zeros(jacobi)
-
-        def found():
-            nonlocal helper
-            child, helper = helper, None
-            answer = forks.reap(child, wait=False) if child is not None else None
-            return answer or ([], {})
-
-        return refine(params, approx, found=found)
+        helper = forks.fork(lambda: list(rest), cpus[1])
+        below, _ = _search(n, alpha, head.tolist(), range(count))  # refine reruns a failure
+        child, helper = helper, None
+        tail = forks.reap(child, wait=True) if child is not None else None
     finally:
         if helper is not None:
             forks.reap(helper, wait=False)
         forks.pin(cpus)
+    if tail is None:  # no helper's answer: this process finishes its own QL
+        tail = list(rest)
+    return refine(params, np.sort(np.array(values + tail)), searched=(head, below))

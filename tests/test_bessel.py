@@ -142,9 +142,21 @@ class TestTopDeflations:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_certified_top_is_the_full_ql(self, monkeypatch, alpha):
+        # The stop is proved from alpha + 1 = 1e-6 up; -1 + 1e-15 runs the full QL.
         yielded = self.count_yields(monkeypatch)
         got = bessel._zeros.__wrapped__(alpha)
-        assert len(yielded) == 20
+        assert len(yielded) == (20 if alpha + 1.0 >= 1e-6 else 50)
+        assert got.tobytes() == self.full_ql(alpha).tobytes()
+
+    @pytest.mark.parametrize("alpha,yields", [
+        (-1.0 + 1e-8, 50), (-1.0 + 2.0**-52, 50), (-1.0 + 0.99e-6, 50), (-1.0 + 1e-6, 20),
+        (-0.8999, 20), (0.3, 20), (1.0, 20)])
+    def test_the_stop_only_where_its_margin_is_proved(self, monkeypatch, alpha, yields):
+        # Below alpha + 1 = 1e-6 the certificate's Weyl margin (48 at -1 + 1e-8, 1e-6
+        # at -1 + 2**-52) no longer covers up to 54 sweeps: the full QL runs there.
+        yielded = self.count_yields(monkeypatch)
+        got = bessel._zeros.__wrapped__(alpha)
+        assert len(yielded) == yields
         assert got.tobytes() == self.full_ql(alpha).tobytes()
 
     @pytest.mark.parametrize("alpha", ALPHAS[::8] + ALPHAS[-3:])

@@ -1,10 +1,10 @@
-"""zeros' hard-edge helper: a forked process searches the lowest n // 8 ranks while the
-caller runs the full QL, and the caller certifies its zeros. The caller takes answers
-only from seeds equal to its own bit for bit, and the helper runs the caller's own
-search from them, so an answering helper's zeros are the caller's bits; the residual
-check guards against a faulty answer. Whatever the helper does (answers, is late,
-dies, fails on a rank), the zeros, residuals and errors are those of a solve without
-it; no child is left and the caller's CPUs are restored."""
+"""zeros' hard-edge helper: where a second CPU is idle the caller runs the QL until a
+Sturm count certifies the n // 8 + 1 smallest eigenvalues, forks a helper that finishes
+that same QL, and searches the ranks below n // 8 from its own values while it runs.
+refine takes those zeros where its seeds equal the caller's bit for bit. Every zero is
+searched and certified in the caller. Whatever the helper does (answers, dies, cannot be
+forked), the zeros, residuals and errors are those of a solve without it; no child is
+left and the caller's CPUs are restored."""
 
 import bisect
 import io
@@ -13,12 +13,12 @@ import os
 import signal
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
 
 from laguerre_spacings import (
+    ConvergenceError,
     LaguerreParams,
     RefinementError,
     build_jacobi,
@@ -69,105 +69,148 @@ def helper(monkeypatch, tmp_path):
     assert sorted(os.sched_getaffinity(0)) == CPUS
 
 
-def waits_for_the_helper(monkeypatch):
-    """Make the caller's poll wait for the helper's answer, so that it always comes."""
-    reap = forks.reap
-    monkeypatch.setattr(forks, "reap", lambda child, wait: reap(child, True))
+def pid_log(monkeypatch, tmp_path, module, name):
+    """A file that gains the pid of the process, any process, at each call of module.name."""
+    log, function = tmp_path / f"{name}.log", getattr(module, name)
+
+    def logged(*args):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return function(*args)
+
+    monkeypatch.setattr(module, name, logged)
+    return log
 
 
 def fork_log(monkeypatch, tmp_path):
     """A file that gains one line per os.fork call, in any process."""
-    log, fork = tmp_path / "forks.log", os.fork
+    return pid_log(monkeypatch, tmp_path, os, "fork")
 
-    def logged():
-        with open(log, "a") as handle:
-            handle.write(f"{os.getpid()}\n")
-        return fork()
 
-    monkeypatch.setattr(os, "fork", logged)
-    return log
+def pids_logged(log) -> list:
+    return [int(line) for line in log.read_text().splitlines()] if log.exists() else []
 
 
 def forks_logged(log) -> int:
-    return len(log.read_text().splitlines()) if log.exists() else 0
+    return len(pids_logged(log))
 
 
-def doctor_ranks(monkeypatch, params, ranks, everywhere: bool):
-    """_step raises at any point in the given ranks' brackets: in the helper only, or
-    (everywhere) in the caller too."""
+def doctor_ranks(monkeypatch, params, ranks):
+    """_step raises at any point in the given ranks' brackets."""
     seeds = eigen_zeros(build_jacobi(params)).tolist()
     mids = [0.5 * (a + b) for a, b in zip(seeds, seeds[1:])]
-    caller, step = os.getpid(), solver._step
+    step = solver._step
 
     def doctored(n, alpha, x, *rest):
         rank = bisect.bisect(mids, x)
-        if rank in ranks and (everywhere or os.getpid() != caller):
+        if rank in ranks:
             raise RefinementError(f"doctored failure at rank {rank}")
         return step(n, alpha, x, *rest)
 
     monkeypatch.setattr(solver, "_step", doctored)
 
 
-# Degrees from 64 to 1000 with alphas below each one's gate, alpha + 1 < n // 8.
-CASES = [(64, -0.9), (64, 0.0), (150, 1.0), (300, -0.5), (700, 10.0), (1000, -0.5)]
+def doctor_deflations(monkeypatch, act):
+    """_deflations calls act(yields so far) before each value it yields, in any process."""
+    deflations = solver._deflations
+
+    def doctored(jacobi):
+        for done, value in enumerate(deflations(jacobi)):
+            act(done)
+            yield value
+
+    monkeypatch.setattr(solver, "_deflations", doctored)
+
+
+# Degrees from 64 to 2000 with alphas below each one's gate, alpha + 1 < n // 8.
+CASES = [(64, -0.9), (64, 0.0), (150, 1.0), (300, -0.5), (384, -0.5), (700, 10.0),
+         (1000, -0.5), (2000, -0.5)]
 
 
 class TestBits:
     @pytest.mark.parametrize("n,alpha", CASES)
-    def test_an_answering_helper_gives_the_bits_without_it(self, helper, monkeypatch, n, alpha):
+    def test_an_answering_helper_gives_the_bits_without_it(self, helper, n, alpha):
         params = LaguerreParams(n, alpha)
         want = outcome(without_helper, params)
-        waits_for_the_helper(monkeypatch)
         assert outcome(zeros, params) == want
-        [(seeds, answers)] = helper
-        assert len(seeds) == n // 8 + 1 and sorted(answers) == list(range(n // 8))
+        [tail] = helper  # the values the helper's QL yielded
+        assert tail is not None and 0 < len(tail) < n - n // 8
 
-    def test_a_late_helper_is_killed(self, helper, monkeypatch):
+    def test_one_ql_per_solve_across_both_processes(self, helper, monkeypatch, tmp_path):
         params = LaguerreParams(300, -0.5)
-        want = outcome(without_helper, params)
-        monkeypatch.setattr(solver, "_hard_edge", lambda *args: time.sleep(60))
-        started = time.perf_counter()
-        assert outcome(zeros, params) == want
-        assert helper == [None] and time.perf_counter() - started < 30
+        log = tmp_path / "yields.log"
+
+        def logged(done):
+            with open(log, "a") as handle:
+                handle.write(f"{os.getpid()}\n")
+
+        calls = pid_log(monkeypatch, tmp_path, solver, "_deflations")
+        doctor_deflations(monkeypatch, logged)
+        zeros(params)
+        pids = pids_logged(log)
+        assert pids_logged(calls) == [os.getpid()] and len(pids) == params.n
+        assert 0 < pids.count(os.getpid()) < params.n // 2
+
+    def test_every_step_runs_in_the_caller(self, helper, monkeypatch, tmp_path):
+        log = pid_log(monkeypatch, tmp_path, solver, "_step")
+        zeros(LaguerreParams(300, -0.5))
+        pids = pids_logged(log)
+        assert len(pids) >= 300 and set(pids) == {os.getpid()}
+        assert len(helper) == 1 and helper[0] is not None
 
     def test_a_helper_that_dies_before_it_answers(self, helper, monkeypatch):
         params = LaguerreParams(300, -0.5)
-        want = outcome(without_helper, params)
-        monkeypatch.setattr(solver, "_hard_edge",
-                            lambda *args: os.kill(os.getpid(), signal.SIGKILL))
-        waits_for_the_helper(monkeypatch)
+        want, caller = outcome(without_helper, params), os.getpid()
+        doctor_deflations(monkeypatch, lambda done: os.getpid() == caller
+                          or os.kill(os.getpid(), signal.SIGKILL))
         assert outcome(zeros, params) == want
         assert helper == [None]
 
-    def test_a_helper_that_fails_on_a_rank(self, helper, monkeypatch):
-        # The helper's search drops rank 3 and the lanes above it; the caller searches them.
+    def test_a_failed_fork(self, helper, monkeypatch):
         params = LaguerreParams(300, -0.5)
         want = outcome(without_helper, params)
-        doctor_ranks(monkeypatch, params, {3}, everywhere=False)
-        waits_for_the_helper(monkeypatch)
-        assert outcome(zeros, params) == want
-        [(_, answers)] = helper
-        assert 3 not in answers and len(answers) < 300 // 8
 
-    def test_the_lowest_failing_rank_raises_as_without_the_helper(self, helper, monkeypatch):
-        params = LaguerreParams(300, -0.5)
-        doctor_ranks(monkeypatch, params, {5, 200}, everywhere=True)
-        want = outcome(without_helper, params)
-        assert want == ("RefinementError", "doctored failure at rank 5")
-        waits_for_the_helper(monkeypatch)
-        assert outcome(zeros, params) == want
-        assert len(helper) == 1 and 5 not in helper[0][1]
+        def fails():
+            raise OSError("doctored fork failure")
 
-    def test_no_child_is_left_when_the_caller_raises(self, helper, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "fork", fails)
+        assert outcome(zeros, params) == want
+        assert helper == []
+
+    def test_a_ql_that_raises_after_the_fork(self, helper, monkeypatch, tmp_path):
+        # Both copies of the QL raise; the helper exits 1 and the caller's copy raises.
+        def fails(done):
+            if done == 200:
+                raise ConvergenceError("doctored QL failure")
+
+        doctor_deflations(monkeypatch, fails)
         log = fork_log(monkeypatch, tmp_path)
-
-        def fails(jacobi):
-            raise RefinementError("doctored QL failure")
-
-        monkeypatch.setattr(solver, "eigen_zeros", fails)
-        with pytest.raises(RefinementError, match="doctored QL failure"):
+        with pytest.raises(ConvergenceError, match="doctored QL failure"):
             zeros(LaguerreParams(300, -0.5))
         assert forks_logged(log) == 1 and helper == [None]
+
+    @pytest.mark.parametrize("ranks,lowest", [({5, 200}, 5), ({200}, 200), ({37}, 37)])
+    def test_the_lowest_failing_rank_raises_as_without_the_helper(self, helper, monkeypatch,
+                                                                   ranks, lowest):
+        # Rank 37 = 300 // 8 is the lowest that refine, not the caller's early search, runs.
+        params = LaguerreParams(300, -0.5)
+        doctor_ranks(monkeypatch, params, ranks)
+        want = outcome(without_helper, params)
+        assert want == ("RefinementError", f"doctored failure at rank {lowest}")
+        assert outcome(zeros, params) == want
+        assert len(helper) == 1 and helper[0] is not None
+
+    def test_no_child_is_left_when_the_caller_raises(self, helper, monkeypatch, tmp_path):
+        # The caller's search of the lowest ranks fails while the helper runs its QL.
+        log = fork_log(monkeypatch, tmp_path)
+
+        def fails(n, alpha, seeds, ranks):
+            raise KeyError("doctored search failure")
+
+        monkeypatch.setattr(solver, "_search", fails)
+        with pytest.raises(KeyError, match="doctored search failure"):
+            zeros(LaguerreParams(300, -0.5))
+        assert forks_logged(log) == 1 and len(helper) == 1
 
 
 class TestGate:
@@ -289,51 +332,35 @@ class TestReap:
         assert forks.reap(forks.fork(lambda: {"a": 1}), wait=True) == {"a": 1}
 
 
-class TestFound:
-    """refine certifies found's answers in the caller, and searches any it refuses."""
+class TestSearched:
+    """refine takes the zeros searched from a head of seeds only where that head is its
+    own seeds' first values bit for bit; every other rank it searches itself."""
 
     N, ALPHA = 300, -0.5
     PARAMS = LaguerreParams(N, ALPHA)
 
-    def solve(self, monkeypatch, doctor):
-        """The outcome when found() returns the helper's own (seeds, answers) as doctor
-        changes them, and the ranks below n // 8 refine searched itself."""
-        jacobi = build_jacobi(self.PARAMS)
-        head, answers = solver._hard_edge(self.PARAMS, jacobi, self.N // 8)
+    def solve(self, monkeypatch, head):
+        """The outcome of refine handed the zeros searched from head, as zeros hands them,
+        and the ranks below n // 8 that refine searched itself."""
+        jacobi, count = build_jacobi(self.PARAMS), self.N // 8
+        below, _ = solver._search(self.N, self.ALPHA, head, range(count))
         searched, search = [], solver._search
         monkeypatch.setattr(solver, "_search", lambda n, alpha, seeds, ranks:
                             searched.extend(ranks) or search(n, alpha, seeds, ranks))
-        found = lambda: doctor(head, answers)  # noqa: E731
-        got = outcome(lambda p: refine(p, eigen_zeros(jacobi), found=found), self.PARAMS)
-        return got, sorted(set(searched) & set(range(self.N // 8)))
+        seeds = eigen_zeros(jacobi)
+        got = outcome(lambda p: refine(p, seeds, searched=(np.array(head), below)), self.PARAMS)
+        return got, sorted(set(searched) & set(range(count)))
 
-    def test_right_answers_are_taken(self, monkeypatch):
+    def head(self):
+        return eigen_zeros(build_jacobi(self.PARAMS))[:self.N // 8 + 1].tolist()
+
+    def test_the_zeros_from_the_same_seeds_are_taken(self, monkeypatch):
         want = outcome(without_helper, self.PARAMS)
-        assert self.solve(monkeypatch, lambda head, answers: (head, answers)) == (want, [])
+        assert self.solve(monkeypatch, self.head()) == (want, [])
 
-    @pytest.mark.parametrize("rank", [0, 1, 30])
-    def test_a_wrong_zero_is_refused(self, monkeypatch, rank):
-        # 2**-30 relative off: inside its bracket, its residual far past the cap.
+    @pytest.mark.parametrize("rank", [0, 20, 37])
+    def test_a_head_one_ulp_off_is_searched_again(self, monkeypatch, rank):
         want = outcome(without_helper, self.PARAMS)
-
-        def wrong(head, answers):
-            z, compensated = answers[rank]
-            return head, {**answers, rank: (z * (1.0 + 2.0**-30), compensated)}
-
-        assert self.solve(monkeypatch, wrong) == (want, [rank])
-
-    def test_a_zero_outside_its_bracket_is_refused(self, monkeypatch):
-        want = outcome(without_helper, self.PARAMS)
-
-        def swapped(head, answers):  # rank 7's zero given as rank 6's: a true zero, wrong rank
-            return head, {**answers, 6: answers[7]}
-
-        assert self.solve(monkeypatch, swapped) == (want, [6])
-
-    def test_answers_from_other_seeds_are_ignored(self, monkeypatch):
-        want = outcome(without_helper, self.PARAMS)
-
-        def moved(head, answers):
-            return [float(np.nextafter(head[0], 1.0))] + head[1:], answers
-
-        assert self.solve(monkeypatch, moved) == (want, list(range(self.N // 8)))
+        head = self.head()
+        head[rank] = float(np.nextafter(head[rank], math.inf))
+        assert self.solve(monkeypatch, head) == (want, list(range(self.N // 8)))
