@@ -1,6 +1,6 @@
 """One forked child per call: it runs a function, on a CPU of its own if asked, and
-pickles the result into a pipe, and the caller reads it, waiting or not, and reaps the
-child.
+pickles the result into a pipe. The caller ends every child with reap: it reads the
+pipe to EOF, or (wait false) kills the child unread, and reaps it.
 
 The sweep's shares (report._solve_shares) and the solve's helper, which finishes the
 caller's QL (solver.zeros), both run on these. A child leaves by os._exit on every
@@ -31,15 +31,6 @@ def usable_cpus() -> list | None:
             or signal.getsignal(signal.SIGCHLD) is not signal.SIG_DFL):
         return None
     return sorted(os.sched_getaffinity(0))
-
-
-def has_child() -> bool:
-    """Whether this process has a child, running or exited but not yet reaped."""
-    try:
-        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
-    except ChildProcessError:
-        return False
-    return True
 
 
 def _cpu_quota() -> float:
@@ -130,19 +121,14 @@ def fork(work, cpu=None):
 
 
 def reap(child, wait: bool):
-    """What the child pickled, or None where it died, failed, or (wait false) has not
-    answered yet, when it is killed. The pipe is read to EOF where the child has
-    answered or wait is true; the pipe is closed and the child reaped on every path,
-    and a child whose answer was not read is killed first. A child that another
-    waitpid reaped first gives None."""
-    import select  # here, so that a command that never forks never loads it
-
+    """What the child pickled, or None where it died, failed, was killed unread or was
+    reaped by another waitpid first. Where wait is true the pipe is read to EOF; where
+    it is false, or the read raises, nothing is read and the child is killed. On every
+    path the pipe is closed and the child reaped, so no zombie is left."""
     pid, read = child
     payload = status = None
     try:
-        ready = select.poll()
-        ready.register(read, select.POLLIN)
-        if wait or ready.poll(0):  # readable: the answer, or EOF from a dead child
+        if wait:
             with open(read, "rb", closefd=False) as pipe:
                 payload = pipe.read()
     finally:

@@ -252,11 +252,13 @@ def _solve_shares(grid: list, config: SweepConfig) -> dict:
     most one a pair; {} where that is one, or where it may not fork
     (forks.usable_cpus).
 
-    This process solves share 0 of _deal while a child forked per other share (a
-    forked child, so its solves fork no helper) solves its own and pickles its _solve
-    result into a pipe. Each pipe is read to EOF and each child reaped, on
-    every path; only a child that exited 0 is trusted. A pair missing from the result
-    (its share's error, a dead child, a failed fork) is the caller's to solve.
+    This process solves share 0 of _deal (where solver.zeros finds 2 CPUs free, a
+    solve there may fork its helper) while a child forked per other share (a forked
+    child, so its solves fork no helper) solves its own and pickles its _solve result
+    into a pipe. Each pipe is read to EOF and each child reaped; where this
+    process raises first, the children left are killed unread and reaped (forks.reap).
+    Only a child that exited 0 is trusted. A pair missing from the result (its share's
+    error, a dead child, a failed fork) is the caller's to solve.
     """
     cpus = forks.usable_cpus()
     workers = min(len(cpus), len(grid)) if cpus is not None else 1
@@ -272,7 +274,7 @@ def _solve_shares(grid: list, config: SweepConfig) -> dict:
         done = _solve(shares[0], config)
         while children:
             done.update(forks.reap(children.pop(0), wait=True) or {})
-    finally:  # a child still solving is killed, one still writing gets EPIPE
+    finally:
         for child in children:
             forks.reap(child, wait=False)
     return done

@@ -476,14 +476,16 @@ def _spare_cpus(n: int, alpha: float, count: int):
     lost 6-31%, and at 256-384 it read -28% to +20%); alpha + 1 < count, where the QL
     certifies the count + 1 smallest values, the fork point, after 25-52% of its time at
     n = 256-2000, against 42-104% from alpha = count up; this process may fork
-    (forks.usable_cpus: it is no forked child, so a sweep's shares fork none); it has no
-    child (a sweep's caller while its shares run); and forks.idle_cpus finds 2 CPUs free. Where another process kept
-    every core busy the helper cost time: two large_n runs side by side on 2 CPUs
+    (forks.usable_cpus: it is no forked child, so a sweep's shares fork none); and
+    forks.idle_cpus finds 2 CPUs free. That count alone says whether a core is free: a
+    running child of this process (a sweep share still solving) is one of the runnable
+    tasks it counts, and an exited or sleeping one holds no core. Where another process
+    kept every core busy the helper cost time: two large_n runs side by side on 2 CPUs
     took 0.571 s a median op with it against 0.447 s without."""
     if n < _HELPER_LEAST_N or not alpha + 1.0 < count:
         return None
     cpus = forks.usable_cpus()
-    if cpus is None or forks.has_child() or forks.idle_cpus(cpus) < 2:
+    if cpus is None or forks.idle_cpus(cpus) < 2:
         return None
     return cpus
 
@@ -499,8 +501,8 @@ def zeros(params: LaguerreParams) -> ZeroSet:
     takes this search's zeros where its seeds are those values bit for bit. So every
     zero is searched and certified here. A helper that dies, fails or cannot be forked
     leaves this process to finish its own copy of the QL: that costs time, never a bit.
-    The helper is waited for, killed if this process raises, and reaped, and this
-    process's CPUs are restored, on every path.
+    Where this process raises from its pin on, the helper is killed unread and reaped;
+    on every path its CPUs are restored, and only then is the helper waited for.
     """
     n, alpha = params.n, params.alpha
     jacobi = build_jacobi(params)
@@ -511,16 +513,17 @@ def zeros(params: LaguerreParams) -> ZeroSet:
     values, rest = _certified(jacobi, count + 1)
     head = np.sort(values)[:count + 1]
     helper = None
-    forks.pin({cpus[0]})
     try:
+        forks.pin({cpus[0]})
         helper = forks.fork(lambda: list(rest), cpus[1])
         below, _ = _search(n, alpha, head.tolist(), range(count))  # refine reruns a failure
-        child, helper = helper, None
-        tail = forks.reap(child, wait=True) if child is not None else None
-    finally:
+    except BaseException:
         if helper is not None:
             forks.reap(helper, wait=False)
+        raise
+    finally:
         forks.pin(cpus)
+    tail = forks.reap(helper, wait=True) if helper is not None else None
     if tail is None:  # no helper's answer: this process finishes its own QL
         tail = list(rest)
     return refine(params, np.sort(np.array(values + tail)), searched=(head, below))

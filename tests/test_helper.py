@@ -13,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -35,6 +36,9 @@ pytestmark = pytest.mark.skipif(len(CPUS) < 2 or not hasattr(os, "fork"),
                                 reason="the helper needs os.fork and two usable CPUs")
 
 
+KILLED = "killed unread"
+
+
 def outcome(solve, params):
     """The zeros' and residuals' bits, or the error's type and message."""
     try:
@@ -51,15 +55,16 @@ def without_helper(params):
 @pytest.fixture
 def helper(monkeypatch, tmp_path):
     """The helper forked from degree 16 up, every usable CPU read as idle; yields a list
-    that gains each helper's answer (None where it gave none). After the test no child
-    of this process is left and its CPUs are those it had."""
+    that gains how each helper ended: its answer where reap read it (None where it gave
+    none), KILLED where reap killed it unread. After the test no child of this process
+    is left and its CPUs are those it had."""
     monkeypatch.setattr(solver, "_HELPER_LEAST_N", 16)
     monkeypatch.setattr(forks, "idle_cpus", len)
     answers, reap = [], forks.reap
 
     def recorded(child, wait):
         answer = reap(child, wait)
-        answers.append(answer)
+        answers.append(answer if wait else KILLED)
         return answer
 
     monkeypatch.setattr(forks, "reap", recorded)
@@ -210,7 +215,22 @@ class TestBits:
         monkeypatch.setattr(solver, "_search", fails)
         with pytest.raises(KeyError, match="doctored search failure"):
             zeros(LaguerreParams(300, -0.5))
-        assert forks_logged(log) == 1 and len(helper) == 1
+        assert forks_logged(log) == 1 and helper == [KILLED]
+
+    def test_an_interrupt_at_the_pin_restores_the_cpus(self, helper, monkeypatch, tmp_path):
+        # The fixture asserts that this process is held on every CPU it had again.
+        log, pin, calls = fork_log(monkeypatch, tmp_path), forks.pin, []
+
+        def interrupted(cpus):
+            pin(cpus)
+            calls.append(sorted(cpus))
+            if len(calls) == 1:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(forks, "pin", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            zeros(LaguerreParams(300, -0.5))
+        assert calls == [CPUS[:1], CPUS] and forks_logged(log) == 0 and helper == []
 
 
 class TestGate:
@@ -235,22 +255,28 @@ class TestGate:
             os.sched_setaffinity(0, CPUS)
         assert forks_logged(log) == 0
 
-    def test_a_live_child(self, helper, monkeypatch, tmp_path):
+    def test_a_sleeping_child_does_not_block_the_helper(self, helper, monkeypatch, tmp_path):
+        # Only idle_cpus, read here as every CPU, says whether a core is free.
+        params = LaguerreParams(300, -0.5)
+        want = outcome(without_helper, params)
         log = fork_log(monkeypatch, tmp_path)
         child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
         try:
-            zeros(LaguerreParams(200, 1.0))
+            got = outcome(zeros, params)
         finally:
             child.kill()
             child.wait(timeout=60)
-        assert forks_logged(log) == 0
+        assert got == want and forks_logged(log) == 1
+        assert len(helper) == 1 and helper[0] is not None
 
     def test_sweep_shares_fork_no_helper(self, helper, monkeypatch, tmp_path):
-        # Every pair passes the gate; only the shares past the first fork, on any process.
+        # Every pair passes the gate. The caller forks the shares past the first, and
+        # its own share may fork helpers; a share, a forked child, forks nothing.
         log = fork_log(monkeypatch, tmp_path)
         config = SweepConfig([40, 48, 56, 64], [0.0, 1.0], output_dir=tmp_path / "sweep")
         run_sweep(config)
-        assert forks_logged(log) == min(len(CPUS), 8) - 1
+        pids = pids_logged(log)
+        assert set(pids) == {os.getpid()} and len(pids) >= min(len(CPUS), 8) - 1
 
     @pytest.mark.parametrize("idle", [0, 1])
     def test_busy_cpus(self, helper, monkeypatch, tmp_path, idle):
@@ -323,13 +349,26 @@ class TestIdleCpus:
 
 
 class TestReap:
-    def test_a_child_reaped_elsewhere_gives_no_answer(self):
+    @pytest.mark.parametrize("wait", [True, False])
+    def test_a_child_reaped_elsewhere_ends_quietly(self, wait):
         child = forks.fork(lambda: 1)
         os.waitpid(child[0], 0)
-        assert forks.reap(child, wait=True) is None
+        assert forks.reap(child, wait) is None
 
     def test_a_child_answers(self):
         assert forks.reap(forks.fork(lambda: {"a": 1}), wait=True) == {"a": 1}
+
+    @pytest.mark.parametrize("answers", [False, True])
+    def test_an_unread_child_is_killed_and_reaped(self, answers):
+        # A child that never answers, and one whose answer waits in the pipe unread.
+        child = forks.fork((lambda: 1) if answers else (lambda: time.sleep(60)))
+        if answers:  # wait until it has exited, leaving it to reap
+            os.waitid(os.P_PID, child[0], os.WEXITED | os.WNOWAIT)
+        start = time.monotonic()
+        assert forks.reap(child, wait=False) is None
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):  # no zombie is left
+            os.waitpid(child[0], os.WNOHANG)
 
 
 class TestSearched:
